@@ -21,9 +21,9 @@ import click
 
 from .enriched import check_shift_props, gamma_algebra, endo_iso, module_hom_space
 from .equivalence import backward as backward_op
-from .equivalence import check_equivalence, equivalence_from_twist, gamma_twist_phi, zm_forward
+from .equivalence import check_equivalence, equivalence_from_twist, gamma_twist_phi
 from .exactmath import Matrix
-from .graded import check_algebra, check_module, regular_module
+from .graded import check_algebra, check_module
 from .groups import check_group
 from .report import Report
 from .serialize import (
@@ -61,11 +61,9 @@ def _jsonable(x):
 
 def _print_report(report: Report, fmt: str, seed, seconds: float):
     if fmt == "structured":
-        out = {"check": report.check, "status": report.status}
-        if report.witness is not None:
-            out["witness"] = _jsonable(report.witness)
-        if report.notes:
-            out["notes"] = list(report.notes)
+        out = report.as_dict()
+        if "witness" in out:
+            out["witness"] = _jsonable(out["witness"])
         if seed is not None:
             out["seed"] = seed
         out["timings"] = {"seconds": round(seconds, 6)}
@@ -112,10 +110,6 @@ def common_options(f):
         "--seed", type=int, default=None,
         help="echoed into structured reports; every command is deterministic",
     )(f)
-    f = click.option(
-        "--jobs", type=int, default=1,
-        help="accepted for compatibility; execution is single-threaded",
-    )(f)
     return f
 
 
@@ -127,7 +121,7 @@ def main():
 @main.command("check-group")
 @click.argument("group_file", type=click.Path())
 @common_options
-def cmd_check_group(group_file, fmt, seed, jobs):
+def cmd_check_group(group_file, fmt, seed):
     """Check the group axioms on a multiplication table."""
     group = _load(group_file, parse_group)
     t0 = time.perf_counter()
@@ -138,7 +132,7 @@ def cmd_check_group(group_file, fmt, seed, jobs):
 @main.command("check-algebra")
 @click.argument("algebra_file", type=click.Path())
 @common_options
-def cmd_check_algebra(algebra_file, fmt, seed, jobs):
+def cmd_check_algebra(algebra_file, fmt, seed):
     """Check associativity and unitality of a graded algebra."""
     algebra = _load(algebra_file, parse_algebra)
     t0 = time.perf_counter()
@@ -149,7 +143,7 @@ def cmd_check_algebra(algebra_file, fmt, seed, jobs):
 @main.command("check-module")
 @click.argument("module_file", type=click.Path())
 @common_options
-def cmd_check_module(module_file, fmt, seed, jobs):
+def cmd_check_module(module_file, fmt, seed):
     """Check the action axioms of a graded module."""
     module = _load_module(module_file)
     t0 = time.perf_counter()
@@ -161,7 +155,7 @@ def cmd_check_module(module_file, fmt, seed, jobs):
 @click.argument("twist_file", type=click.Path())
 @click.argument("algebra_file", type=click.Path())
 @common_options
-def cmd_check_twist(twist_file, algebra_file, fmt, seed, jobs):
+def cmd_check_twist(twist_file, algebra_file, fmt, seed):
     """Check the twisting-system condition against an algebra."""
     algebra = _load(algebra_file, parse_algebra)
     t = _load(twist_file, parse_twist, algebra)
@@ -175,7 +169,7 @@ def cmd_check_twist(twist_file, algebra_file, fmt, seed, jobs):
 @click.argument("algebra_file", type=click.Path())
 @click.option("-o", "--output", type=click.Path(), required=True)
 @common_options
-def cmd_twist_algebra(twist_file, algebra_file, output, fmt, seed, jobs):
+def cmd_twist_algebra(twist_file, algebra_file, output, fmt, seed):
     """Write the twisted algebra to a file (after checking the twist)."""
     algebra = _load(algebra_file, parse_algebra)
     t = _load(twist_file, parse_twist, algebra)
@@ -191,8 +185,11 @@ def cmd_twist_algebra(twist_file, algebra_file, output, fmt, seed, jobs):
 @click.argument("module_file", type=click.Path())
 @click.option("-o", "--output", type=click.Path(), required=True)
 @common_options
-def cmd_twist_module(twist_file, module_file, output, fmt, seed, jobs):
-    """Write the twisted module to a file (after checking the twist)."""
+def cmd_twist_module(twist_file, module_file, output, fmt, seed):
+    """Write the twisted module to a file (after checking the twist).
+
+    Also registered as zm-forward: the twist equivalence applied to one module.
+    """
     module = _load_module(module_file)
     t = _load(twist_file, parse_twist, module.algebra)
     t0 = time.perf_counter()
@@ -202,20 +199,7 @@ def cmd_twist_module(twist_file, module_file, output, fmt, seed, jobs):
     _finish(report, fmt, seed, time.perf_counter() - t0)
 
 
-@main.command("zm-forward")
-@click.argument("twist_file", type=click.Path())
-@click.argument("module_file", type=click.Path())
-@click.option("-o", "--output", type=click.Path(), required=True)
-@common_options
-def cmd_zm_forward(twist_file, module_file, output, fmt, seed, jobs):
-    """Apply the twist equivalence to one module."""
-    module = _load_module(module_file)
-    t = _load(twist_file, parse_twist, module.algebra)
-    t0 = time.perf_counter()
-    report = check_twist_condition(t)
-    if report.passed:
-        write_json(output, emit_module(zm_forward(module, t, run_checks=False)))
-    _finish(report, fmt, seed, time.perf_counter() - t0)
+main.add_command(cmd_twist_module, "zm-forward")
 
 
 @main.command("check-phi")
@@ -223,7 +207,7 @@ def cmd_zm_forward(twist_file, module_file, output, fmt, seed, jobs):
 @click.argument("source_algebra", type=click.Path())
 @click.argument("target_algebra", type=click.Path())
 @common_options
-def cmd_check_phi(phi_file, source_algebra, target_algebra, fmt, seed, jobs):
+def cmd_check_phi(phi_file, source_algebra, target_algebra, fmt, seed):
     """Check the multiplicative-family conditions of a phi family."""
     source = _load(source_algebra, parse_algebra)
     target = _load(target_algebra, parse_algebra)
@@ -243,7 +227,7 @@ def cmd_check_phi(phi_file, source_algebra, target_algebra, fmt, seed, jobs):
               help="optional file for the induced morphism onto the twisted algebra")
 @common_options
 def cmd_twist_from_phi(phi_file, source_algebra, target_algebra, output,
-                       morphism_out, fmt, seed, jobs):
+                       morphism_out, fmt, seed):
     """Recover a twisting system from a multiplicative phi family."""
     source = _load(source_algebra, parse_algebra)
     target = _load(target_algebra, parse_algebra)
@@ -265,7 +249,7 @@ def cmd_twist_from_phi(phi_file, source_algebra, target_algebra, output,
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="optional file for the canonical basis export")
 @common_options
-def cmd_hom_space(source_module, target_module, degree, output, fmt, seed, jobs):
+def cmd_hom_space(source_module, target_module, degree, output, fmt, seed):
     """Compute a graded module Hom space and report its dimension."""
     m = _load_module(source_module)
     n = _load_module(target_module)
@@ -286,7 +270,7 @@ def cmd_hom_space(source_module, target_module, degree, output, fmt, seed, jobs)
 @click.option("-o", "--output", type=click.Path(), required=True,
               help="file for the graded endomorphism algebra")
 @common_options
-def cmd_gamma(algebra_file, output, fmt, seed, jobs):
+def cmd_gamma(algebra_file, output, fmt, seed):
     """Compute the graded endomorphism algebra of the regular module."""
     algebra = _load(algebra_file, parse_algebra)
     t0 = time.perf_counter()
@@ -304,7 +288,7 @@ def cmd_gamma(algebra_file, output, fmt, seed, jobs):
 @main.command("verify-endo")
 @click.argument("algebra_file", type=click.Path())
 @common_options
-def cmd_verify_endo(algebra_file, fmt, seed, jobs):
+def cmd_verify_endo(algebra_file, fmt, seed):
     """Verify the isomorphism between an algebra and its graded endomorphism algebra."""
     algebra = _load(algebra_file, parse_algebra)
     t0 = time.perf_counter()
@@ -322,7 +306,7 @@ def cmd_verify_endo(algebra_file, fmt, seed, jobs):
 @click.option("-g", "--shift", "shift_degree", type=int, required=True)
 @click.option("-d", "--degree", type=int, required=True)
 @common_options
-def cmd_shift_props(source_module, target_module, shift_degree, degree, fmt, seed, jobs):
+def cmd_shift_props(source_module, target_module, shift_degree, degree, fmt, seed):
     """Check the three shift identities on a pair of modules."""
     m = _load_module(source_module)
     n = _load_module(target_module)
@@ -340,7 +324,7 @@ def cmd_shift_props(source_module, target_module, shift_degree, degree, fmt, see
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="optional file for the transported phi family")
 @common_options
-def cmd_gamma_twist(twist_file, algebra_file, output, fmt, seed, jobs):
+def cmd_gamma_twist(twist_file, algebra_file, output, fmt, seed):
     """Transport a twist along graded endomorphism algebras into a phi family."""
     algebra = _load(algebra_file, parse_algebra)
     t = _load(twist_file, parse_twist, algebra)
@@ -362,7 +346,7 @@ def cmd_gamma_twist(twist_file, algebra_file, output, fmt, seed, jobs):
 @click.option("--iso-out", type=click.Path(), default=None,
               help="optional file for the isomorphism onto the twisted algebra")
 @common_options
-def cmd_backward(twist_file, algebra_file, output, iso_out, fmt, seed, jobs):
+def cmd_backward(twist_file, algebra_file, output, iso_out, fmt, seed):
     """Recover a twist from the equivalence induced by a known one."""
     algebra = _load(algebra_file, parse_algebra)
     t = _load(twist_file, parse_twist, algebra)
@@ -389,52 +373,52 @@ def _fixture(name: str):
 @main.command("demo")
 @click.argument("name", type=click.Choice(["quantum-plane", "sign-twist"]))
 @common_options
-def cmd_demo(name, fmt, seed, jobs):
+def cmd_demo(name, fmt, seed):
     """Run a bundled end-to-end example and narrate the result."""
+    algebra_file, twist_file = {
+        "quantum-plane": ("trunc23.alg.json", "quantum.twist.json"),
+        "sign-twist": ("z2.alg.json", "sign.twist.json"),
+    }[name]
+    algebra = parse_algebra(read_json(_fixture(algebra_file)))
+    t = parse_twist(read_json(_fixture(twist_file)), algebra)
     t0 = time.perf_counter()
+    report = check_twist_condition(t)
+    timed = [(report, time.perf_counter() - t0)]
     if name == "quantum-plane":
-        algebra = parse_algebra(read_json(_fixture("trunc23.alg.json")))
-        t = parse_twist(read_json(_fixture("quantum.twist.json")), algebra)
-        report = check_twist_condition(t)
-        reports = [report]
         lines = [
             "Truncated polynomial algebra on x, y up to total degree 3,",
             "twisted by the automorphism y -> 2y taken degreewise.",
         ]
         if report.passed:
+            t0 = time.perf_counter()
             twisted = twist_algebra(algebra, t, run_checks=False)
             mult = twisted.mult_map(1, 1)
             x_y = mult.col(1)
             y_x = mult.col(2)
             scaled = tuple(2 * v for v in y_x)
             relation = Report("quantum-plane-relation", x_y == scaled)
-            reports.append(relation)
+            timed.append((relation, time.perf_counter() - t0))
             if relation.passed:
                 lines.append("In the twisted algebra the variables q-commute:")
                 lines.append("  x★y = 2·(y★x)")
     else:
-        algebra = parse_algebra(read_json(_fixture("z2.alg.json")))
-        t = parse_twist(read_json(_fixture("sign.twist.json")), algebra)
-        report = check_twist_condition(t)
-        reports = [report]
         lines = [
             "Group algebra of the order-two group, twisted by the sign cocycle.",
         ]
         if report.passed:
-            twisted = twist_algebra(algebra, t, run_checks=False)
+            t0 = time.perf_counter()
             result = backward_op(equivalence_from_twist(t))
-            reports.append(result.report)
+            timed.append((result.report, time.perf_counter() - t0))
+            twisted = twist_algebra(algebra, t, run_checks=False)
             value = twisted.mult_map(1, 1).data[0]
             lines.append(f"The twisted square of the generator is {value},")
             lines.append("and the recovery pipeline returns the same twist bit-exactly.")
-    seconds = time.perf_counter() - t0
     if fmt == "text":
         for line in lines:
             click.echo(line)
-    per = seconds / len(reports)
-    for r in reports:
-        _print_report(r, fmt, seed, per)
-    sys.exit(0 if all(r.passed for r in reports) else 1)
+    for r, seconds in timed:
+        _print_report(r, fmt, seed, seconds)
+    sys.exit(0 if all(r.passed for r, _seconds in timed) else 1)
 
 
 if __name__ == "__main__":

@@ -546,12 +546,6 @@ def block_permutation(from_layout, to_layout, send, field):
     return Matrix.from_rows(data, field)
 
 
-def _relabel(from_space: ModuleHomSpace, to_space: ModuleHomSpace, send):
-    return block_permutation(
-        from_space.source_layout, to_space.source_layout, send, from_space.source.field
-    )
-
-
 def check_shift_props(m: GradedModule, n: GradedModule, g, d) -> Report:
     """Three identities tying Hom spaces to shifted modules.
 
@@ -586,7 +580,7 @@ def check_shift_props(m: GradedModule, n: GradedModule, g, d) -> Report:
 
 
 def _compare_relabeled(name, lhs, rhs, send, g, d) -> Report:
-    perm = _relabel(rhs, lhs, send)
+    perm = block_permutation(rhs.source_layout, lhs.source_layout, send, rhs.source.field)
     if perm is None:
         return Report(name, False, witness=("block-mismatch", g, d))
     ok = column_echelon(perm @ rhs.kernel) == lhs.kernel

@@ -241,7 +241,7 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
             pull = block_matrix(mid_sizes, mid_sizes, pull_blocks, field)
             push = block_matrix(mid_sizes, mid_sizes, push_blocks, field)
             transported = shift_out @ push @ pull @ shift_in @ space_b.kernel
-            if not ((space_a.R - space_a.S) @ transported).is_zero():
+            if not space_a.contains(transported):
                 failures.append(Report("gamma_twist_phi", False, witness=("level-exchange", (d, g))))
                 continue
             maps[(d, g)] = solve(space_a.kernel, transported)

@@ -23,7 +23,35 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from sympy import isprime
+# Miller-Rabin with the first 13 primes as bases is exact below the
+# smallest strong pseudoprime to all of them (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < _PRIME_BOUND."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class RationalField:
@@ -85,7 +113,9 @@ class PrimeField:
     name = "prime"
 
     def __init__(self, p: int):
-        if not isprime(p):
+        if p >= _PRIME_BOUND:
+            raise ValueError(f"GF(p) needs p < {_PRIME_BOUND}, where primality is decided exactly")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import comb
 from itertools import combinations_with_replacement
 
-from .exactmath import QQ, Matrix, hstack, kron, mat_mul
+from .exactmath import QQ, Matrix, hstack, kron
 from .groups import FiniteGroup, IntegerWindow, same_group
 from .report import Report
 
@@ -354,12 +354,6 @@ class TensorLayout:
         self.space = space
         self.blocks = blocks
 
-    def offset_of(self, g, p):
-        for q, offset, size in self.blocks.get(g, []):
-            if q == p:
-                return offset, size
-        raise KeyError(f"no block for p={p!r} in degree {g!r}")
-
 
 def graded_tensor(x: GradedVectorSpace, y: GradedVectorSpace) -> TensorLayout:
     """(X (x)bar Y)_g = sum over p of X_p (x) Y_{p^-1 g}, with offsets."""
@@ -462,19 +456,6 @@ def _assembled_axioms(a: GradedAlgebra) -> Report:
     return Report("assembled_axioms", True)
 
 
-def assembled_mult(a: GradedAlgebra, t) -> Matrix:
-    """The degree-t Cauchy multiplication (A (x)bar A)_t -> A_t."""
-    layout = graded_tensor(a.space, a.space)
-    group = a.group
-    pieces = []
-    for p, _offset, _size in layout.blocks.get(t, []):
-        q = group.mul(group.inv(p), t)
-        pieces.append(a.mult_map(p, q))
-    if not pieces:
-        return Matrix.zeros(a.dim(t), 0, a.field)
-    return hstack(pieces)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -559,12 +540,6 @@ def zero_module(a: GradedAlgebra) -> GradedModule:
     return GradedModule(GradedVectorSpace(a.group, {}), a, {})
 
 
-def mat_from_cols(cols, rows, field) -> Matrix:
-    """Pack column lists into a Matrix; convenience for tests and fixtures."""
-    entries = [col[i] for i in range(rows) for col in cols]
-    return Matrix(rows, len(cols), field, entries)
-
-
 __all__ = [
     "GradedVectorSpace",
     "GradedAlgebra",
@@ -577,7 +552,6 @@ __all__ = [
     "check_algebra_morphism",
     "check_module_morphism",
     "cauchy_algebra_oracle",
-    "assembled_mult",
     "group_algebra",
     "truncated_polynomial",
     "regular_module",

@@ -136,14 +136,6 @@ def mul(group, a, b):
     return group.mul(a, b)
 
 
-def inv(group, a):
-    return group.inv(a)
-
-
-def identity(group):
-    return group.identity
-
-
 def check_group(g) -> Report:
     """Exhaustive verification of the group axioms of a finite table.
 

@@ -34,9 +34,6 @@ class Report:
             out["notes"] = list(self.notes)
         return out
 
-    def with_notes(self, *extra: str) -> "Report":
-        return Report(self.check, self.passed, self.witness, self.notes + tuple(extra))
-
     def __repr__(self):
         tail = f", witness={self.witness!r}" if self.witness is not None else ""
         return f"Report({self.check}: {self.status}{tail})"

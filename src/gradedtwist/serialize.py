@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .equivalence import EquivalenceData, equivalence_from_twist
 from .exactmath import Matrix, PrimeField, QQ, RationalField
 from .graded import GradedAlgebra, GradedModule, GradedMorphism, GradedVectorSpace
 from .groups import FiniteGroup, IntegerWindow
@@ -42,10 +41,28 @@ def write_json(path, data):
     Path(path).write_text(json.dumps(data, indent=1) + "\n")
 
 
-def _need(data, key, what):
+def _need(data, key, what, expected=None):
+    """Return data[key]; it must be present and, if expected is given, of that type."""
     if not isinstance(data, dict) or key not in data:
         raise FileFormatError(f"{what} is missing the key {key!r}")
-    return data[key]
+    value = data[key]
+    if expected is not None and not isinstance(value, expected):
+        raise FileFormatError(
+            f"{what} key {key!r} must be a {expected.__name__}, found {type(value).__name__}"
+        )
+    return value
+
+
+def _scalar(x, field):
+    """A field element written as an exact string or as an integer."""
+    if isinstance(x, str):
+        try:
+            return field.parse(x)
+        except ZeroDivisionError:
+            raise FileFormatError(f"scalar {x!r} has a zero denominator") from None
+    if isinstance(x, int) and not isinstance(x, bool):
+        return field.coerce(x)
+    raise FileFormatError(f"scalar {x!r} is neither a string nor an integer")
 
 
 # -- fields ------------------------------------------------------------
@@ -79,13 +96,12 @@ def emit_matrix(m: Matrix) -> dict:
 def parse_matrix(data, field) -> Matrix:
     rows = _need(data, "rows", "matrix")
     cols = _need(data, "cols", "matrix")
-    entries = _need(data, "entries", "matrix")
+    entries = _need(data, "entries", "matrix", list)
     if len(entries) != rows * cols:
         raise FileFormatError(
             f"matrix declares {rows}x{cols} but carries {len(entries)} entries"
         )
-    parsed = [field.parse(x) if isinstance(x, str) else field.coerce(x) for x in entries]
-    return Matrix(rows, cols, field, parsed)
+    return Matrix(rows, cols, field, [_scalar(x, field) for x in entries])
 
 
 # -- groups ------------------------------------------------------------
@@ -155,7 +171,12 @@ def _emit_dims(space: GradedVectorSpace) -> dict:
 
 
 def _parse_dims(data) -> dict:
-    return {_parse_degree(k): v for k, v in data.items()}
+    dims = {}
+    for k, d in data.items():
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise FileFormatError(f"dimension {d!r} of degree {k!r} is not an integer")
+        dims[_parse_degree(k)] = d
+    return dims
 
 
 # -- algebras and modules ----------------------------------------------
@@ -173,16 +194,13 @@ def emit_algebra(a: GradedAlgebra) -> dict:
 def parse_algebra(data) -> GradedAlgebra:
     field = parse_field(_need(data, "field", "algebra"))
     group = parse_group(_need(data, "group", "algebra"))
-    space = GradedVectorSpace(group, _parse_dims(_need(data, "dims", "algebra")))
+    space = GradedVectorSpace(group, _parse_dims(_need(data, "dims", "algebra", dict)))
     mult = {
         _parse_pair(k): parse_matrix(m, field)
-        for k, m in _need(data, "mult", "algebra").items()
+        for k, m in _need(data, "mult", "algebra", dict).items()
     }
-    raw_unit = _need(data, "unit", "algebra")
-    unit = Matrix(
-        len(raw_unit), 1, field,
-        [field.parse(x) if isinstance(x, str) else field.coerce(x) for x in raw_unit],
-    )
+    raw_unit = _need(data, "unit", "algebra", list)
+    unit = Matrix(len(raw_unit), 1, field, [_scalar(x, field) for x in raw_unit])
     return GradedAlgebra(space, mult, unit, field)
 
 
@@ -212,10 +230,10 @@ def parse_module(data, base_dir=None, algebra: GradedAlgebra | None = None) -> G
     field = parse_field(_need(data, "field", "module"))
     if field != algebra.field:
         raise FileFormatError("module field disagrees with its algebra")
-    space = GradedVectorSpace(algebra.group, _parse_dims(_need(data, "dims", "module")))
+    space = GradedVectorSpace(algebra.group, _parse_dims(_need(data, "dims", "module", dict)))
     action = {
         _parse_pair(k): parse_matrix(x, field)
-        for k, x in _need(data, "action", "module").items()
+        for k, x in _need(data, "action", "module", dict).items()
     }
     return GradedModule(space, algebra, action)
 
@@ -237,11 +255,11 @@ def emit_morphism(f: GradedMorphism) -> dict:
 def parse_morphism(data) -> GradedMorphism:
     field = parse_field(_need(data, "field", "morphism"))
     group = parse_group(_need(data, "group", "morphism"))
-    source = GradedVectorSpace(group, _parse_dims(_need(data, "source_dims", "morphism")))
-    target = GradedVectorSpace(group, _parse_dims(_need(data, "target_dims", "morphism")))
+    source = GradedVectorSpace(group, _parse_dims(_need(data, "source_dims", "morphism", dict)))
+    target = GradedVectorSpace(group, _parse_dims(_need(data, "target_dims", "morphism", dict)))
     comps = {
         _parse_degree(k): parse_matrix(m, field)
-        for k, m in _need(data, "components", "morphism").items()
+        for k, m in _need(data, "components", "morphism", dict).items()
     }
     return GradedMorphism(source, target, comps, field)
 
@@ -273,19 +291,19 @@ def parse_twist(data, algebra: GradedAlgebra) -> TwistingSystem:
     if kind == "explicit":
         maps = {
             _parse_pair(k): parse_matrix(m, field)
-            for k, m in _need(data, "maps", "twist").items()
+            for k, m in _need(data, "maps", "twist", dict).items()
         }
         return TwistingSystem(algebra, EXPLICIT, maps=maps)
     if kind == "cocycle":
         alpha = {
-            _parse_pair(k): field.parse(v) if isinstance(v, str) else field.coerce(v)
-            for k, v in _need(data, "alpha", "twist").items()
+            _parse_pair(k): _scalar(v, field)
+            for k, v in _need(data, "alpha", "twist", dict).items()
         }
         return TwistingSystem(algebra, COCYCLE, alpha=alpha)
     if kind == "automorphism":
         comps = {
             _parse_degree(k): parse_matrix(m, field)
-            for k, m in _need(data, "sigma", "twist").items()
+            for k, m in _need(data, "sigma", "twist", dict).items()
         }
         sigma = GradedMorphism(algebra.space, algebra.space, comps, field)
         return TwistingSystem(algebra, AUTOMORPHISM, sigma=sigma, order=data.get("order"))
@@ -306,39 +324,9 @@ def parse_phi(data, source: GradedAlgebra, target: GradedAlgebra) -> PhiFamily:
         raise FileFormatError(f"expected a phi file, found kind {data.get('kind')!r}")
     maps = {
         _parse_pair(k): parse_matrix(m, source.field)
-        for k, m in _need(data, "maps", "phi family").items()
+        for k, m in _need(data, "maps", "phi family", dict).items()
     }
     return PhiFamily(source, target, maps)
-
-
-# -- equivalence data --------------------------------------------------
-
-def emit_equivalence(data: EquivalenceData) -> dict:
-    """The stored roster is the family of shifted regular modules, so the
-    algebra and twist determine everything; the shift witnesses are
-    emitted alongside for inspection."""
-    return {
-        "kind": "equivalence",
-        "algebra": emit_algebra(data.algebra),
-        "twist": emit_twist(data.twist),
-        "witnesses": {
-            _degree_key(g): {
-                "components": {
-                    _degree_key(d): emit_matrix(m)
-                    for d, m in sorted(w.components.items())
-                }
-            }
-            for g, w in sorted(data.witnesses.items())
-        },
-    }
-
-
-def parse_equivalence(data) -> EquivalenceData:
-    if data.get("kind") != "equivalence":
-        raise FileFormatError("expected an equivalence file")
-    algebra = parse_algebra(_need(data, "algebra", "equivalence"))
-    twist = parse_twist(_need(data, "twist", "equivalence"), algebra)
-    return equivalence_from_twist(twist)
 
 
 # -- hom-space basis export --------------------------------------------

@@ -2,6 +2,9 @@
 and the bundled demos."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -243,3 +246,30 @@ class TestMalformedInput:
     def test_unknown_command(self, runner):
         result = runner.invoke(main, ["frobnicate"])
         assert result.exit_code == 2
+
+    def test_jobs_is_not_an_option(self, runner):
+        result = runner.invoke(main, ["check-group", fx("s3.group.json"), "--jobs", "1"])
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("mutate", [
+        lambda data: data["mult"]["1,1"].update(entries=["1/0"]),
+        lambda data: data.update(mult=[]),
+        lambda data: data["dims"].update({"1": 1.5}),
+        lambda data: data.update(unit="1"),
+    ], ids=["zero-denominator", "mult-list", "fractional-dim", "string-unit"])
+    def test_malformed_algebra_exits_2_without_traceback(self, runner, tmp_path, mutate):
+        data = read_json(FIXTURES / "z2.alg.json")
+        mutate(data)
+        bad = tmp_path / "bad.alg.json"
+        write_json(bad, data)
+        result = runner.invoke(main, ["check-algebra", str(bad)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+
+
+def test_cli_import_leaves_sympy_out():
+    code = "import sys, gradedtwist.cli; print('sympy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(gradedtwist.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -299,6 +299,31 @@ def test_prime_scalar_string_roundtrip(x):
 def test_prime_field_needs_prime():
     with pytest.raises(ValueError):
         PrimeField(6)
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    for p in range(n):
+        if sieve[p]:
+            assert PrimeField(p).p == p
+        else:
+            with pytest.raises(ValueError, match="not prime"):
+                PrimeField(p)
+
+
+# a Carmichael number, then the smallest strong pseudoprimes to the first
+# 4, 9 and 12 prime bases
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051, 318665857834031151167461])
+def test_prime_field_rejects_strong_pseudoprimes(n):
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(n)
+
+
+def test_prime_field_refuses_moduli_beyond_the_exact_bound():
+    # the smallest strong pseudoprime to the first 13 prime bases
+    with pytest.raises(ValueError, match="needs p <"):
+        PrimeField(3317044064679887385961981)
 
 
 def test_field_inverse():

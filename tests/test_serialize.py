@@ -9,7 +9,6 @@ import pytest
 
 from gradedtwist.exactmath import Matrix, PrimeField, QQ
 from gradedtwist.enriched import module_hom_space
-from gradedtwist.equivalence import equivalence_from_twist
 from gradedtwist.fixtures import (
     quantum_plane,
     s3_group_algebra,
@@ -22,7 +21,6 @@ from gradedtwist.groups import IntegerWindow, cyclic_group, symmetric_group
 from gradedtwist.serialize import (
     FileFormatError,
     emit_algebra,
-    emit_equivalence,
     emit_field,
     emit_group,
     emit_hom_basis,
@@ -32,7 +30,6 @@ from gradedtwist.serialize import (
     emit_phi,
     emit_twist,
     parse_algebra,
-    parse_equivalence,
     parse_field,
     parse_group,
     parse_matrix,
@@ -184,25 +181,6 @@ class TestTwistsAndPhi:
         fam = phi_from_twist(t)
         back = parse_phi(emit_phi(fam), fam.source, fam.target)
         assert back.maps == fam.maps
-
-
-class TestEquivalenceFiles:
-    def test_round_trip_rebuilds_identical_witnesses(self):
-        _a, t = sign_twist()
-        data = equivalence_from_twist(t)
-        out = emit_equivalence(data)
-        json.dumps(out)
-        back = parse_equivalence(out)
-        assert back.algebra == data.algebra
-        assert same_twist(back.twist, data.twist)
-        assert sorted(back.witnesses) == sorted(data.witnesses)
-        for g, w in data.witnesses.items():
-            assert back.witness(g) == w
-
-    def test_emitted_witnesses_are_readable(self):
-        _a, t = sign_twist()
-        out = emit_equivalence(equivalence_from_twist(t))
-        assert out["witnesses"]["1"]["components"]["0"]["entries"] == ["-1"]
 
 
 class TestHomExportAndIO:
