@@ -33,6 +33,7 @@ from .exactmath import (
     Matrix,
     block_matrix,
     column_echelon,
+    hstack,
     kernel_matrix,
     kron,
     solve,
@@ -249,8 +250,13 @@ class ModuleHomSpace:
     def total(self) -> int:
         return self.R.cols
 
-    def contains(self, vector: Matrix) -> bool:
-        return ((self.R - self.S) @ vector).is_zero()
+    def contains(self, vectors: Matrix) -> bool:
+        """Whether every column v of `vectors` lies in the space: R v = S v.
+
+        R - S is not kept on the space: a stored copy as large as R
+        costs memory for every space a Gamma algebra holds.
+        """
+        return self.R @ vectors == self.S @ vectors
 
     def element_to_vector(self, el: HomElement) -> Matrix:
         entries = []
@@ -274,9 +280,10 @@ class ModuleHomSpace:
         col = Matrix(self.total, 1, self.source.field, [self.kernel[r, i] for r in range(self.total)])
         return self.vector_to_element(col)
 
-    def coords(self, vector: Matrix) -> Matrix:
-        """Coordinates of a kernel vector in the canonical basis."""
-        return solve(self.kernel, vector)
+    def coords(self, vectors: Matrix) -> Matrix:
+        """Coordinates of each column of `vectors` in the canonical basis,
+        one column each; raises ValueError when a column is not in the space."""
+        return solve(self.kernel, vectors)
 
     def __repr__(self):
         return f"ModuleHomSpace(degree={self.degree!r}, dim={self.dim})"
@@ -341,7 +348,7 @@ def identity_hom(m: GradedModule) -> HomElement:
     return HomElement(m, m, e, comps)
 
 
-def compose_homs(f: HomElement, g_el: HomElement, check_in: ModuleHomSpace | None = None) -> HomElement:
+def compose_homs(f: HomElement, g_el: HomElement) -> HomElement:
     """(f o g)_p = f_p o g_{d^-1 p} where d is the degree of f."""
     if f.source is not g_el.target and f.source != g_el.target:
         raise ValueError("inner modules do not match")
@@ -354,12 +361,7 @@ def compose_homs(f: HomElement, g_el: HomElement, check_in: ModuleHomSpace | Non
         right = g_el.component(group.mul(dinv, p))
         if left.rows and right.cols:
             comps[p] = left @ right
-    result = HomElement(g_el.source, f.target, degree, comps)
-    if check_in is not None:
-        vec = check_in.element_to_vector(result)
-        if not check_in.contains(vec):
-            raise ValueError("composite is not a module morphism family")
-    return result
+    return HomElement(g_el.source, f.target, degree, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +407,12 @@ def gamma_algebra(a: GradedAlgebra, degrees=None) -> GammaAlgebra:
             target = spaces.get(gh)
             if not (spaces[g].dim and spaces[h].dim) or target is None or not target.dim:
                 continue
-            cols = []
-            for i in range(spaces[g].dim):
-                f_i = spaces[g].basis_element(i)
-                for j in range(spaces[h].dim):
-                    f_j = spaces[h].basis_element(j)
-                    composite = compose_homs(f_i, f_j, check_in=target)
-                    cols.append(target.coords(target.element_to_vector(composite)))
-            entries = []
-            for r in range(target.dim):
-                for c in cols:
-                    entries.append(c[r, 0])
-            mult[(g, h)] = Matrix(target.dim, len(cols), field, entries)
+            lefts = [spaces[g].basis_element(i) for i in range(spaces[g].dim)]
+            rights = [spaces[h].basis_element(j) for j in range(spaces[h].dim)]
+            composites = hstack([target.element_to_vector(compose_homs(f, f2)) for f in lefts for f2 in rights])
+            if not target.contains(composites):
+                raise ValueError("composite is not a module morphism family")
+            mult[(g, h)] = target.coords(composites)
     e = group.identity
     unit_space = spaces.get(e)
     if unit_space is None or not unit_space.dim:
@@ -466,33 +462,20 @@ def endo_iso(gamma: GammaAlgebra):
         space = gamma.spaces[g]
         n_g = a.dim(g)
         dim_gamma = space.dim
-        cols = []
+        vecs = []
         for i in range(n_g):
             column = Matrix(n_g, 1, field, [field.one if r == i else field.zero for r in range(n_g)])
-            family = left_multiplication_family(a, g, column)
-            vec = space.element_to_vector(family)
-            if not space.contains(vec):
-                failures.append(Report("endo_iso", False, witness=("membership", (g, i))))
-                cols = None
-                break
-            cols.append(space.coords(vec))
-        if cols is None:
+            vecs.append(space.element_to_vector(left_multiplication_family(a, g, column)))
+        bad = next((i for i, vec in enumerate(vecs) if not space.contains(vec)), None)
+        if bad is not None:
+            failures.append(Report("endo_iso", False, witness=("membership", (g, bad))))
             continue
-        entries = []
-        for r in range(dim_gamma):
-            for c in cols:
-                entries.append(c[r, 0])
-        phi_g = Matrix(dim_gamma, n_g, field, entries)
-        # the evaluation chain for psi_g
-        proj = Matrix.zeros(a.dim(g) * de, space.total, field)
-        for p, off, size in space.source_layout:
-            if p == g:
-                rows_entries = []
-                for r in range(size):
-                    row = [field.zero] * space.total
-                    row[off + r] = field.one
-                    rows_entries.append(row)
-                proj = Matrix.from_rows(rows_entries, field) if size else proj
+        phi_g = space.coords(hstack(vecs)) if n_g else Matrix.zeros(dim_gamma, 0, field)
+        # the evaluation chain for psi_g: project W_g onto its [A_e, A_g] block
+        block_sizes = [size for _p, _off, size in space.source_layout]
+        blocks = {(0, j): Matrix.identity(size, field)
+                  for j, (p, _off, size) in enumerate(space.source_layout) if p == g}
+        proj = block_matrix([a.dim(g) * de], block_sizes, blocks, field)
         chain = (
             evaluation(de, a.dim(g), field)
             @ kron(proj, Matrix.identity(de, field))
@@ -528,22 +511,15 @@ def block_permutation(from_layout, to_layout, send, field):
     identically inside each block. Returns None when the layouts do not
     correspond (a block is missing or has a different size).
     """
-    from_total = sum(size for _q, _off, size in from_layout)
-    to_total = sum(size for _p, _off, size in to_layout)
-    to_index = {p: (off, size) for p, off, size in to_layout}
-    placements = []
-    for q, off_q, size in from_layout:
-        p = send(q)
-        if p not in to_index or to_index[p][1] != size:
+    to_index = {p: i for i, (p, _off, _size) in enumerate(to_layout)}
+    to_sizes = [size for _p, _off, size in to_layout]
+    blocks = {}
+    for j, (q, _off, size) in enumerate(from_layout):
+        i = to_index.get(send(q))
+        if i is None or to_sizes[i] != size:
             return None
-        placements.append((to_index[p][0], off_q, size))
-    if to_total == 0:
-        return Matrix.zeros(0, from_total, field)
-    data = [[field.zero] * from_total for _ in range(to_total)]
-    for off_p, off_q, size in placements:
-        for i in range(size):
-            data[off_p + i][off_q + i] = field.one
-    return Matrix.from_rows(data, field)
+        blocks[(i, j)] = Matrix.identity(size, field)
+    return block_matrix(to_sizes, [size for _q, _off, size in from_layout], blocks, field)
 
 
 def check_shift_props(m: GradedModule, n: GradedModule, g, d) -> Report:

@@ -28,7 +28,7 @@ For a system normalized by tau_e = id the recovery is bit-exact.
 
 from __future__ import annotations
 
-from .exactmath import Matrix, block_matrix, inverse, kron, solve, try_inverse
+from .exactmath import Matrix, block_matrix, inverse, kron, try_inverse
 from .enriched import (
     HomElement,
     _source_blocks,
@@ -244,7 +244,7 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
             if not space_a.contains(transported):
                 failures.append(Report("gamma_twist_phi", False, witness=("level-exchange", (d, g))))
                 continue
-            maps[(d, g)] = solve(space_a.kernel, transported)
+            maps[(d, g)] = space_a.coords(transported)
     if failures:
         return None, merge("gamma_twist_phi", failures, notes=notes)
     family = PhiFamily(gamma_b.graded, gamma_a.graded, maps)

@@ -21,6 +21,10 @@ from itertools import permutations
 from .report import Report
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class FiniteGroup:
     is_finite = True
 
@@ -31,10 +35,10 @@ class FiniteGroup:
             if len(row) != n:
                 raise ValueError("multiplication table must be square")
             for x in row:
-                if not (0 <= x < n):
-                    raise ValueError(f"table entry {x} out of range 0..{n - 1}")
-        if not (0 <= identity < n):
-            raise ValueError("identity index out of range")
+                if not (_is_int(x) and 0 <= x < n):
+                    raise ValueError(f"table entry {x!r} is not an integer in 0..{n - 1}")
+        if not (_is_int(identity) and 0 <= identity < n):
+            raise ValueError(f"identity {identity!r} is not an integer in 0..{n - 1}")
         if names is not None and len(names) != n:
             raise ValueError("need one name per element")
         self.order = n
@@ -89,6 +93,8 @@ class IntegerWindow:
     is_finite = False
 
     def __init__(self, lo: int, hi: int):
+        if not (_is_int(lo) and _is_int(hi)):
+            raise ValueError(f"window bounds {lo!r}, {hi!r} are not integers")
         if not (lo <= 0 <= hi):
             raise ValueError(f"window [{lo},{hi}] must contain 0")
         self.lo = lo

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .exactmath import Matrix, PrimeField, QQ, RationalField
 from .graded import GradedAlgebra, GradedModule, GradedMorphism, GradedVectorSpace
-from .groups import FiniteGroup, IntegerWindow
+from .groups import FiniteGroup, IntegerWindow, check_group
 from .twist import AUTOMORPHISM, COCYCLE, EXPLICIT, PhiFamily, TwistingSystem
 
 
@@ -46,9 +46,9 @@ def _need(data, key, what, expected=None):
     if not isinstance(data, dict) or key not in data:
         raise FileFormatError(f"{what} is missing the key {key!r}")
     value = data[key]
-    if expected is not None and not isinstance(value, expected):
+    if expected is not None and (isinstance(value, bool) or not isinstance(value, expected)):
         raise FileFormatError(
-            f"{what} key {key!r} must be a {expected.__name__}, found {type(value).__name__}"
+            f"{what} key {key!r} must be of type {expected.__name__}, found {type(value).__name__}"
         )
     return value
 
@@ -94,8 +94,8 @@ def emit_matrix(m: Matrix) -> dict:
 
 
 def parse_matrix(data, field) -> Matrix:
-    rows = _need(data, "rows", "matrix")
-    cols = _need(data, "cols", "matrix")
+    rows = _need(data, "rows", "matrix", int)
+    cols = _need(data, "cols", "matrix", int)
     entries = _need(data, "entries", "matrix", list)
     if len(entries) != rows * cols:
         raise FileFormatError(
@@ -131,9 +131,9 @@ def parse_group(data):
             names=data.get("names"),
         )
         declared = data.get("order")
-        if declared is not None and declared != group.order:
+        if declared is not None and (type(declared) is not int or declared != group.order):
             raise FileFormatError(
-                f"group declares order {declared} but its table has {group.order} rows"
+                f"group declares order {declared!r} but its table has {group.order} rows"
             )
         return group
     if kind == "integers":
@@ -194,6 +194,9 @@ def emit_algebra(a: GradedAlgebra) -> dict:
 def parse_algebra(data) -> GradedAlgebra:
     field = parse_field(_need(data, "field", "algebra"))
     group = parse_group(_need(data, "group", "algebra"))
+    axioms = check_group(group)
+    if not axioms.passed:
+        raise FileFormatError(f"the grading table is not a group: witness {axioms.witness!r}")
     space = GradedVectorSpace(group, _parse_dims(_need(data, "dims", "algebra", dict)))
     mult = {
         _parse_pair(k): parse_matrix(m, field)

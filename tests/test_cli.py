@@ -256,7 +256,12 @@ class TestMalformedInput:
         lambda data: data.update(mult=[]),
         lambda data: data["dims"].update({"1": 1.5}),
         lambda data: data.update(unit="1"),
-    ], ids=["zero-denominator", "mult-list", "fractional-dim", "string-unit"])
+        lambda data: data["group"]["table"][1].__setitem__(1, 0.0),
+        lambda data: data["group"]["table"][1].__setitem__(1, False),
+        lambda data: data["mult"]["1,1"].update(rows=1.0),
+        lambda data: data["group"].update(table=[[0, 1], [1, 1]]),
+    ], ids=["zero-denominator", "mult-list", "fractional-dim", "string-unit",
+            "float-table-entry", "bool-table-entry", "float-rows", "non-group-table"])
     def test_malformed_algebra_exits_2_without_traceback(self, runner, tmp_path, mutate):
         data = read_json(FIXTURES / "z2.alg.json")
         mutate(data)
@@ -266,6 +271,23 @@ class TestMalformedInput:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("group, exit_code", [
+        ({"kind": "finite", "order": 2, "identity": 0, "table": [[0, 1], [1, 0.0]]}, 2),
+        ({"kind": "finite", "order": 2, "identity": 0.0, "table": [[0, 1], [1, 0]]}, 2),
+        ({"kind": "integers", "window": [-1.5, 2]}, 2),
+        ({"kind": "finite", "order": 2, "identity": 0, "table": [[0, 1], [1, 1]]}, 1),
+    ], ids=["float-table-entry", "float-identity", "float-window-bound", "non-group-table"])
+    def test_check_group_refuses_non_integers_and_reports_non_groups(
+        self, runner, tmp_path, group, exit_code
+    ):
+        bad = tmp_path / "bad.group.json"
+        write_json(bad, group)
+        result = runner.invoke(main, ["check-group", str(bad)])
+        assert result.exit_code == exit_code
+        assert isinstance(result.exception, SystemExit)
+        if exit_code == 1:
+            assert "('inverse', 1)" in result.output
+
 
 def test_cli_import_leaves_sympy_out():
     code = "import sys, gradedtwist.cli; print('sympy' in sys.modules)"
@@ -273,3 +295,12 @@ def test_cli_import_leaves_sympy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (Path(__file__).parents[1] / "demos").glob("*.py")))
+def test_demo_scripts_run(script):
+    demos = Path(__file__).parents[1] / "demos"
+    env = {**os.environ, "PYTHONPATH": str(Path(gradedtwist.__file__).parents[1])}
+    out = subprocess.run([sys.executable, str(demos / script)], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedtwist.exactmath import QQ, Matrix, PrimeField, kron
+from gradedtwist.exactmath import QQ, Matrix, PrimeField, hstack, kron
 from gradedtwist.fixtures import quantum_plane, s3_group_algebra, z3_group_algebra
 from gradedtwist.enriched import (
     HomElement,
+    block_permutation,
     coevaluation,
     check_shift_props,
     compose_homs,
@@ -164,6 +165,19 @@ class TestHomSpaces:
         space = module_hom_space(reg, reg, 0)
         assert not space.contains(Matrix(3, 1, QQ, [1, 0, 0]))
 
+    def test_contains_and_coords_take_several_columns(self):
+        a, _t = quantum_plane()
+        reg = regular_module(a)
+        space = module_hom_space(reg, reg, 2)
+        basis = hstack([space.element_to_vector(space.basis_element(i)) for i in range(space.dim)])
+        assert space.contains(basis)
+        assert space.coords(basis) == Matrix.identity(space.dim, QQ)
+        outsider = Matrix.column([1] + [0] * (space.total - 1), QQ)
+        assert not space.contains(outsider)
+        assert not space.contains(hstack([basis, outsider]))
+        with pytest.raises(ValueError):
+            space.coords(hstack([basis, outsider]))
+
     def test_zero_module_hom_spaces_are_zero(self):
         a = z3_group_algebra()
         reg = regular_module(a)
@@ -203,7 +217,8 @@ class TestComposition:
         s3 = module_hom_space(reg, reg, 3)
         for i in range(s1.dim):
             for j in range(s2.dim):
-                compose_homs(s1.basis_element(i), s2.basis_element(j), check_in=s3)
+                composite = compose_homs(s1.basis_element(i), s2.basis_element(j))
+                assert s3.contains(s3.element_to_vector(composite))
 
     def test_membership_check_rejects_non_morphism_factors(self):
         a = z3_group_algebra()
@@ -212,8 +227,7 @@ class TestComposition:
         two = Matrix.from_rows([[2]], QQ)
         one = Matrix.from_rows([[1]], QQ)
         bad = HomElement(reg, reg, 0, {0: two, 1: one, 2: one})
-        with pytest.raises(ValueError, match="not a module morphism"):
-            compose_homs(bad, bad, check_in=space)
+        assert not space.contains(space.element_to_vector(compose_homs(bad, bad)))
 
     def test_inner_module_mismatch_raises(self):
         a = z3_group_algebra()
@@ -274,6 +288,50 @@ class TestEndoIso:
                 col = Matrix(a.dim(g), 1, QQ, [1 if r == i else 0 for r in range(a.dim(g))])
                 family = left_multiplication_family(a, g, col)
                 assert space.contains(space.element_to_vector(family))
+
+
+def dense_permutation(from_layout, to_layout, send):
+    """The block permutation written out entry by entry."""
+    to_offset = {p: off for p, off, _size in to_layout}
+    rows = [[0] * sum(size for _q, _o, size in from_layout) for _p, _o, size in to_layout for _ in range(size)]
+    for q, off, size in from_layout:
+        for i in range(size):
+            rows[to_offset[send(q)] + i][off + i] = 1
+    return Matrix.from_rows(rows, QQ)
+
+
+def layout_of(sizes):
+    """(label, offset, size) blocks in ascending label order."""
+    out, offset = [], 0
+    for p in sorted(sizes):
+        out.append((p, offset, sizes[p]))
+        offset += sizes[p]
+    return out
+
+
+def s3_layouts(g):
+    """A layout over S3 with blocks of sizes 1..3, and its image under q -> g q."""
+    group = s3_group_algebra().group
+    sizes = {q: q % 3 + 1 for q in group.elements()}
+    return group, layout_of(sizes), layout_of({group.mul(g, q): n for q, n in sizes.items()})
+
+
+class TestBlockPermutation:
+    def test_matches_the_dense_permutation_on_shifted_s3_layouts(self):
+        for g in range(6):
+            group, source, target = s3_layouts(g)
+            send = lambda q: group.mul(g, q)  # noqa: E731
+            perm = block_permutation(source, target, send, QQ)
+            assert perm == dense_permutation(source, target, send)
+            assert perm.transpose() @ perm == Matrix.identity(perm.cols, QQ)
+
+    def test_mismatched_layouts_give_none(self):
+        group, source, target = s3_layouts(1)
+        send = lambda q: group.mul(1, q)  # noqa: E731
+        p, off, size = target[0]
+        resized = [(p, off, size + 1)] + [(q, o + 1, n) for q, o, n in target[1:]]
+        assert block_permutation(source, resized, send, QQ) is None
+        assert block_permutation(source, target[1:], send, QQ) is None
 
 
 class TestShiftProps:

@@ -107,9 +107,10 @@ class TestGroups:
 
     def test_declared_order_must_match_table(self):
         bad = emit_group(cyclic_group(3))
-        bad["order"] = 4
-        with pytest.raises(FileFormatError, match="order"):
-            parse_group(bad)
+        for order in (4, 3.0, True):
+            bad["order"] = order
+            with pytest.raises(FileFormatError, match="order"):
+                parse_group(bad)
 
 
 class TestAlgebrasAndModules:
