@@ -62,26 +62,20 @@ def sharp(nu: Matrix, dim_x: int, dim_y: int) -> Matrix:
     """
     if nu.cols != dim_x * dim_y:
         raise ValueError(f"sharp: expected {dim_x}*{dim_y} columns, got {nu.cols}")
-    dim_z = nu.rows
-    entries = []
-    for k in range(dim_z):
-        for l in range(dim_y):
-            for i in range(dim_x):
-                entries.append(nu[k, i * dim_y + l])
-    return Matrix(dim_z * dim_y, dim_x, nu.field, entries)
+    dim_z, data, cols = nu.rows, nu.data, nu.cols
+    # row k * dim_y + l of the result is nu[k, i * dim_y + l] over i
+    rows = [data[k * cols + l : (k + 1) * cols : dim_y] for k in range(dim_z) for l in range(dim_y)]
+    return Matrix._trusted(dim_z * dim_y, dim_x, nu.field, [x for row in rows for x in row])
 
 
 def flat(psi: Matrix, dim_y: int, dim_z: int) -> Matrix:
     """Uncurrying: turn psi: X -> [Y, Z] back into X (x) Y -> Z."""
     if psi.rows != dim_y * dim_z:
         raise ValueError(f"flat: expected {dim_z}*{dim_y} rows, got {psi.rows}")
-    dim_x = psi.cols
-    entries = []
-    for k in range(dim_z):
-        for i in range(dim_x):
-            for l in range(dim_y):
-                entries.append(psi[k * dim_y + l, i])
-    return Matrix(dim_z, dim_x * dim_y, psi.field, entries)
+    dim_x, data, block = psi.cols, psi.data, dim_y * psi.cols
+    # entry (k, i * dim_y + l) of the result is psi[k * dim_y + l, i]
+    runs = [data[k * block + i : (k + 1) * block : dim_x] for k in range(dim_z) for i in range(dim_x)]
+    return Matrix._trusted(dim_z, dim_x * dim_y, psi.field, [x for run in runs for x in run])
 
 
 def evaluation(dim_y: int, dim_z: int, field) -> Matrix:
@@ -277,8 +271,7 @@ class ModuleHomSpace:
         return HomElement(self.source, self.target, self.degree, comps)
 
     def basis_element(self, i: int) -> HomElement:
-        col = Matrix(self.total, 1, self.source.field, [self.kernel[r, i] for r in range(self.total)])
-        return self.vector_to_element(col)
+        return self.vector_to_element(Matrix._trusted(self.total, 1, self.source.field, self.kernel.col(i)))
 
     def coords(self, vectors: Matrix) -> Matrix:
         """Coordinates of each column of `vectors` in the canonical basis,

@@ -5,6 +5,18 @@ fields F_p. Every matrix carries its field descriptor and all operations
 refuse to mix fields. No floating point exists anywhere in this package;
 equality of matrices is literal equality of entries.
 
+Storage is dense, but the kernels skip zeros: `mat_mul` multiplies only
+pairs of nonzero entries, `kron` skips zero entries of either factor, and
+`rref` updates a row only where the pivot row is nonzero. Zero tests are
+by truthiness, which is exact because entries are kept in canonical form
+(`Fraction` over QQ, an int in [0, p) over F_p), and `Fraction(0)` and
+`0` are both falsy.
+
+Entries from outside (parsed files, user code) are coerced and checked by
+`Matrix(...)`. Results of the kernels here are wrapped by
+`Matrix._trusted`, which skips that work: it is only for entries produced
+by field operations on entries that were already coerced.
+
 Dimension-zero matrices (0 x n and n x 0) are first class: graded
 components are frequently zero and their (empty) morphisms must compose
 like any others.
@@ -54,6 +66,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_FRACTION_ZERO = Fraction(0)
+_FRACTION_ONE = Fraction(1)
+
+
 class RationalField:
     """The field of rationals. Elements are `fractions.Fraction` values."""
 
@@ -68,11 +84,11 @@ class RationalField:
 
     @property
     def zero(self):
-        return Fraction(0)
+        return _FRACTION_ZERO
 
     @property
     def one(self):
-        return Fraction(1)
+        return _FRACTION_ONE
 
     def add(self, a, b):
         return a + b
@@ -181,9 +197,15 @@ class SingularMatrixError(ArithmeticError):
 class Matrix:
     """Immutable dense matrix over a fixed field.
 
-    Entries are stored row-major in a flat tuple. Equality and hashing are
-    by (rows, cols, field, entries), so matrices can key dicts and compare
-    bit-exactly.
+    Entries are stored row-major in a flat tuple, each in the field's
+    canonical form (`Fraction` over QQ, an int in [0, p) over F_p).
+    Equality and hashing are by (rows, cols, field, entries), so matrices
+    can key dicts and compare bit-exactly.
+
+    `Matrix(...)` coerces every entry and checks the count; use it for
+    anything parsed or supplied by a caller. `Matrix._trusted` skips both
+    and is only for entries produced by field operations on entries of
+    matrices that already exist, as in the kernels of this package.
     """
 
     __slots__ = ("rows", "cols", "field", "data")
@@ -198,6 +220,16 @@ class Matrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "data", data)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, field, data) -> "Matrix":
+        """Wrap rows * cols entries already in canonical form, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "data", tuple(data))
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -215,11 +247,17 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, field) -> "Matrix":
-        return cls(n, n, field, [field.one if i == j else field.zero for i in range(n) for j in range(n)])
+        if n < 0:
+            raise ValueError("negative dimensions")
+        data = [field.zero] * (n * n)
+        data[:: n + 1] = [field.one] * n
+        return cls._trusted(n, n, field, data)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field) -> "Matrix":
-        return cls(rows, cols, field, [field.zero] * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise ValueError("negative dimensions")
+        return cls._trusted(rows, cols, field, (field.zero,) * (rows * cols))
 
     @classmethod
     def column(cls, entries, field) -> "Matrix":
@@ -265,41 +303,44 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in addition")
         add = self.field.add
-        return Matrix(self.rows, self.cols, self.field, [add(a, b) for a, b in zip(self.data, other.data)])
+        data = [add(a, b) if b else a for a, b in zip(self.data, other.data)]
+        return Matrix._trusted(self.rows, self.cols, self.field, data)
 
     def __sub__(self, other):
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in subtraction")
         sub = self.field.sub
-        return Matrix(self.rows, self.cols, self.field, [sub(a, b) for a, b in zip(self.data, other.data)])
+        data = [sub(a, b) if b else a for a, b in zip(self.data, other.data)]
+        return Matrix._trusted(self.rows, self.cols, self.field, data)
 
     def __neg__(self):
         neg = self.field.neg
-        return Matrix(self.rows, self.cols, self.field, [neg(a) for a in self.data])
+        return Matrix._trusted(self.rows, self.cols, self.field, [neg(a) for a in self.data])
 
     def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c) if isinstance(c, int) else c
+        c = self.field.coerce(c)
         mul = self.field.mul
-        return Matrix(self.rows, self.cols, self.field, [mul(c, a) for a in self.data])
+        return Matrix._trusted(self.rows, self.cols, self.field, [mul(c, a) for a in self.data])
 
     def __matmul__(self, other):
         return mat_mul(self, other)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            self.field,
-            [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        data, cols = self.data, self.cols
+        return Matrix._trusted(cols, self.rows, self.field, [x for j in range(cols) for x in data[j::cols]])
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.data)
+        return not any(self.data)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == Matrix.identity(self.rows, self.field)
+        n = self.rows
+        if n != self.cols:
+            return False
+        one, step = self.field.one, n + 1
+        return all(x == one for x in self.data[::step]) and not any(
+            x for k, x in enumerate(self.data) if k % step
+        )
 
     def power(self, n: int) -> "Matrix":
         """n-th power of a square matrix; negative n inverts first."""
@@ -318,24 +359,27 @@ class Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product. (m x 0) times (0 x n) is the m x n zero matrix."""
+    """Exact matrix product. (m x 0) times (0 x n) is the m x n zero matrix.
+
+    Makes one field multiplication per pair a[i, k] != 0, b[k, j] != 0.
+    """
     a._check_same_field(b)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     field = a.field
-    zero, add, mul = field.zero, field.add, field.mul
+    add, mul = field.add, field.mul
+    n = b.cols
+    # the nonzero (column, value) pairs of each row of b
+    b_nonzero = [[(j, y) for j, y in enumerate(b.row(k)) if y] for k in range(b.rows)]
     out = []
-    bt = b.transpose()  # walk b by columns contiguously
     for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            bcol = bt.row(j)
-            acc = zero
-            for x, y in zip(arow, bcol):
-                if x != zero and y != zero:
-                    acc = add(acc, mul(x, y))
-            out.append(acc)
-    return Matrix(a.rows, b.cols, field, out)
+        acc = [field.zero] * n
+        for k, x in enumerate(a.row(i)):
+            if x:
+                for j, y in b_nonzero[k]:
+                    acc[j] = add(acc[j], mul(x, y))
+        out += acc
+    return Matrix._trusted(a.rows, n, field, out)
 
 
 def kron(f: Matrix, g: Matrix) -> Matrix:
@@ -348,47 +392,47 @@ def kron(f: Matrix, g: Matrix) -> Matrix:
     mul = field.mul
     rows, cols = f.rows * g.rows, f.cols * g.cols
     out = [field.zero] * (rows * cols)
+    # each nonzero g[j, l] with its offset inside an output block
+    g_nonzero = [(j * cols + l, y) for j in range(g.rows) for l, y in enumerate(g.row(j)) if y]
     for i in range(f.rows):
         for k in range(f.cols):
             fik = f.data[i * f.cols + k]
-            for j in range(g.rows):
-                r = i * g.rows + j
-                base = r * cols + k * g.cols
-                grow = j * g.cols
-                for l in range(g.cols):
-                    out[base + l] = mul(fik, g.data[grow + l])
-    return Matrix(rows, cols, field, out)
+            if fik:
+                base = i * g.rows * cols + k * g.cols
+                for offset, y in g_nonzero:
+                    out[base + offset] = mul(fik, y)
+    return Matrix._trusted(rows, cols, field, out)
 
 
 def rref(m: Matrix):
     """Reduced row echelon form. Returns (R, pivot_columns)."""
     field = m.field
-    zero, one = field.zero, field.one
+    one, sub, mul = field.one, field.sub, field.mul
     rows = [list(m.row(i)) for i in range(m.rows)]
     pivots = []
     r = 0
     for c in range(m.cols):
         if r >= m.rows:
             break
-        pivot_row = None
-        for i in range(r, m.rows):
-            if rows[i][c] != zero:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         scale = field.inv(rows[r][c])
         if scale != one:
-            rows[r] = [field.mul(scale, x) for x in rows[r]]
+            rows[r] = [mul(scale, x) if x else x for x in rows[r]]
+        # only the nonzero entries of the pivot row change other rows
+        pivot_nonzero = [(j, y) for j, y in enumerate(rows[r]) if y]
         for i in range(m.rows):
-            if i != r and rows[i][c] != zero:
-                factor = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+            factor = rows[i][c]
+            if i != r and factor:
+                row = rows[i]
+                for j, y in pivot_nonzero:
+                    row[j] = sub(row[j], mul(factor, y))
         pivots.append(c)
         r += 1
     flat = [x for row in rows for x in row]
-    return Matrix(m.rows, m.cols, field, flat), tuple(pivots)
+    return Matrix._trusted(m.rows, m.cols, field, flat), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -402,8 +446,7 @@ def column_echelon(m: Matrix) -> Matrix:
     canonical representative for comparing subspaces bit-exactly.
     """
     r, pivots = rref(m.transpose())
-    cols = [r.row(i) for i in range(len(pivots))]
-    return Matrix(len(pivots), m.rows, m.field, [x for c in cols for x in c]).transpose()
+    return Matrix._trusted(len(pivots), m.rows, m.field, r.data[: len(pivots) * m.rows]).transpose()
 
 
 def kernel_basis(m: Matrix) -> list[Matrix]:
@@ -430,13 +473,13 @@ def kernel_matrix(m: Matrix) -> Matrix:
         for row_index, p in enumerate(pivots):
             v[p] = field.neg(r[row_index, j])
         vectors.append(v)
-    raw = Matrix(len(free), m.cols, field, [x for v in vectors for x in v]).transpose()
+    raw = Matrix._trusted(len(free), m.cols, field, [x for v in vectors for x in v]).transpose()
     return column_echelon(raw)
 
 
 def _columns(m: Matrix):
     for j in range(m.cols):
-        yield Matrix(m.rows, 1, m.field, m.col(j))
+        yield Matrix._trusted(m.rows, 1, m.field, m.col(j))
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -448,7 +491,7 @@ def inverse(m: Matrix) -> Matrix:
     r, pivots = rref(aug)
     if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
         raise SingularMatrixError(f"matrix of rank {rank(m)} is singular at size {n}")
-    return Matrix(n, n, m.field, [r[i, n + j] for i in range(n) for j in range(n)])
+    return Matrix._trusted(n, n, m.field, [x for i in range(n) for x in r.row(i)[n:]])
 
 
 def try_inverse(m: Matrix):
@@ -474,8 +517,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("inconsistent system: right-hand side outside the column span")
     if len(pivots) < n:
         raise ValueError("coefficient matrix does not have full column rank")
-    rows = [r.row(i)[n:] for i in range(n)]
-    return Matrix(n, b.cols, a.field, [x for row in rows for x in row])
+    return Matrix._trusted(n, b.cols, a.field, [x for i in range(n) for x in r.row(i)[n:]])
 
 
 def hstack(mats: list[Matrix]) -> Matrix:
@@ -492,7 +534,7 @@ def hstack(mats: list[Matrix]) -> Matrix:
     for i in range(rows):
         for m in mats:
             out.extend(m.row(i))
-    return Matrix(rows, sum(m.cols for m in mats), field, out)
+    return Matrix._trusted(rows, sum(m.cols for m in mats), field, out)
 
 
 def vstack(mats: list[Matrix]) -> Matrix:
@@ -506,7 +548,7 @@ def vstack(mats: list[Matrix]) -> Matrix:
     out = []
     for m in mats:
         out.extend(m.data)
-    return Matrix(sum(m.rows for m in mats), cols, mats[0].field, out)
+    return Matrix._trusted(sum(m.rows for m in mats), cols, mats[0].field, out)
 
 
 def block_matrix(row_dims, col_dims, blocks, field) -> Matrix:
@@ -533,7 +575,7 @@ def block_matrix(row_dims, col_dims, blocks, field) -> Matrix:
             base = (r0 + i) * total_cols + c0
             row = block.row(i)
             out[base : base + block.cols] = row
-    return Matrix(total_rows, total_cols, field, out)
+    return Matrix._trusted(total_rows, total_cols, field, out)
 
 
 def _offsets(dims):

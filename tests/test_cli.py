@@ -260,8 +260,10 @@ class TestMalformedInput:
         lambda data: data["group"]["table"][1].__setitem__(1, False),
         lambda data: data["mult"]["1,1"].update(rows=1.0),
         lambda data: data["group"].update(table=[[0, 1], [1, 1]]),
+        lambda data: data["mult"]["1,1"].update(entries=[0.5]),
     ], ids=["zero-denominator", "mult-list", "fractional-dim", "string-unit",
-            "float-table-entry", "bool-table-entry", "float-rows", "non-group-table"])
+            "float-table-entry", "bool-table-entry", "float-rows", "non-group-table",
+            "float-matrix-entry"])
     def test_malformed_algebra_exits_2_without_traceback(self, runner, tmp_path, mutate):
         data = read_json(FIXTURES / "z2.alg.json")
         mutate(data)

@@ -1,6 +1,8 @@
 """The twist equivalence: shift witnesses, the transported Gamma family,
 and exact recovery of a twisting system from the equivalence data."""
 
+import random
+
 import pytest
 
 from gradedtwist.exactmath import QQ, Matrix, inverse
@@ -14,9 +16,11 @@ from gradedtwist.equivalence import (
     pushforward,
     zm_forward,
 )
-from gradedtwist.fixtures import quantum_plane, random_cocycle_twist, sign_twist, z3_group_algebra
-from gradedtwist.graded import GradedMorphism, check_module, regular_module, shift_module
+from gradedtwist.fixtures import F7, quantum_plane, random_cocycle_twist, sign_twist, z3_group_algebra
+from gradedtwist.graded import GradedMorphism, check_module, group_algebra, regular_module, shift_module
+from gradedtwist.groups import FiniteGroup, cyclic_group, symmetric_group
 from gradedtwist.twist import (
+    COCYCLE,
     EXPLICIT,
     TwistingSystem,
     check_phi_family,
@@ -186,11 +190,40 @@ class TestBackward:
                 for g in range(3):
                     assert result.twist.tau(d, g) == t.tau(d, g)
 
-    def test_quantum_plane_recovery_on_the_window(self):
-        a, t = quantum_plane()
+    def check_quantum_plane_recovery(self, maxdeg):
+        a, t = quantum_plane(maxdeg=maxdeg)
         result = backward(equivalence_from_twist(t))
         assert result.report.passed
         assert "window-verified" in result.report.notes
+        assert result.twist.maps
         for d, g in result.twist.maps:
             assert result.twist.tau(d, g) == t.tau(d, g)
+        assert result.twisted == twist_algebra(a, t)
+
+    def test_quantum_plane_recovery_on_the_window(self):
+        self.check_quantum_plane_recovery(3)
+
+    def test_quantum_plane_recovery_at_maxdeg_4(self):
+        self.check_quantum_plane_recovery(4)
+
+    @pytest.mark.parametrize("group", [
+        symmetric_group(3),
+        cyclic_group(4),
+        FiniteGroup([[a ^ b for b in range(4)] for a in range(4)]),
+    ], ids=["S3", "Z4", "Z2xZ2"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_coboundary_twists_over_f7_recover_exactly(self, group, seed):
+        # alpha(x, y) = beta(x) beta(y) / beta(xy) with beta(e) = 1 is a
+        # normalized cocycle, so backward must return it exactly
+        rng = random.Random(seed)
+        beta = {g: 1 if g == group.identity else rng.randrange(1, 7) for g in group.elements()}
+        alpha = {(x, y): F7.mul(F7.mul(beta[x], beta[y]), F7.inv(beta[group.mul(x, y)]))
+                 for x in group.elements() for y in group.elements()}
+        a = group_algebra(group, F7)
+        t = TwistingSystem(a, COCYCLE, alpha=alpha)
+        result = backward(equivalence_from_twist(t))
+        assert result.report.passed
+        for d in group.elements():
+            for g in group.elements():
+                assert result.twist.tau(d, g) == t.tau(d, g)
         assert result.twisted == twist_algebra(a, t)

@@ -331,3 +331,201 @@ def test_field_inverse():
     assert QQ.inv(Fraction(-3, 4)) == Fraction(-4, 3)
     with pytest.raises(ZeroDivisionError):
         F7.inv(0)
+
+
+# ---------------------------------------------------------------------------
+# the zero-skipping kernels on sparse input
+
+SPARSE_FIELDS = [QQ, F7]
+
+
+def nonzero_scalars(field):
+    if field == QQ:
+        numerators = st.integers(min_value=-20, max_value=20).filter(bool)
+        return st.builds(Fraction, numerators, st.integers(min_value=1, max_value=8))
+    return st.integers(min_value=1, max_value=field.p - 1)
+
+
+def sparse_matrix(field, rows, cols):
+    """Mostly zero: each entry is nonzero with probability 1/4, and a drawn
+    set of whole rows and columns is zero."""
+    zero = st.just(0)
+    cell = st.one_of(zero, zero, zero, nonzero_scalars(field))
+
+    def blank(n):
+        return st.sets(st.integers(0, n - 1)) if n else st.just(frozenset())
+
+    def build(drawn):
+        entries, blank_rows, blank_cols = drawn
+        return Matrix(rows, cols, field, [
+            0 if i in blank_rows or j in blank_cols else entries[i * cols + j]
+            for i in range(rows) for j in range(cols)
+        ])
+
+    return st.tuples(
+        st.lists(cell, min_size=rows * cols, max_size=rows * cols), blank(rows), blank(cols)
+    ).map(build)
+
+
+def sparse_matrices(field, max_dim=6):
+    dims = st.integers(min_value=0, max_value=max_dim)
+    return st.tuples(dims, dims).flatmap(lambda rc: sparse_matrix(field, *rc))
+
+
+def sparse_pairs(field, max_dim=6):
+    """(a, b) with a: m x k and b: k x n; any of m, k, n may be 0."""
+    dims = st.integers(min_value=0, max_value=max_dim)
+    return st.tuples(dims, dims, dims).flatmap(
+        lambda mkn: st.tuples(sparse_matrix(field, mkn[0], mkn[1]), sparse_matrix(field, mkn[1], mkn[2]))
+    )
+
+
+def assert_canonical(m):
+    """Every entry in the field's canonical form. Matrix equality cannot
+    see a violation, since Fraction(1) == 1 and hash(Fraction(1)) == 1."""
+    if m.field == QQ:
+        assert all(type(x) is Fraction for x in m.data)
+    else:
+        assert all(type(x) is int and 0 <= x < m.field.p for x in m.data)
+
+
+def index_kron(f, g):
+    """kron straight from kron(f, g)[i*g.rows + j, k*g.cols + l] = f[i, k] g[j, l]."""
+    field = f.field
+    entries = [
+        field.mul(f[i, k], g[j, l])
+        for i in range(f.rows) for j in range(g.rows)
+        for k in range(f.cols) for l in range(g.cols)
+    ]
+    return Matrix(f.rows * g.rows, f.cols * g.cols, field, entries)
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sparse_mat_mul_matches_the_oracle(field, data):
+    a, b = data.draw(sparse_pairs(field))
+    product = mat_mul(a, b)
+    assert product == naive_mat_mul(a, b)
+    assert_canonical(product)
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_kron_matches_the_index_formula(field, data):
+    f = data.draw(sparse_matrices(field, max_dim=3))
+    g = data.draw(sparse_matrices(field, max_dim=3))
+    k = kron(f, g)
+    assert k == index_kron(f, g)
+    assert_canonical(k)
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sparse_rref_and_kernel(field, data):
+    m = data.draw(sparse_matrices(field))
+    r, pivots = rref(m)
+    k = kernel_matrix(m)
+    assert len(pivots) + k.cols == m.cols
+    assert (m @ k).is_zero()
+    for row_index, p in enumerate(pivots):
+        assert r[row_index, p] == 1
+        assert all(r[other, p] == 0 for other in range(m.rows) if other != row_index)
+    assert_canonical(r)
+    assert_canonical(k)
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_derived_matrices_stay_canonical(field, data):
+    a, b = data.draw(sparse_pairs(field))
+    c = data.draw(sparse_matrix(field, a.rows, a.cols))
+    assert a + c == Matrix(a.rows, a.cols, field, [field.add(x, y) for x, y in zip(a.data, c.data)])
+    assert a - c == Matrix(a.rows, a.cols, field, [field.sub(x, y) for x, y in zip(a.data, c.data)])
+    results = [a + c, a - c, -a, a.scale(3), a.transpose(), column_echelon(a),
+               hstack([a, a]), vstack([b, b]), block_matrix([a.rows, b.rows], [a.cols, b.cols],
+                                                            {(0, 0): a, (1, 1): b}, field),
+               Matrix.identity(a.rows, field), Matrix.zeros(a.rows, b.cols, field)]
+    for m in results:
+        assert_canonical(m)
+    assert (a - a).is_zero()
+    assert Matrix.identity(a.rows, field).is_identity()
+    assert a.is_identity() == (a == Matrix.identity(a.rows, field))
+
+
+class CountingField(PrimeField):
+    """F_p that counts its multiplications."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return super().mul(a, b)
+
+
+def nonzero_count(values):
+    return sum(1 for x in values if x)
+
+
+class TestWorkCounts:
+    """The kernels multiply only nonzero entries, on any machine."""
+
+    def random_sparse(self, rng, rows, cols, field):
+        return Matrix(rows, cols, field, [rng.randrange(1, 7) if rng.random() < 0.2 else 0
+                                          for _ in range(rows * cols)])
+
+    def test_mat_mul_multiplies_each_nonzero_pair_once(self):
+        rng = random.Random(4)
+        field = CountingField(7)
+        for m, k, n in [(9, 12, 7), (1, 30, 1), (6, 0, 4), (0, 5, 3), (20, 20, 20)]:
+            a = self.random_sparse(rng, m, k, field)
+            b = self.random_sparse(rng, k, n, field)
+            pairs = sum(nonzero_count(a.col(i)) * nonzero_count(b.row(i)) for i in range(k))
+            field.muls = 0
+            mat_mul(a, b)
+            assert field.muls == pairs
+
+    def test_kron_skips_zero_entries(self):
+        rng = random.Random(5)
+        field = CountingField(7)
+        for shape_f, shape_g in [((4, 5), (3, 6)), ((1, 1), (8, 8)), ((3, 0), (2, 2)), ((6, 6), (1, 1))]:
+            f = self.random_sparse(rng, *shape_f, field)
+            g = self.random_sparse(rng, *shape_g, field)
+            field.muls = 0
+            kron(f, g)
+            assert field.muls == nonzero_count(f.data) * nonzero_count(g.data)
+        identity = Matrix.identity(10, field)
+        field.muls = 0
+        kron(identity, Matrix.zeros(3, 3, field))
+        assert field.muls == 0
+
+
+class TestPublicConstructor:
+    @pytest.mark.parametrize("field", [QQ, F7], ids=repr)
+    @pytest.mark.parametrize("entry", [0.5, 1.0, "1"])
+    def test_refuses_non_exact_entries(self, field, entry):
+        with pytest.raises(TypeError):
+            Matrix(2, 1, field, [1, entry])
+
+    def test_refuses_a_wrong_entry_count(self):
+        with pytest.raises(ValueError, match="expected 4 entries"):
+            Matrix(2, 2, QQ, [1, 2, 3])
+        with pytest.raises(ValueError, match="expected 2 entries"):
+            Matrix(1, 2, F7, [1, 2, 3])
+
+    def test_coerces_into_canonical_form(self):
+        assert_canonical(Matrix(1, 3, QQ, [1, Fraction(2, 4), -3]))
+        m = Matrix(1, 3, F7, [-1, 9, 7])
+        assert_canonical(m)
+        assert m.data == (6, 2, 0)
+
+    def test_scale_refuses_a_scalar_outside_the_field(self):
+        with pytest.raises(TypeError):
+            Matrix.identity(2, F7).scale(Fraction(1, 2))
+        with pytest.raises(TypeError):
+            Matrix.identity(2, QQ).scale(0.5)

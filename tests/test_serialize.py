@@ -4,9 +4,11 @@ fail with located errors."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gradedtwist
 from gradedtwist.exactmath import Matrix, PrimeField, QQ
 from gradedtwist.enriched import module_hom_space
 from gradedtwist.fixtures import (
@@ -44,6 +46,7 @@ from gradedtwist.twist import EXPLICIT, TwistingSystem, phi_from_twist
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+FIXTURES = Path(gradedtwist.__file__).parent / "fixtures"
 
 
 def same_twist(s, t):
@@ -79,6 +82,19 @@ class TestScalarsAndMatrices:
     def test_entry_count_mismatch(self):
         with pytest.raises(FileFormatError, match="entries"):
             parse_matrix({"rows": 2, "cols": 2, "entries": ["1"]}, QQ)
+
+    def test_parsed_entries_never_reach_the_unchecked_constructor(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("parsed entries reached Matrix._trusted")
+
+        monkeypatch.setattr(Matrix, "_trusted", classmethod(refuse))
+        for name in ("z2.alg.json", "s3.alg.json", "z3f7.alg.json", "trunc23.alg.json"):
+            parse_algebra(read_json(FIXTURES / name))
+        parse_module(read_json(FIXTURES / "reg-z2.mod.json"))
+        m = parse_matrix({"rows": 1, "cols": 2, "entries": ["1/2", 3]}, QQ)
+        assert [type(x) for x in m.data] == [Fraction, Fraction]
+        with pytest.raises(FileFormatError):
+            parse_matrix({"rows": 1, "cols": 1, "entries": [0.5]}, QQ)
 
 
 class TestGroups:
