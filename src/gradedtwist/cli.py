@@ -59,13 +59,11 @@ def _jsonable(x):
     return x
 
 
-def _print_report(report: Report, fmt: str, seed, seconds: float):
+def _print_report(report: Report, fmt: str, seconds: float):
     if fmt == "structured":
         out = report.as_dict()
         if "witness" in out:
             out["witness"] = _jsonable(out["witness"])
-        if seed is not None:
-            out["seed"] = seed
         out["timings"] = {"seconds": round(seconds, 6)}
         click.echo(json.dumps(out))
     else:
@@ -78,8 +76,8 @@ def _print_report(report: Report, fmt: str, seed, seconds: float):
         click.echo(f"  [{seconds * 1000:.1f} ms]")
 
 
-def _finish(report: Report, fmt: str, seed, seconds: float):
-    _print_report(report, fmt, seed, seconds)
+def _finish(report: Report, fmt: str, seconds: float):
+    _print_report(report, fmt, seconds)
     sys.exit(0 if report.passed else 1)
 
 
@@ -101,16 +99,10 @@ def _load_module(path):
     return _load(path, parse_module, base_dir=Path(path).parent)
 
 
-def common_options(f):
-    f = click.option(
-        "--format", "fmt", type=click.Choice(["text", "structured"]), default="text",
-        help="report style", show_default=True,
-    )(f)
-    f = click.option(
-        "--seed", type=int, default=None,
-        help="echoed into structured reports; every command is deterministic",
-    )(f)
-    return f
+common_options = click.option(
+    "--format", "fmt", type=click.Choice(["text", "structured"]), default="text",
+    help="report style", show_default=True,
+)
 
 
 @click.group()
@@ -121,47 +113,47 @@ def main():
 @main.command("check-group")
 @click.argument("group_file", type=click.Path())
 @common_options
-def cmd_check_group(group_file, fmt, seed):
+def cmd_check_group(group_file, fmt):
     """Check the group axioms on a multiplication table."""
     group = _load(group_file, parse_group)
     t0 = time.perf_counter()
     report = check_group(group)
-    _finish(report, fmt, seed, time.perf_counter() - t0)
+    _finish(report, fmt, time.perf_counter() - t0)
 
 
 @main.command("check-algebra")
 @click.argument("algebra_file", type=click.Path())
 @common_options
-def cmd_check_algebra(algebra_file, fmt, seed):
+def cmd_check_algebra(algebra_file, fmt):
     """Check associativity and unitality of a graded algebra."""
     algebra = _load(algebra_file, parse_algebra)
     t0 = time.perf_counter()
     report = check_algebra(algebra)
-    _finish(report, fmt, seed, time.perf_counter() - t0)
+    _finish(report, fmt, time.perf_counter() - t0)
 
 
 @main.command("check-module")
 @click.argument("module_file", type=click.Path())
 @common_options
-def cmd_check_module(module_file, fmt, seed):
+def cmd_check_module(module_file, fmt):
     """Check the action axioms of a graded module."""
     module = _load_module(module_file)
     t0 = time.perf_counter()
     report = check_module(module)
-    _finish(report, fmt, seed, time.perf_counter() - t0)
+    _finish(report, fmt, time.perf_counter() - t0)
 
 
 @main.command("check-twist")
 @click.argument("twist_file", type=click.Path())
 @click.argument("algebra_file", type=click.Path())
 @common_options
-def cmd_check_twist(twist_file, algebra_file, fmt, seed):
+def cmd_check_twist(twist_file, algebra_file, fmt):
     """Check the twisting-system condition against an algebra."""
     algebra = _load(algebra_file, parse_algebra)
     t = _load(twist_file, parse_twist, algebra)
     t0 = time.perf_counter()
     report = check_twist_condition(t)
-    _finish(report, fmt, seed, time.perf_counter() - t0)
+    _finish(report, fmt, time.perf_counter() - t0)
 
 
 @main.command("twist-algebra")
@@ -169,7 +161,7 @@ def cmd_check_twist(twist_file, algebra_file, fmt, seed):
 @click.argument("algebra_file", type=click.Path())
 @click.option("-o", "--output", type=click.Path(), required=True)
 @common_options
-def cmd_twist_algebra(twist_file, algebra_file, output, fmt, seed):
+def cmd_twist_algebra(twist_file, algebra_file, output, fmt):
     """Write the twisted algebra to a file (after checking the twist)."""
     algebra = _load(algebra_file, parse_algebra)
     t = _load(twist_file, parse_twist, algebra)
@@ -177,7 +169,7 @@ def cmd_twist_algebra(twist_file, algebra_file, output, fmt, seed):
     report = check_twist_condition(t)
     if report.passed:
         write_json(output, emit_algebra(twist_algebra(algebra, t, run_checks=False)))
-    _finish(report, fmt, seed, time.perf_counter() - t0)
+    _finish(report, fmt, time.perf_counter() - t0)
 
 
 @main.command("twist-module")
@@ -185,7 +177,7 @@ def cmd_twist_algebra(twist_file, algebra_file, output, fmt, seed):
 @click.argument("module_file", type=click.Path())
 @click.option("-o", "--output", type=click.Path(), required=True)
 @common_options
-def cmd_twist_module(twist_file, module_file, output, fmt, seed):
+def cmd_twist_module(twist_file, module_file, output, fmt):
     """Write the twisted module to a file (after checking the twist).
 
     Also registered as zm-forward: the twist equivalence applied to one module.
@@ -196,7 +188,7 @@ def cmd_twist_module(twist_file, module_file, output, fmt, seed):
     report = check_twist_condition(t)
     if report.passed:
         write_json(output, emit_module(twist_module(module, t, run_checks=False)))
-    _finish(report, fmt, seed, time.perf_counter() - t0)
+    _finish(report, fmt, time.perf_counter() - t0)
 
 
 main.add_command(cmd_twist_module, "zm-forward")
@@ -207,14 +199,14 @@ main.add_command(cmd_twist_module, "zm-forward")
 @click.argument("source_algebra", type=click.Path())
 @click.argument("target_algebra", type=click.Path())
 @common_options
-def cmd_check_phi(phi_file, source_algebra, target_algebra, fmt, seed):
+def cmd_check_phi(phi_file, source_algebra, target_algebra, fmt):
     """Check the multiplicative-family conditions of a phi family."""
     source = _load(source_algebra, parse_algebra)
     target = _load(target_algebra, parse_algebra)
     fam = _load(phi_file, parse_phi, source, target)
     t0 = time.perf_counter()
     report = check_phi_family(fam)
-    _finish(report, fmt, seed, time.perf_counter() - t0)
+    _finish(report, fmt, time.perf_counter() - t0)
 
 
 @main.command("twist-from-phi")
@@ -227,7 +219,7 @@ def cmd_check_phi(phi_file, source_algebra, target_algebra, fmt, seed):
               help="optional file for the induced morphism onto the twisted algebra")
 @common_options
 def cmd_twist_from_phi(phi_file, source_algebra, target_algebra, output,
-                       morphism_out, fmt, seed):
+                       morphism_out, fmt):
     """Recover a twisting system from a multiplicative phi family."""
     source = _load(source_algebra, parse_algebra)
     target = _load(target_algebra, parse_algebra)
@@ -239,7 +231,7 @@ def cmd_twist_from_phi(phi_file, source_algebra, target_algebra, output,
         write_json(output, emit_twist(system))
         if morphism_out:
             write_json(morphism_out, emit_morphism(morphism))
-    _finish(report, fmt, seed, time.perf_counter() - t0)
+    _finish(report, fmt, time.perf_counter() - t0)
 
 
 @main.command("hom-space")
@@ -249,7 +241,7 @@ def cmd_twist_from_phi(phi_file, source_algebra, target_algebra, output,
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="optional file for the canonical basis export")
 @common_options
-def cmd_hom_space(source_module, target_module, degree, output, fmt, seed):
+def cmd_hom_space(source_module, target_module, degree, output, fmt):
     """Compute a graded module Hom space and report its dimension."""
     m = _load_module(source_module)
     n = _load_module(target_module)
@@ -262,7 +254,7 @@ def cmd_hom_space(source_module, target_module, degree, output, fmt, seed):
     if output:
         write_json(output, emit_hom_basis(space, degree))
     report = Report("module_hom_space", True, notes=(f"degree {degree} dimension {space.dim}",))
-    _finish(report, fmt, seed, seconds)
+    _finish(report, fmt, seconds)
 
 
 @main.command("gamma")
@@ -270,7 +262,7 @@ def cmd_hom_space(source_module, target_module, degree, output, fmt, seed):
 @click.option("-o", "--output", type=click.Path(), required=True,
               help="file for the graded endomorphism algebra")
 @common_options
-def cmd_gamma(algebra_file, output, fmt, seed):
+def cmd_gamma(algebra_file, output, fmt):
     """Compute the graded endomorphism algebra of the regular module."""
     algebra = _load(algebra_file, parse_algebra)
     t0 = time.perf_counter()
@@ -282,13 +274,13 @@ def cmd_gamma(algebra_file, output, fmt, seed):
     write_json(output, emit_algebra(gamma.graded))
     dims = {g: gamma.dim(g) for g in gamma.degrees if gamma.dim(g)}
     report = Report("gamma_algebra", True, notes=(f"dimensions {dims}",))
-    _finish(report, fmt, seed, seconds)
+    _finish(report, fmt, seconds)
 
 
 @main.command("verify-endo")
 @click.argument("algebra_file", type=click.Path())
 @common_options
-def cmd_verify_endo(algebra_file, fmt, seed):
+def cmd_verify_endo(algebra_file, fmt):
     """Verify the isomorphism between an algebra and its graded endomorphism algebra."""
     algebra = _load(algebra_file, parse_algebra)
     t0 = time.perf_counter()
@@ -297,7 +289,7 @@ def cmd_verify_endo(algebra_file, fmt, seed):
     except ValueError as exc:
         _fail_input(str(exc))
     _phi, _psi, report = endo_iso(gamma)
-    _finish(report, fmt, seed, time.perf_counter() - t0)
+    _finish(report, fmt, time.perf_counter() - t0)
 
 
 @main.command("shift-props")
@@ -306,7 +298,7 @@ def cmd_verify_endo(algebra_file, fmt, seed):
 @click.option("-g", "--shift", "shift_degree", type=int, required=True)
 @click.option("-d", "--degree", type=int, required=True)
 @common_options
-def cmd_shift_props(source_module, target_module, shift_degree, degree, fmt, seed):
+def cmd_shift_props(source_module, target_module, shift_degree, degree, fmt):
     """Check the three shift identities on a pair of modules."""
     m = _load_module(source_module)
     n = _load_module(target_module)
@@ -315,7 +307,7 @@ def cmd_shift_props(source_module, target_module, shift_degree, degree, fmt, see
         report = check_shift_props(m, n, shift_degree, degree)
     except ValueError as exc:
         _fail_input(str(exc))
-    _finish(report, fmt, seed, time.perf_counter() - t0)
+    _finish(report, fmt, time.perf_counter() - t0)
 
 
 @main.command("gamma-twist")
@@ -324,7 +316,7 @@ def cmd_shift_props(source_module, target_module, shift_degree, degree, fmt, see
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="optional file for the transported phi family")
 @common_options
-def cmd_gamma_twist(twist_file, algebra_file, output, fmt, seed):
+def cmd_gamma_twist(twist_file, algebra_file, output, fmt):
     """Transport a twist along graded endomorphism algebras into a phi family."""
     algebra = _load(algebra_file, parse_algebra)
     t = _load(twist_file, parse_twist, algebra)
@@ -335,7 +327,7 @@ def cmd_gamma_twist(twist_file, algebra_file, output, fmt, seed):
         family, report = gamma_twist_phi(data)
         if family is not None and output:
             write_json(output, emit_phi(family))
-    _finish(report, fmt, seed, time.perf_counter() - t0)
+    _finish(report, fmt, time.perf_counter() - t0)
 
 
 @main.command("backward")
@@ -346,7 +338,7 @@ def cmd_gamma_twist(twist_file, algebra_file, output, fmt, seed):
 @click.option("--iso-out", type=click.Path(), default=None,
               help="optional file for the isomorphism onto the twisted algebra")
 @common_options
-def cmd_backward(twist_file, algebra_file, output, iso_out, fmt, seed):
+def cmd_backward(twist_file, algebra_file, output, iso_out, fmt):
     """Recover a twist from the equivalence induced by a known one."""
     algebra = _load(algebra_file, parse_algebra)
     t = _load(twist_file, parse_twist, algebra)
@@ -363,7 +355,7 @@ def cmd_backward(twist_file, algebra_file, output, iso_out, fmt, seed):
                     write_json(output, emit_twist(result.twist))
                 if iso_out:
                     write_json(iso_out, emit_morphism(result.iso))
-    _finish(report, fmt, seed, time.perf_counter() - t0)
+    _finish(report, fmt, time.perf_counter() - t0)
 
 
 def _fixture(name: str):
@@ -373,7 +365,7 @@ def _fixture(name: str):
 @main.command("demo")
 @click.argument("name", type=click.Choice(["quantum-plane", "sign-twist"]))
 @common_options
-def cmd_demo(name, fmt, seed):
+def cmd_demo(name, fmt):
     """Run a bundled end-to-end example and narrate the result."""
     algebra_file, twist_file = {
         "quantum-plane": ("trunc23.alg.json", "quantum.twist.json"),
@@ -417,7 +409,7 @@ def cmd_demo(name, fmt, seed):
         for line in lines:
             click.echo(line)
     for r, seconds in timed:
-        _print_report(r, fmt, seed, seconds)
+        _print_report(r, fmt, seconds)
     sys.exit(0 if all(r.passed for r, _seconds in timed) else 1)
 
 

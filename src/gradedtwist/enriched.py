@@ -12,8 +12,10 @@ and S agree on it. The target of both is indexed by pairs (p, h):
     S:  (f_p)_p  |->  ( rho^N_{p, h} o (f_p (x) id_{A_h}) )_{(p, h)}
 
 Each block of R and S is materialized through the closed-structure
-primitives sharp/flat/evaluation rather than hand-written index
-arithmetic, so the matrices are literally the categorical composites.
+primitives rather than hand-written index arithmetic, so the matrices
+are literally the categorical composites: an R block is the internal-Hom
+map precompose(rho^M) = [rho^M_{g^-1 p, h}, N_ph], and an S block is the
+curried composite sharp(rho^N o (evaluation (x) id)).
 The Hom space itself is ker(R - S) with its canonical (column-echelon)
 basis, so equal subspaces always have bit-identical bases.
 
@@ -163,16 +165,9 @@ def build_RS(m: GradedModule, n: GradedModule, g):
         ph = group.mul(p, h)
         n_m1 = m.dim(q)
         n_a = a.dim(h)
-        # R reads the family component at degree ph
+        # R reads the family component at degree ph: [rho^M_{q,h}, N_ph]
         if ph in src_index:
-            n_m2 = m.dim(group.mul(ginv, ph))
-            n_n2 = n.dim(ph)
-            d_h = n_n2 * n_m2
-            ev = evaluation(n_m2, n_n2, field)
-            rho_m = m.action_map(q, h)
-            r_blocks[(ti, col_index[ph])] = sharp(
-                ev @ kron(Matrix.identity(d_h, field), rho_m), d_h, n_m1 * n_a
-            )
+            r_blocks[(ti, col_index[ph])] = precompose(m.action_map(q, h), n.dim(ph))
         # S reads the family component at degree p
         if p in src_index:
             n_n1 = n.dim(p)
@@ -261,13 +256,16 @@ class ModuleHomSpace:
     def vector_to_element(self, vector: Matrix) -> HomElement:
         if (vector.rows, vector.cols) != (self.total, 1):
             raise ValueError(f"vector must be {self.total}x1")
+        field = self.source.field
+        if vector.field != field:
+            raise ValueError(f"vector is over {vector.field!r}, the space over {field!r}")
         group = self.source.group
         ginv = group.inv(self.degree)
         comps = {}
         for p, off, size in self.source_layout:
             rows = self.target.dim(p)
             cols = self.source.dim(group.mul(ginv, p))
-            comps[p] = Matrix(rows, cols, self.source.field, [vector[off + i, 0] for i in range(size)])
+            comps[p] = Matrix._trusted(rows, cols, field, vector.data[off : off + size])
         return HomElement(self.source, self.target, self.degree, comps)
 
     def basis_element(self, i: int) -> HomElement:
@@ -393,6 +391,7 @@ def gamma_algebra(a: GradedAlgebra, degrees=None) -> GammaAlgebra:
     spaces = {g: module_hom_space(reg, reg, g) for g in degrees}
     dims = {g: spaces[g].dim for g in degrees if spaces[g].dim}
     space = GradedVectorSpace(group, dims)
+    bases = {g: [spaces[g].basis_element(i) for i in range(spaces[g].dim)] for g in degrees}
     mult = {}
     for g in degrees:
         for h in degrees:
@@ -400,9 +399,7 @@ def gamma_algebra(a: GradedAlgebra, degrees=None) -> GammaAlgebra:
             target = spaces.get(gh)
             if not (spaces[g].dim and spaces[h].dim) or target is None or not target.dim:
                 continue
-            lefts = [spaces[g].basis_element(i) for i in range(spaces[g].dim)]
-            rights = [spaces[h].basis_element(j) for j in range(spaces[h].dim)]
-            composites = hstack([target.element_to_vector(compose_homs(f, f2)) for f in lefts for f2 in rights])
+            composites = hstack([target.element_to_vector(compose_homs(f, f2)) for f in bases[g] for f2 in bases[h]])
             if not target.contains(composites):
                 raise ValueError("composite is not a module morphism family")
             mult[(g, h)] = target.coords(composites)

@@ -16,9 +16,13 @@ Gamma(A) degree by degree, producing a family of isomorphisms
 
     phi_d(g) : Gamma(B)_g -> Gamma(A)_g
 
-built as a five-step composite: shift by d, pull back along t_{dg},
-push forward along t_d^-1, exchange the base ring (the two kernels
-coincide, which is checked), and shift back by d^-1. The family
+built as the composite: shift by d, pull back along t_{dg}, push
+forward along t_d^-1, exchange the base ring, and shift back by d^-1.
+The shifts by d and d^-1 only relabel blocks and cancel, so the
+composite is block-diagonal on the layout Gamma(B)_g already has:
+block p is the pull-back [tau_{dg}(g^-1 p)^-1, 1] followed by the
+push-forward [1, tau_d(p)]. The base-ring exchange is a comparison of
+the two layouts plus a membership check in Gamma(A)_g. The family
 satisfies the multiplicative compatibility that characterizes twists,
 so it yields a twisting system on Gamma(A); conjugating through the
 left-multiplication isomorphism A = Gamma(A) recovers a twisting system
@@ -28,14 +32,8 @@ For a system normalized by tau_e = id the recovery is bit-exact.
 
 from __future__ import annotations
 
-from .exactmath import Matrix, block_matrix, inverse, kron, try_inverse
-from .enriched import (
-    HomElement,
-    _source_blocks,
-    block_permutation,
-    endo_iso,
-    gamma_algebra,
-)
+from .exactmath import block_matrix, inverse, try_inverse
+from .enriched import HomElement, endo_iso, gamma_algebra, postcompose, precompose
 from .graded import (
     GradedModule,
     GradedMorphism,
@@ -176,17 +174,23 @@ def pushforward(f, v: GradedMorphism, new_target: GradedModule):
 def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
     """The transported family phi_d(g): Gamma(B)_g -> Gamma(A)_g.
 
-    Returns (family, report). The report records the level-exchange
-    membership checks: each transported basis vector must land in
-    ker(R - S) computed over A, a fact the construction predicts and
-    this function verifies. On a failed check the family is None.
+    The shifts by d and d^-1 relabel blocks and cancel, so the map is
+    block-diagonal on the layout of Gamma(B)_g: block p is pull-back
+    along t_{dg} (precompose with tau_{dg}(g^-1 p)^-1), then push-forward
+    along t_d^-1 (postcompose with tau_d(p)).
+
+    Returns (family, report). The report records the base-ring exchange:
+    Gamma(A)_g must have the same block layout as Gamma(B)_g (witness
+    ("layout", (d, g)) otherwise), and each transported basis vector must
+    land in ker(R - S) computed over A (witness ("level-exchange",
+    (d, g)) otherwise), a fact the construction predicts and this
+    function verifies. On a failed check the family is None.
     """
     a = data.algebra
     b = data.twisted
     t = data.twist
     group = a.group
     field = a.field
-    e = group.identity
     if gamma_a is None:
         gamma_a = gamma_algebra(a)
     if gamma_b is None:
@@ -197,7 +201,6 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
     else:
         dees = list(group.elements())
         notes = ()
-    reg_b = regular_module(b)
     maps = {}
     failures = []
     for g in gamma_b.degrees:
@@ -206,41 +209,29 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
         if space_a is None or space_b.dim == 0:
             continue
         layout = space_b.source_layout
-        block_degrees = [p for p, _off, _size in layout]
+        same_layout = [(p, size) for p, _off, size in layout] == [
+            (p, size) for p, _off, size in space_a.source_layout
+        ]
+        sizes = [size for _p, _off, size in layout]
         ginv = group.inv(g)
         for d in dees:
             dg = group.mul(d, g)
             needed = []
-            for p in block_degrees:
+            for p, _off, _size in layout:
                 needed.append((dg, group.mul(ginv, p)))
                 needed.append((d, p))
             if not all(t.has_tau(*key) for key in needed):
                 continue
-            mid_src = shift_module(reg_b, dg)
-            mid_tgt = shift_module(reg_b, d)
-            mid_layout = _source_blocks(mid_src, mid_tgt, e)
-            mid_sizes = [size for _q, _off, size in mid_layout]
-            shift_in = block_permutation(layout, mid_layout, lambda p: group.mul(d, p), field)
-            shift_out = block_permutation(
-                mid_layout, space_a.source_layout, lambda q: group.mul(group.inv(d), q), field
-            )
-            if shift_in is None or shift_out is None:
+            if not same_layout:
                 failures.append(Report("gamma_twist_phi", False, witness=("layout", (d, g))))
                 continue
-            pull_blocks = {}
-            push_blocks = {}
-            for idx, (q, _off, _size) in enumerate(mid_layout):
-                p = group.mul(group.inv(d), q)
-                tau_wit = inverse(t.tau(dg, group.mul(ginv, p)))
-                pull_blocks[(idx, idx)] = kron(
-                    Matrix.identity(b.dim(p), field), tau_wit.transpose()
+            blocks = {}
+            for i, (p, _off, _size) in enumerate(layout):
+                q = group.mul(ginv, p)
+                blocks[(i, i)] = postcompose(t.tau(d, p), a.dim(q)) @ precompose(
+                    inverse(t.tau(dg, q)), b.dim(p)
                 )
-                push_blocks[(idx, idx)] = kron(
-                    t.tau(d, p), Matrix.identity(a.dim(group.mul(ginv, p)), field)
-                )
-            pull = block_matrix(mid_sizes, mid_sizes, pull_blocks, field)
-            push = block_matrix(mid_sizes, mid_sizes, push_blocks, field)
-            transported = shift_out @ push @ pull @ shift_in @ space_b.kernel
+            transported = block_matrix(sizes, sizes, blocks, field) @ space_b.kernel
             if not space_a.contains(transported):
                 failures.append(Report("gamma_twist_phi", False, witness=("level-exchange", (d, g))))
                 continue

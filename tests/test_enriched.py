@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedtwist.exactmath import QQ, Matrix, PrimeField, hstack, kron
+from gradedtwist.exactmath import QQ, Matrix, PrimeField, block_matrix, hstack, kron
 from gradedtwist.fixtures import quantum_plane, s3_group_algebra, z3_group_algebra
 from gradedtwist.enriched import (
     HomElement,
     block_permutation,
+    build_RS,
     coevaluation,
     check_shift_props,
     compose_homs,
@@ -159,6 +160,38 @@ class TestHomSpaces:
             vec = space.element_to_vector(el)
             assert space.contains(vec)
             assert space.vector_to_element(vec) == el
+
+    def test_vector_over_another_field_is_refused(self):
+        a, _t = quantum_plane()
+        reg = regular_module(a)
+        space = module_hom_space(reg, reg, 1)
+        vec = Matrix(space.total, 1, F5, [1] * space.total)
+        with pytest.raises(ValueError, match="GF\\(5\\)"):
+            space.vector_to_element(vec)
+
+    def test_r_blocks_are_the_curried_evaluation_composites(self):
+        # each R block is [rho^M, N_ph], written out here as the literal
+        # sharp(evaluation o (id (x) rho^M)) it equals
+        for a in (quantum_plane()[0], s3_group_algebra()):
+            reg = regular_module(a)
+            group = a.group
+            for g in a.support():
+                big_r, _s, source, target = build_RS(reg, reg, g)
+                col_index = {p: j for j, (p, _off, _size) in enumerate(source)}
+                blocks = {}
+                for ti, ((p, h), _off, _size) in enumerate(target):
+                    q = group.mul(group.inv(g), p)
+                    ph = group.mul(p, h)
+                    if ph not in col_index:
+                        continue
+                    n_m2, n_n2 = reg.dim(group.mul(q, h)), reg.dim(ph)
+                    d_h = n_n2 * n_m2
+                    rho = reg.action_map(q, h)
+                    composite = evaluation(n_m2, n_n2, QQ) @ kron(Matrix.identity(d_h, QQ), rho)
+                    blocks[(ti, col_index[ph])] = sharp(composite, d_h, rho.cols)
+                row_dims = [size for _key, _off, size in target]
+                col_dims = [size for _p, _off, size in source]
+                assert big_r == block_matrix(row_dims, col_dims, blocks, QQ), g
 
     def test_contains_rejects_non_morphisms(self):
         reg = regular_module(z3_group_algebra())

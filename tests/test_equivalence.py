@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gradedtwist.exactmath import QQ, Matrix, inverse
+from gradedtwist.exactmath import QQ, Matrix, hstack, inverse
 from gradedtwist.enriched import gamma_algebra, identity_hom, module_hom_space
 from gradedtwist.equivalence import (
     backward,
@@ -17,7 +17,14 @@ from gradedtwist.equivalence import (
     zm_forward,
 )
 from gradedtwist.fixtures import F7, quantum_plane, random_cocycle_twist, sign_twist, z3_group_algebra
-from gradedtwist.graded import GradedMorphism, check_module, group_algebra, regular_module, shift_module
+from gradedtwist.graded import (
+    GradedMorphism,
+    GradedVectorSpace,
+    check_module,
+    group_algebra,
+    regular_module,
+    shift_module,
+)
 from gradedtwist.groups import FiniteGroup, cyclic_group, symmetric_group
 from gradedtwist.twist import (
     COCYCLE,
@@ -157,6 +164,54 @@ class TestGammaTwistPhi:
         assert report.passed
         assert "window-verified" in report.notes
         assert check_phi_family(family).passed
+
+
+    @pytest.mark.parametrize("case", ["sign", "quantum-plane-3", "s3-f7-coboundary"])
+    def test_transport_is_pullback_then_pushforward(self, case):
+        # phi_d(g) f = t_d^-1 o f o t_{dg} on each basis element f of
+        # Gamma(B)_g, computed element by element with pullback/pushforward
+        if case == "sign":
+            a, t = sign_twist()
+        elif case == "quantum-plane-3":
+            a, t = quantum_plane(3)
+        else:
+            group = symmetric_group(3)
+            rng = random.Random(5)
+            beta = {g: 1 if g == group.identity else rng.randrange(1, 7) for g in group.elements()}
+            alpha = {(x, y): F7.mul(F7.mul(beta[x], beta[y]), F7.inv(beta[group.mul(x, y)]))
+                     for x in group.elements() for y in group.elements()}
+            a = group_algebra(group, F7)
+            t = TwistingSystem(a, COCYCLE, alpha=alpha)
+        data = equivalence_from_twist(t)
+        gamma_a = gamma_algebra(a)
+        gamma_b = gamma_algebra(data.twisted)
+        family, report = gamma_twist_phi(data, gamma_a, gamma_b)
+        assert report.passed
+        assert family.maps
+        group = a.group
+        reg_a = regular_module(a)
+        for (d, g), phi in family.maps.items():
+            space_a, space_b = gamma_a.spaces[g], gamma_b.spaces[g]
+            dg = group.mul(d, g)
+            ps = [p for p, _off, _size in space_b.source_layout]
+            qs = [group.mul(group.inv(g), p) for p in ps]
+            u_space = GradedVectorSpace(group, {q: a.dim(q) for q in qs})
+            v_space = GradedVectorSpace(group, {p: a.dim(p) for p in ps})
+            u = GradedMorphism(u_space, u_space, {q: inverse(t.tau(dg, q)) for q in qs}, a.field)
+            v = GradedMorphism(v_space, v_space, {p: t.tau(d, p) for p in ps}, a.field)
+            images = [
+                space_a.element_to_vector(pushforward(pullback(space_b.basis_element(i), u, reg_a), v, reg_a))
+                for i in range(space_b.dim)
+            ]
+            assert phi == space_a.coords(hstack(images)), (d, g)
+
+    def test_a_gamma_with_another_layout_is_a_layout_failure(self):
+        _a, t = quantum_plane(3)
+        small, _t2 = quantum_plane(2)
+        family, report = gamma_twist_phi(equivalence_from_twist(t), gamma_a=gamma_algebra(small))
+        assert family is None
+        assert not report.passed
+        assert report.witness == {"failed": "gamma_twist_phi", "witness": ("layout", (0, 0))}
 
 
 class TestBackward:

@@ -1,0 +1,38 @@
+"""The benchmark's layer tracer (perfbench/tracer.py) must still find every
+library function and method it names, so that renaming or deleting one
+fails here and not only in a traced benchmark run."""
+
+import importlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import tracer  # noqa: E402
+
+
+def _holder(owner, attr):
+    module = importlib.import_module(f"gradedtwist.{owner}")
+    if "." in attr:
+        cls_name, method = attr.split(".")
+        return getattr(module, cls_name), method
+    return module, attr
+
+
+def test_install_rebinds_every_target_and_uninstall_restores_it():
+    targets = [_holder(owner, attr) for _name, owner, attr, _kind, _observe in tracer.TARGETS]
+    originals = [holder.__dict__[attr] for holder, attr in targets]
+    modules = [importlib.import_module(f"gradedtwist.{m}") for m in tracer._MODULES]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for (holder, attr), original in zip(targets, originals):
+            assert holder.__dict__[attr] is not original, (holder.__name__, attr)
+        # no module keeps an untraced reference under an imported name
+        for module in modules:
+            for key, value in vars(module).items():
+                assert not any(value is original for original in originals), (module.__name__, key)
+    finally:
+        t.uninstall()
+    for (holder, attr), original in zip(targets, originals):
+        assert holder.__dict__[attr] is original, (holder.__name__, attr)
