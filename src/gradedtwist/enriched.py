@@ -17,7 +17,10 @@ are literally the categorical composites: an R block is the internal-Hom
 map precompose(rho^M) = [rho^M_{g^-1 p, h}, N_ph], and an S block is the
 curried composite sharp(rho^N o (evaluation (x) id)).
 The Hom space itself is ker(R - S) with its canonical (column-echelon)
-basis, so equal subspaces always have bit-identical bases.
+basis, so equal subspaces always have bit-identical bases. That basis is
+all a space keeps: its pivot rows hold an identity block, so the
+coordinates of a vector V are V's entries at the pivot rows, and V lies
+in the space exactly when the basis times those coordinates is V again.
 
 Hom elements compose by (f o f')_p = f_p o f'_{g^-1 p}; over the regular
 module this composition makes the spaces [[A, A]]_g into a graded
@@ -38,7 +41,6 @@ from .exactmath import (
     hstack,
     kernel_matrix,
     kron,
-    solve,
 )
 from .graded import (
     GradedAlgebra,
@@ -219,17 +221,20 @@ class HomElement:
 
 
 class ModuleHomSpace:
-    """ker(R - S) at one degree, with its canonical basis and layouts."""
+    """ker(R - S) at one degree, kept as its canonical basis and layout.
 
-    def __init__(self, source, target, degree, big_r, big_s, source_layout, target_layout):
+    `kernel` is in reduced column echelon form: row `pivots[i]` of it is
+    the i-th unit row. Membership and coordinates read those rows; R and
+    S are dropped once the kernel is known.
+    """
+
+    def __init__(self, source, target, degree, big_r, big_s, source_layout):
         self.source = source
         self.target = target
         self.degree = degree
-        self.R = big_r
-        self.S = big_s
         self.source_layout = source_layout
-        self.target_layout = target_layout
         self.kernel = kernel_matrix(big_r - big_s)
+        self.pivots = tuple(next(i for i, x in enumerate(self.kernel.col(j)) if x) for j in range(self.dim))
 
     @property
     def dim(self) -> int:
@@ -237,15 +242,17 @@ class ModuleHomSpace:
 
     @property
     def total(self) -> int:
-        return self.R.cols
+        return self.kernel.rows
+
+    def _pivot_entries(self, vectors: Matrix) -> Matrix:
+        if vectors.rows != self.total:
+            raise ValueError(f"vectors must have {self.total} rows, got {vectors.rows}")
+        return Matrix._trusted(self.dim, vectors.cols, vectors.field,
+                               [x for i in self.pivots for x in vectors.row(i)])
 
     def contains(self, vectors: Matrix) -> bool:
-        """Whether every column v of `vectors` lies in the space: R v = S v.
-
-        R - S is not kept on the space: a stored copy as large as R
-        costs memory for every space a Gamma algebra holds.
-        """
-        return self.R @ vectors == self.S @ vectors
+        """Whether every column of `vectors` lies in the space."""
+        return self.kernel @ self._pivot_entries(vectors) == vectors
 
     def element_to_vector(self, el: HomElement) -> Matrix:
         entries = []
@@ -274,15 +281,18 @@ class ModuleHomSpace:
     def coords(self, vectors: Matrix) -> Matrix:
         """Coordinates of each column of `vectors` in the canonical basis,
         one column each; raises ValueError when a column is not in the space."""
-        return solve(self.kernel, vectors)
+        coords = self._pivot_entries(vectors)
+        if self.kernel @ coords != vectors:
+            raise ValueError("vector outside the Hom space")
+        return coords
 
     def __repr__(self):
         return f"ModuleHomSpace(degree={self.degree!r}, dim={self.dim})"
 
 
 def module_hom_space(m: GradedModule, n: GradedModule, g) -> ModuleHomSpace:
-    big_r, big_s, source, target = build_RS(m, n, g)
-    return ModuleHomSpace(m, n, g, big_r, big_s, source, target)
+    big_r, big_s, source, _target = build_RS(m, n, g)
+    return ModuleHomSpace(m, n, g, big_r, big_s, source)
 
 
 def direct_intertwiner_basis(m: GradedModule, n: GradedModule, g) -> Matrix:
@@ -362,7 +372,7 @@ def compose_homs(f: HomElement, g_el: HomElement) -> HomElement:
 class GammaAlgebra:
     """[[A, A]] of the regular module, rendered as a graded algebra.
 
-    `spaces[g]` keeps the full equalizer presentation; `graded` is the
+    `spaces[g]` is the Hom space [[A, A]]_g on its canonical basis; `graded` is the
     algebra on the canonical bases (multiplication by composition,
     unit = the identity family).
     """

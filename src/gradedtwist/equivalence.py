@@ -141,13 +141,6 @@ def check_equivalence(data: EquivalenceData) -> Report:
     return merge("check_equivalence", reports, notes=notes)
 
 
-def zm_forward(m: GradedModule, t: TwistingSystem, algebra_tw=None, run_checks: bool = True) -> GradedModule:
-    """The equivalence on one module: M over A goes to M^tau over A^tau."""
-    if m.algebra is not t.algebra and m.algebra != t.algebra:
-        raise ValueError("module is not over the twisting system's algebra")
-    return twist_module(m, t, algebra_tw=algebra_tw, run_checks=run_checks)
-
-
 def pullback(f, u: GradedMorphism, new_source: GradedModule):
     """f o u: precompose a Hom family with a module morphism into its source."""
     group = f.source.group
@@ -320,7 +313,6 @@ __all__ = [
     "EquivalenceData",
     "equivalence_from_twist",
     "check_equivalence",
-    "zm_forward",
     "pullback",
     "pushforward",
     "gamma_twist_phi",

@@ -449,15 +449,6 @@ def column_echelon(m: Matrix) -> Matrix:
     return Matrix._trusted(len(pivots), m.rows, m.field, r.data[: len(pivots) * m.rows]).transpose()
 
 
-def kernel_basis(m: Matrix) -> list[Matrix]:
-    """Canonical basis of {v : m v = 0} as a list of column vectors.
-
-    The basis matrix is in reduced column echelon form, so two equal
-    kernels always produce identical output.
-    """
-    return list(_columns(kernel_matrix(m)))
-
-
 def kernel_matrix(m: Matrix) -> Matrix:
     """Canonical kernel basis packed as the columns of one cols x k matrix."""
     field = m.field
@@ -475,11 +466,6 @@ def kernel_matrix(m: Matrix) -> Matrix:
         vectors.append(v)
     raw = Matrix._trusted(len(free), m.cols, field, [x for v in vectors for x in v]).transpose()
     return column_echelon(raw)
-
-
-def _columns(m: Matrix):
-    for j in range(m.cols):
-        yield Matrix._trusted(m.rows, 1, m.field, m.col(j))
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -64,11 +64,6 @@ class FiniteGroup:
     def contains(self, g) -> bool:
         return isinstance(g, int) and 0 <= g < self.order
 
-    def name_of(self, g: int) -> str:
-        if self.names is not None:
-            return self.names[g]
-        return str(g)
-
     def _check_index(self, a):
         if not self.contains(a):
             raise ValueError(f"element index {a} out of range 0..{self.order - 1}")
@@ -113,9 +108,6 @@ class IntegerWindow:
 
     def contains(self, g) -> bool:
         return isinstance(g, int) and self.lo <= g <= self.hi
-
-    def name_of(self, g: int) -> str:
-        return str(g)
 
     def widened(self, lo: int, hi: int) -> "IntegerWindow":
         """Smallest window containing this one, [lo, hi], and 0."""

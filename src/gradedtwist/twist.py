@@ -298,7 +298,12 @@ def twist_algebra(a: GradedAlgebra, t: TwistingSystem, run_checks: bool = True) 
 
 def twist_module(m: GradedModule, t: TwistingSystem, algebra_tw: GradedAlgebra | None = None,
                  run_checks: bool = True) -> GradedModule:
-    """M^tau over A^tau: rho^tau_{g,h} = rho_{g,h} (id (x) tau_g(h))."""
+    """M^tau over A^tau: rho^tau_{g,h} = rho_{g,h} (id (x) tau_g(h)).
+
+    This is the twist equivalence applied to one module.
+    """
+    if m.algebra is not t.algebra and m.algebra != t.algebra:
+        raise ValueError("module is not over the twisting system's algebra")
     if algebra_tw is None:
         algebra_tw = twist_algebra(m.algebra, t, run_checks=False)
     field = m.field

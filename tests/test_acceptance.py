@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from gradedtwist.exactmath import Matrix, PrimeField, QQ, kron
 from gradedtwist.enriched import (
+    build_RS,
     direct_intertwiner_basis,
     endo_iso,
     flat,
@@ -143,16 +144,17 @@ def _equal_sharp_identities(space, m, n, g):
     block agree when built from either side of the equalizer."""
     group = m.group
     field = m.field
+    big_r, big_s, _source, target_layout = build_RS(m, n, g)
     for i in range(space.dim):
         nu = Matrix(space.total, 1, field, space.kernel.col(i))
-        for (p, h), offset, size in space.target_layout:
+        for (p, h), offset, size in target_layout:
             n2 = n.dim(group.mul(p, h))
             pair_dim = size // n2
             r_block = Matrix.from_rows(
-                [space.R.row(r) for r in range(offset, offset + size)], field
+                [big_r.row(r) for r in range(offset, offset + size)], field
             )
             s_block = Matrix.from_rows(
-                [space.S.row(r) for r in range(offset, offset + size)], field
+                [big_s.row(r) for r in range(offset, offset + size)], field
             )
             lhs = flat(r_block, pair_dim, n2) @ kron(nu, Matrix.identity(pair_dim, field))
             rhs = flat(s_block, pair_dim, n2) @ kron(nu, Matrix.identity(pair_dim, field))

@@ -1,13 +1,16 @@
 """Internal Hom spaces: currying primitives, equalizer kernels against a
 first-principles oracle, composition, Gamma, and shift compatibility."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedtwist.exactmath import QQ, Matrix, PrimeField, block_matrix, hstack, kron
-from gradedtwist.fixtures import quantum_plane, s3_group_algebra, z3_group_algebra
+from gradedtwist.fixtures import F7, quantum_plane, s3_group_algebra, z3_group_algebra
 from gradedtwist.enriched import (
+    GammaAlgebra,
     HomElement,
     block_permutation,
     build_RS,
@@ -35,6 +38,7 @@ from gradedtwist.graded import (
     zero_module,
 )
 from gradedtwist.groups import cyclic_group
+from gradedtwist.twist import twist_algebra
 
 F5 = PrimeField(5)
 
@@ -211,6 +215,39 @@ class TestHomSpaces:
         with pytest.raises(ValueError):
             space.coords(hstack([basis, outsider]))
 
+    @pytest.mark.parametrize("case", ["quantum-plane-3", "s3-f7", "quantum-plane-3-shifted", "s3-f7-shifted"])
+    def test_membership_and_coords_agree_with_the_equalizer(self, case):
+        # reference: V is a module map exactly when R V = S V (build_RS)
+        a = quantum_plane(3)[0] if case.startswith("quantum") else s3_group_algebra(F7)
+        field = a.field
+        m = regular_module(a)
+        n = shift_module(m, 1) if case.endswith("shifted") else m
+        rng = random.Random(11)
+        outsiders = 0
+        for g in a.group.elements():
+            space = module_hom_space(m, n, g)
+            big_r, big_s, _source, _target = build_RS(m, n, g)
+            coeffs = random_matrix(rng, space.dim, 3, field)
+            members = space.kernel @ coeffs
+            assert big_r @ members == big_s @ members
+            assert space.contains(members)
+            assert space.coords(members) == coeffs
+            assert space.kernel @ space.coords(members) == members
+            for j in range(members.cols):
+                entries = list(members.col(j))
+                if not entries:
+                    continue
+                i = rng.randrange(len(entries))
+                entries[i] = field.add(entries[i], field.one)
+                column = Matrix.column(entries, field)
+                inside = big_r @ column == big_s @ column
+                assert space.contains(column) == inside, (g, j)
+                if not inside:
+                    outsiders += 1
+                    with pytest.raises(ValueError):
+                        space.coords(hstack([members, column]))
+        assert outsiders
+
     def test_zero_module_hom_spaces_are_zero(self):
         a = z3_group_algebra()
         reg = regular_module(a)
@@ -311,6 +348,14 @@ class TestEndoIso:
         for g in a.support():
             assert phi.component(g).rows == a.dim(g)
             assert psi.component(g) @ phi.component(g) == Matrix.identity(a.dim(g), QQ)
+
+    def test_gamma_of_the_twisted_algebra_gives_a_membership_witness(self):
+        # Gamma(A^tau) handed in as if it were Gamma(A): left multiplication
+        # by x in A is not a module map for the twisted action
+        a, t = quantum_plane()
+        gb = gamma_algebra(twist_algebra(a, t))
+        _phi, _psi, report = endo_iso(GammaAlgebra(a, gb.degrees, gb.spaces, gb.graded, gb.module))
+        assert report.witness == {"failed": "endo_iso", "witness": ("membership", (1, 0))}
 
     def test_left_multiplication_families_are_module_morphisms(self):
         a, _t = quantum_plane()

@@ -14,7 +14,6 @@ from gradedtwist.equivalence import (
     gamma_twist_phi,
     pullback,
     pushforward,
-    zm_forward,
 )
 from gradedtwist.fixtures import F7, quantum_plane, random_cocycle_twist, sign_twist, z3_group_algebra
 from gradedtwist.graded import (
@@ -72,10 +71,20 @@ class TestEquivalenceData:
     def test_zm_forward_is_the_twist_functor(self):
         a, t = sign_twist()
         reg = regular_module(a)
-        assert zm_forward(reg, t) == twist_module(reg, t)
+        # the twisted regular module is the regular module of A^tau
+        assert twist_module(reg, t) == regular_module(twist_algebra(a, t))
         other = regular_module(z3_group_algebra())
         with pytest.raises(ValueError, match="not over"):
-            zm_forward(other, t)
+            twist_module(other, t)
+
+    def test_a_module_over_the_twisted_algebra_is_refused(self):
+        # M must live over A itself: twisting a module over A^tau again by
+        # tau used to return a structure that fails the module axioms
+        a, t = quantum_plane()
+        b = twist_algebra(a, t)
+        for run_checks in (False, True):
+            with pytest.raises(ValueError, match="not over the twisting system's algebra"):
+                twist_module(regular_module(b), t, algebra_tw=b, run_checks=run_checks)
 
 
 class TestZmRoundTrip:
@@ -83,8 +92,8 @@ class TestZmRoundTrip:
         a, t = sign_twist()
         ti = inverse_twist(t)
         for m in (regular_module(a), shift_module(regular_module(a), 1)):
-            there = zm_forward(m, t)
-            back = zm_forward(there, ti)
+            there = twist_module(m, t)
+            back = twist_module(there, ti)
             assert back == m
             assert check_module(there).passed
 
@@ -92,8 +101,8 @@ class TestZmRoundTrip:
         a, t = quantum_plane()
         ti = inverse_twist(t)
         for m in (regular_module(a), shift_module(regular_module(a), 2)):
-            there = zm_forward(m, t)
-            assert zm_forward(there, ti) == m
+            there = twist_module(m, t)
+            assert twist_module(there, ti) == m
 
 
 class TestPullPush:
@@ -212,6 +221,36 @@ class TestGammaTwistPhi:
         assert family is None
         assert not report.passed
         assert report.witness == {"failed": "gamma_twist_phi", "witness": ("layout", (0, 0))}
+
+    def test_transporting_into_gamma_of_the_twisted_algebra_fails_the_level_exchange(self):
+        # Gamma(A^tau) in the place of Gamma(A): the layouts agree, but the
+        # transported basis leaves the Hom space over A^tau
+        a, t = quantum_plane()
+        gb = gamma_algebra(twist_algebra(a, t))
+        family, report = gamma_twist_phi(equivalence_from_twist(t), gamma_a=gb, gamma_b=gb)
+        assert family is None
+        assert report.witness == {"failed": "gamma_twist_phi", "witness": ("level-exchange", (0, 1))}
+
+
+class TestTwistKeepsDegreeZeroHoms:
+    """[[M, N]]_e over A equals [[M^tau, N^tau]]_e over A^tau: twisting
+    changes the action on A_h at degree p by the invertible tau_p(h),
+    the same on both sides of a degree-e family."""
+
+    @pytest.mark.parametrize("case", [f"cocycle-{seed}" for seed in range(6)] + ["quantum-plane-3"])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_kernels_are_bit_identical(self, case, shifted):
+        a, t = quantum_plane(3) if case.startswith("quantum") else random_cocycle_twist(int(case.split("-")[1]))
+        b = twist_algebra(a, t)
+        m = regular_module(a)
+        # S_{1^-1} A has (S_{1^-1} A)_e = A_1, so the shifted space is nonzero
+        n = shift_module(m, a.group.inv(1)) if shifted else m
+        before = module_hom_space(m, n, a.group.identity)
+        after = module_hom_space(twist_module(m, t, algebra_tw=b), twist_module(n, t, algebra_tw=b),
+                                 a.group.identity)
+        assert before.dim
+        assert after.source_layout == before.source_layout
+        assert after.kernel == before.kernel
 
 
 class TestBackward:
