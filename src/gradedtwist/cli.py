@@ -187,7 +187,11 @@ def cmd_twist_module(twist_file, module_file, output, fmt):
     t0 = time.perf_counter()
     report = check_twist_condition(t)
     if report.passed:
-        write_json(output, emit_module(twist_module(module, t, run_checks=False)))
+        try:
+            twisted = twist_module(module, t, run_checks=False)
+        except ValueError as exc:
+            _fail_input(f"{module_file}: {exc}")
+        write_json(output, emit_module(twisted))
     _finish(report, fmt, time.perf_counter() - t0)
 
 

@@ -441,20 +441,16 @@ def endo_iso(gamma: GammaAlgebra):
     expressed in the canonical basis of Gamma_g. psi_g is materialized
     as the literal chain
 
-        Gamma_g >--> W_g --(x) unit--> W_g (x) A_e
-                 --project--> [A_e, A_g] (x) A_e --evaluate--> A_g
+        Gamma_g >--> W_g --project--> [A_e, A_g] --[u, A_g]--> [k, A_g] = A_g
 
-    which amounts to f |-> f_e-block applied to the unit. The report
+    which sends f to its A_e -> A_g block applied to the unit u. The report
     records: each left-multiplication family is a module morphism
     (membership in ker(R - S)), psi_g phi_g = id, phi_g psi_g = id, and
     phi is an isomorphism of graded algebras onto Gamma.
     """
     a = gamma.algebra
     field = a.field
-    group = a.group
-    e = group.identity
-    de = a.dim(e)
-    unit = a.unit
+    de = a.dim(a.group.identity)
     phi_comps = {}
     psi_comps = {}
     failures = []
@@ -471,17 +467,12 @@ def endo_iso(gamma: GammaAlgebra):
             failures.append(Report("endo_iso", False, witness=("membership", (g, bad))))
             continue
         phi_g = space.coords(hstack(vecs)) if n_g else Matrix.zeros(dim_gamma, 0, field)
-        # the evaluation chain for psi_g: project W_g onto its [A_e, A_g] block
+        # the chain for psi_g: project W_g onto its [A_e, A_g] block, then precompose with u
         block_sizes = [size for _p, _off, size in space.source_layout]
         blocks = {(0, j): Matrix.identity(size, field)
                   for j, (p, _off, size) in enumerate(space.source_layout) if p == g}
-        proj = block_matrix([a.dim(g) * de], block_sizes, blocks, field)
-        chain = (
-            evaluation(de, a.dim(g), field)
-            @ kron(proj, Matrix.identity(de, field))
-            @ kron(Matrix.identity(space.total, field), unit)
-        )
-        psi_g = chain @ space.kernel
+        proj = block_matrix([n_g * de], block_sizes, blocks, field)
+        psi_g = precompose(a.unit, n_g) @ proj @ space.kernel
         if (psi_g @ phi_g) != Matrix.identity(n_g, field):
             failures.append(Report("endo_iso", False, witness=("left-inverse", g)))
             continue

@@ -22,12 +22,18 @@ The shifts by d and d^-1 only relabel blocks and cancel, so the
 composite is block-diagonal on the layout Gamma(B)_g already has:
 block p is the pull-back [tau_{dg}(g^-1 p)^-1, 1] followed by the
 push-forward [1, tau_d(p)]. The base-ring exchange is a comparison of
-the two layouts plus a membership check in Gamma(A)_g. The family
-satisfies the multiplicative compatibility that characterizes twists,
-so it yields a twisting system on Gamma(A); conjugating through the
-left-multiplication isomorphism A = Gamma(A) recovers a twisting system
-on A itself together with an algebra isomorphism from its twist to B.
-For a system normalized by tau_e = id the recovery is bit-exact.
+the two layouts plus a membership check in Gamma(A)_g.
+
+Conjugating the family through the left-multiplication isomorphisms
+B = Gamma(B) and Gamma(A) = A gives a family B_g -> A_g, and the
+phi-family criterion (`twist_from_phi`) recovers from it, once, a
+twisting system on A together with an algebra isomorphism from B to A
+twisted by it. Nothing needs checking on Gamma(A) as well: the family's
+conditions, the twisting condition and the isomorphism on Gamma(A) are
+conjugates of the ones `twist_from_phi` verifies on A, through maps
+that `endo_iso` has verified to be mutually inverse graded algebra
+isomorphisms. For a system normalized by tau_e = id the recovery is
+bit-exact.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from .graded import (
 from .groups import IntegerWindow
 from .report import Report, merge
 from .twist import (
-    EXPLICIT,
     PhiFamily,
     TwistingSystem,
     check_twist_condition,
@@ -238,62 +243,57 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
 class BackwardResult:
     """Everything the backward pipeline produces, with its receipts."""
 
-    def __init__(self, twist, twisted, iso, forward_iso, family, gamma_morphism, report):
+    def __init__(self, twist, twisted, iso, forward_iso, family, report):
         self.twist = twist                  # recovered system on A
         self.twisted = twisted              # A twisted by it
         self.iso = iso                      # recovered-twisted algebra -> B
         self.forward_iso = forward_iso      # B -> recovered-twisted algebra
         self.family = family                # the Gamma-level phi family
-        self.gamma_morphism = gamma_morphism
         self.report = report
 
 
 def backward(data: EquivalenceData, gamma_a=None, gamma_b=None) -> BackwardResult:
     """Recover a twisting system on A from the equivalence data.
 
-    Pipeline: transport Gamma(B) onto Gamma(A) (gamma_twist_phi), read
-    off a twisting system on Gamma(A) and a compatible isomorphism
-    (twist_from_phi), then conjugate both through the left-multiplication
-    isomorphisms A = Gamma(A) and B = Gamma(B). The final report also
-    states whether the recovered system equals the normalization
-    tau_d(g) tau_e(g)^-1 of the original; for a normalized input that
-    means exact recovery.
+    Pipeline: transport Gamma(B) onto Gamma(A) (gamma_twist_phi), verify
+    the left-multiplication isomorphisms phi_B: B -> Gamma(B) and
+    psi_A: Gamma(A) -> A (endo_iso), conjugate the family down to
+    psi_A(g) phi_d(g) phi_B(g): B_g -> A_g, and recover from it a
+    twisting system on A and an isomorphism from B to A twisted by it
+    (twist_from_phi, which raises ValueError on a refusal).
+
+    No check is run on Gamma(A) itself, and none is lost: the family's
+    conditions, the twisting condition and the isomorphism on Gamma(A)
+    are conjugates of the ones twist_from_phi verifies on A, and the
+    recovered tau_d(g) is psi_A tau_d(g) psi_A^-1 of the Gamma-level one,
+    bit for bit. The report adds that the inverse isomorphism onto B is
+    an algebra morphism, and whether the recovered system equals the
+    normalization tau_d(g) tau_e(g)^-1 of the original; for a normalized
+    input that means exact recovery.
     """
     a = data.algebra
     b = data.twisted
     t = data.twist
-    group = a.group
-    field = a.field
-    e = group.identity
+    e = a.group.identity
     if gamma_a is None:
         gamma_a = gamma_algebra(a)
     if gamma_b is None:
         gamma_b = gamma_algebra(b)
     family, fam_report = gamma_twist_phi(data, gamma_a, gamma_b)
     if family is None:
-        return BackwardResult(None, None, None, None, None, None, fam_report)
-    gamma_system, gamma_morphism = twist_from_phi(family)
-    phi_a, psi_a, endo_a_report = endo_iso(gamma_a)
-    phi_b, psi_b, endo_b_report = endo_iso(gamma_b)
+        return BackwardResult(None, None, None, None, None, fam_report)
+    _, psi_a, endo_a_report = endo_iso(gamma_a)
+    phi_b, _, endo_b_report = endo_iso(gamma_b)
     reports = [fam_report, endo_a_report, endo_b_report]
     if not (endo_a_report.passed and endo_b_report.passed):
-        return BackwardResult(None, None, None, None, family, gamma_morphism,
-                              merge("backward", reports))
-    recovered_maps = {}
-    for (d, g), mat in gamma_system.maps.items():
-        psi_g = psi_a.component(g)
-        if psi_g.rows == 0:
-            continue
-        recovered_maps[(d, g)] = psi_g @ mat @ inverse(psi_g)
-    recovered = TwistingSystem(a, EXPLICIT, maps=recovered_maps)
-    reports.append(check_twist_condition(recovered))
+        return BackwardResult(None, None, None, None, family, merge("backward", reports))
+    conjugated = PhiFamily(b, a, {
+        (d, g): psi_a.component(g) @ mat @ phi_b.component(g) for (d, g), mat in family.maps.items()
+    })
+    recovered, forward = twist_from_phi(conjugated)
     twisted_rec = twist_algebra(a, recovered, run_checks=False)
-    comps = {}
-    for g in b.support():
-        comps[g] = psi_a.component(g) @ gamma_morphism.component(g) @ phi_b.component(g)
-    forward = GradedMorphism(b.space, twisted_rec.space, comps, field)
-    reports.append(check_algebra_morphism(forward, b, twisted_rec))
-    iso = GradedMorphism(twisted_rec.space, b.space, {g: inverse(c) for g, c in comps.items()}, field)
+    comps = {g: inverse(c) for g, c in forward.components.items()}
+    iso = GradedMorphism(twisted_rec.space, b.space, comps, a.field)
     reports.append(check_algebra_morphism(iso, twisted_rec, b))
     mismatch = None
     for (d, g) in sorted(recovered.maps):
@@ -304,9 +304,7 @@ def backward(data: EquivalenceData, gamma_a=None, gamma_b=None) -> BackwardResul
             mismatch = (d, g)
             break
     reports.append(Report("normalized-round-trip", mismatch is None, witness=mismatch))
-    return BackwardResult(
-        recovered, twisted_rec, iso, forward, family, gamma_morphism, merge("backward", reports)
-    )
+    return BackwardResult(recovered, twisted_rec, iso, forward, family, merge("backward", reports))
 
 
 __all__ = [

@@ -43,9 +43,6 @@ class GradedVectorSpace:
     def support(self) -> list:
         return sorted(self.dims)
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedVectorSpace)
@@ -234,14 +231,6 @@ class GradedMorphism:
         comps = {g: Matrix.identity(d, field) for g, d in space.dims.items()}
         return cls(space, space, comps, field)
 
-    def then(self, other: "GradedMorphism") -> "GradedMorphism":
-        """other composed after self (self first)."""
-        if self.target.dims != other.source.dims:
-            raise ValueError("composition endpoint mismatch")
-        degrees = set(self.components) | set(other.components)
-        comps = {g: other.component(g) @ self.component(g) for g in degrees}
-        return GradedMorphism(self.source, other.target, comps, self.field)
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedMorphism)
@@ -339,50 +328,7 @@ def check_module_morphism(f: GradedMorphism, m: GradedModule, n: GradedModule) -
 
 
 # ---------------------------------------------------------------------------
-# the Cauchy tensor product and the assembled-multiplication oracle
-
-
-class TensorLayout:
-    """Degree-wise block layout of a Cauchy tensor product.
-
-    blocks[g] is a list of (p, offset, size): the block X_p (x) Y_{p^-1 g}
-    starts at `offset` inside the degree-g component, in ascending order
-    of p under the global element order.
-    """
-
-    def __init__(self, space: GradedVectorSpace, blocks: dict):
-        self.space = space
-        self.blocks = blocks
-
-
-def graded_tensor(x: GradedVectorSpace, y: GradedVectorSpace) -> TensorLayout:
-    """(X (x)bar Y)_g = sum over p of X_p (x) Y_{p^-1 g}, with offsets."""
-    if not same_group(x.group, y.group):
-        raise ValueError("tensor factors live over different groups")
-    group = x.group
-    degrees = {}
-    for p in x.support():
-        for q in y.support():
-            g = group.mul(p, q)
-            degrees.setdefault(g, 0)
-    dims = {}
-    blocks = {}
-    for g in sorted(degrees):
-        offset = 0
-        entries = []
-        for p in x.support():
-            pinv_g = group.mul(group.inv(p), g)
-            size = x.dim(p) * y.dim(pinv_g)
-            if size:
-                entries.append((p, offset, size))
-                offset += size
-        if offset:
-            dims[g] = offset
-            blocks[g] = entries
-    if isinstance(group, IntegerWindow) and dims:
-        lo, hi = min(dims), max(dims)
-        group = group.widened(lo, hi)
-    return TensorLayout(GradedVectorSpace(group, dims), blocks)
+# the assembled-multiplication oracle
 
 
 def cauchy_algebra_oracle(a: GradedAlgebra) -> Report:
@@ -545,8 +491,6 @@ __all__ = [
     "GradedAlgebra",
     "GradedModule",
     "GradedMorphism",
-    "TensorLayout",
-    "graded_tensor",
     "check_algebra",
     "check_module",
     "check_algebra_morphism",

@@ -109,10 +109,6 @@ class IntegerWindow:
     def contains(self, g) -> bool:
         return isinstance(g, int) and self.lo <= g <= self.hi
 
-    def widened(self, lo: int, hi: int) -> "IntegerWindow":
-        """Smallest window containing this one, [lo, hi], and 0."""
-        return IntegerWindow(min(self.lo, lo, 0), max(self.hi, hi, 0))
-
     def __eq__(self, other):
         return isinstance(other, IntegerWindow) and (other.lo, other.hi) == (self.lo, self.hi)
 

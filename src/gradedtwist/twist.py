@@ -61,6 +61,7 @@ class TwistingSystem:
                     raise ValueError(f"tau[{(d, g)}] must be {n}x{n}, got {m.rows}x{m.cols}")
             if isinstance(group, IntegerWindow):
                 self._d_window = sorted({d for (d, _g) in self.maps})
+                self._require_twisted_algebra_entries()
             else:
                 for d in group.elements():
                     for g in algebra.support():
@@ -73,6 +74,7 @@ class TwistingSystem:
             self.alpha = {k: algebra.field.coerce(v) if isinstance(v, int) else v for k, v in alpha.items()}
             if isinstance(group, IntegerWindow):
                 self._d_window = sorted({d for (d, _g) in self.alpha})
+                self._require_twisted_algebra_entries()
             else:
                 for d in group.elements():
                     for g in group.elements():
@@ -82,6 +84,8 @@ class TwistingSystem:
         elif kind == AUTOMORPHISM:
             if sigma is None:
                 raise ValueError("automorphism twisting systems need sigma")
+            if order is not None and (type(order) is not int or order < 1):
+                raise ValueError(f"order must be a positive integer or null, got {order!r}")
             if not isinstance(group, IntegerWindow):
                 if not is_cyclic_table(group):
                     raise ValueError("automorphism twists need integer or cyclic-table degrees")
@@ -96,6 +100,13 @@ class TwistingSystem:
             self._d_window = None
         else:
             raise ValueError(f"unknown twisting system kind {kind!r}")
+
+    def _require_twisted_algebra_entries(self):
+        """A stored window must hold every tau_g(h) that A^tau reads."""
+        e = self.group.identity
+        for d, g in [*self.algebra.mult, (e, e)]:
+            if not self.has_tau(d, g):
+                raise ValueError(f"tau not stored for ({d!r},{g!r}), which the twisted algebra needs")
 
     @property
     def group(self):
@@ -527,15 +538,13 @@ def twist_from_phi(p: PhiFamily):
         raise ValueError(f"phi family fails its conditions at {family_report.witness}")
     a, b = p.target, p.source
     e = a.group.identity
-    maps = {}
-    for d in p.d_degrees():
-        for g in a.support():
-            if not (p.has(d, g) and p.has(e, g)):
-                continue
-            base = try_inverse(p.map(e, g))
-            if base is None:
+    bases = {}
+    for g in a.support():
+        if p.has(e, g):
+            bases[g] = try_inverse(p.map(e, g))
+            if bases[g] is None:
                 raise ValueError(f"phi_e({g!r}) is singular")
-            maps[(d, g)] = p.map(d, g) @ base
+    maps = {(d, g): p.map(d, g) @ base for d in p.d_degrees() for g, base in bases.items() if p.has(d, g)}
     t = TwistingSystem(a, EXPLICIT, maps=maps)
     condition = check_twist_condition(t)
     if not condition.passed:

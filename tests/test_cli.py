@@ -3,6 +3,7 @@ and the bundled demos."""
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,12 @@ from click.testing import CliRunner
 import gradedtwist
 from gradedtwist.cli import main
 from gradedtwist.equivalence import equivalence_from_twist, gamma_twist_phi
+from gradedtwist.exactmath import QQ, Matrix
 from gradedtwist.fixtures import sign_twist, z3_group_algebra
+from gradedtwist.graded import regular_module, shift_module
 from gradedtwist.serialize import (
+    emit_matrix,
+    emit_module,
     emit_phi,
     parse_algebra,
     parse_morphism,
@@ -291,6 +296,48 @@ class TestMalformedInput:
         if exit_code == 1:
             assert "('inverse', 1)" in result.output
 
+    @pytest.mark.parametrize("twist", [
+        {"kind": "cocycle", "alpha": {"0,0": "1"}},
+        {"kind": "explicit", "maps": {f"0,{g}": emit_matrix(Matrix.identity(n, QQ))
+                                      for g, n in enumerate((1, 2, 3, 4))}},
+    ], ids=["cocycle-at-0-0", "explicit-at-d-0"])
+    @pytest.mark.parametrize("command", ["check-twist", "twist-algebra", "gamma-twist", "backward"])
+    def test_twist_window_missing_what_the_twisted_algebra_reads(self, runner, tmp_path, command, twist):
+        twist_file = tmp_path / "window.twist.json"
+        write_json(twist_file, twist)
+        args = [command, str(twist_file), fx("trunc23.alg.json")]
+        if command != "check-twist":
+            args += ["-o", str(tmp_path / "out.json")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "not stored" in result.output
+
+    def test_twist_module_degree_outside_the_stored_window(self, runner, tmp_path):
+        data = read_json(FIXTURES / "trunc23.alg.json")
+        data["group"]["window"] = [-2, 3]
+        module_file = tmp_path / "shifted.mod.json"
+        write_json(module_file, emit_module(shift_module(regular_module(parse_algebra(data)), -2)))
+        twist_file = tmp_path / "ones.twist.json"
+        write_json(twist_file, {"kind": "cocycle", "alpha": {f"{d},{g}": "1" for d in range(4) for g in range(4)}})
+        result = runner.invoke(
+            main, ["twist-module", str(twist_file), str(module_file), "-o", str(tmp_path / "out.json")]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "not stored for (-2,0)" in result.output
+
+    @pytest.mark.parametrize("order", ["3", 2.5, True, 0], ids=["string", "float", "bool", "zero"])
+    def test_automorphism_order_must_be_a_positive_integer(self, runner, tmp_path, order):
+        data = read_json(FIXTURES / "quantum.twist.json")
+        data["order"] = order
+        twist_file = tmp_path / "order.twist.json"
+        write_json(twist_file, data)
+        result = runner.invoke(main, ["check-twist", str(twist_file), fx("trunc23.alg.json")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "order must be a positive integer" in result.output
+
 
 def test_cli_import_leaves_sympy_out():
     code = "import sys, gradedtwist.cli; print('sympy' in sys.modules)"
@@ -298,6 +345,17 @@ def test_cli_import_leaves_sympy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_readme_commands_run(runner, tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = [line for block in readme.split("```sh\n")[1:] for line in block.split("```")[0].splitlines()
+             if line.startswith("gradedtwist ")]
+    assert lines
+    for line in lines:
+        line = line.replace("$FIX", str(FIXTURES)).replace("/tmp", str(tmp_path))
+        result = runner.invoke(main, shlex.split(line)[1:])
+        assert result.exit_code == 0, (line, result.output)
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (Path(__file__).parents[1] / "demos").glob("*.py")))

@@ -19,6 +19,7 @@ from gradedtwist.fixtures import F7, quantum_plane, random_cocycle_twist, sign_t
 from gradedtwist.graded import (
     GradedMorphism,
     GradedVectorSpace,
+    check_algebra_morphism,
     check_module,
     group_algebra,
     regular_module,
@@ -305,19 +306,30 @@ class TestBackward:
         cyclic_group(4),
         FiniteGroup([[a ^ b for b in range(4)] for a in range(4)]),
     ], ids=["S3", "Z4", "Z2xZ2"])
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_coboundary_twists_over_f7_recover_exactly(self, group, seed):
-        # alpha(x, y) = beta(x) beta(y) / beta(xy) with beta(e) = 1 is a
-        # normalized cocycle, so backward must return it exactly
+    @pytest.mark.parametrize("seed, beta_e", [(1, 1), (2, 1), (1, 3), (2, 5)],
+                             ids=["1", "2", "1-beta_e=3", "2-beta_e=5"])
+    def test_coboundary_twists_over_f7_recover_exactly(self, group, seed, beta_e):
+        # alpha(x, y) = beta(x) beta(y) / beta(xy) is a cocycle with
+        # tau_e(g) = alpha(e, g) = beta(e); backward must return its
+        # normalization tau_d(g) tau_e(g)^-1, which is alpha itself when
+        # beta(e) = 1
         rng = random.Random(seed)
-        beta = {g: 1 if g == group.identity else rng.randrange(1, 7) for g in group.elements()}
+        beta = {g: beta_e if g == group.identity else rng.randrange(1, 7) for g in group.elements()}
         alpha = {(x, y): F7.mul(F7.mul(beta[x], beta[y]), F7.inv(beta[group.mul(x, y)]))
                  for x in group.elements() for y in group.elements()}
         a = group_algebra(group, F7)
         t = TwistingSystem(a, COCYCLE, alpha=alpha)
-        result = backward(equivalence_from_twist(t))
+        data = equivalence_from_twist(t)
+        result = backward(data)
         assert result.report.passed
+        e = group.identity
         for d in group.elements():
             for g in group.elements():
-                assert result.twist.tau(d, g) == t.tau(d, g)
-        assert result.twisted == twist_algebra(a, t)
+                assert result.twist.tau(d, g) == t.tau(d, g) @ inverse(t.tau(e, g))
+        if beta_e == 1:
+            assert result.twisted == twist_algebra(a, t)
+        assert check_algebra_morphism(result.iso, result.twisted, data.twisted).passed
+        assert check_algebra_morphism(result.forward_iso, data.twisted, result.twisted).passed
+        for g in a.support():
+            assert (result.iso.component(g) @ result.forward_iso.component(g)).is_identity()
+            assert (result.forward_iso.component(g) @ result.iso.component(g)).is_identity()

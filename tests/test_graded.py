@@ -1,4 +1,4 @@
-"""Graded structures: axiom checkers, tensor layouts, constructors, oracle."""
+"""Graded structures: axiom checkers, constructors, oracle."""
 
 import random
 
@@ -15,7 +15,6 @@ from gradedtwist.graded import (
     check_algebra_morphism,
     check_module,
     check_module_morphism,
-    graded_tensor,
     group_algebra,
     regular_module,
     shift_module,
@@ -134,32 +133,6 @@ class TestMorphismCheckers:
         f = GradedMorphism(m.space, m.space, comps, QQ)
         r = check_module_morphism(f, m, m)
         assert not r.passed
-
-
-class TestGradedTensor:
-    def test_unit_object_is_neutral(self):
-        x = GradedVectorSpace(Z2, {0: 1, 1: 2})
-        unit = GradedVectorSpace(Z2, {0: 1})
-        assert graded_tensor(x, unit).space.dims == x.dims
-        assert graded_tensor(unit, x).space.dims == x.dims
-
-    def test_z2_dims(self):
-        x = GradedVectorSpace(Z2, {0: 1, 1: 1})
-        t = graded_tensor(x, x)
-        assert t.space.dims == {0: 2, 1: 2}
-        # degree 0 blocks: p=0 gives X_0 (x) X_0, p=1 gives X_1 (x) X_1
-        assert t.blocks[0] == [(0, 0, 1), (1, 1, 1)]
-
-    def test_zero_space_annihilates(self):
-        x = GradedVectorSpace(Z2, {0: 3})
-        z = GradedVectorSpace(Z2, {})
-        assert graded_tensor(x, z).space.dims == {}
-
-    def test_window_widening(self):
-        a = truncated_polynomial(1, 2)
-        t = graded_tensor(a.space, a.space)
-        assert t.space.dims == {0: 1, 1: 2, 2: 3, 3: 2, 4: 1}
-        assert t.space.group.hi >= 4
 
 
 class TestCauchyOracle:

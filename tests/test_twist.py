@@ -159,6 +159,22 @@ class TestTwistCondition:
         with pytest.raises(ValueError, match="not stored"):
             windowed.tau(9, 1)
 
+    @pytest.mark.parametrize("kind", [EXPLICIT, COCYCLE])
+    def test_window_must_hold_what_the_twisted_algebra_reads(self, kind):
+        a, t = quantum_plane()
+        keys = [(0, g) for g in a.support()]
+        with pytest.raises(ValueError, match=r"not stored for \(1,0\)"):
+            if kind == EXPLICIT:
+                TwistingSystem(a, EXPLICIT, maps={k: t.tau(*k) for k in keys})
+            else:
+                TwistingSystem(a, COCYCLE, alpha={k: QQ.one for k in keys})
+
+    @pytest.mark.parametrize("order", ["3", 2.5, True, 0, -2])
+    def test_automorphism_order_must_be_a_positive_integer(self, order):
+        a, t = quantum_plane()
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            TwistingSystem(a, AUTOMORPHISM, sigma=t.sigma, order=order)
+
     def test_automorphism_needs_cyclic_or_integer_degrees(self):
         from gradedtwist.groups import symmetric_group
 
