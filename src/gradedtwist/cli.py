@@ -231,7 +231,10 @@ def cmd_twist_from_phi(phi_file, source_algebra, target_algebra, output,
     t0 = time.perf_counter()
     report = check_phi_family(fam)
     if report.passed:
-        system, morphism = twist_from_phi_op(fam)
+        try:
+            system, morphism = twist_from_phi_op(fam)
+        except ValueError as exc:
+            _fail_input(f"{phi_file}: {exc}")
         write_json(output, emit_twist(system))
         if morphism_out:
             write_json(morphism_out, emit_morphism(morphism))

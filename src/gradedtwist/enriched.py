@@ -392,11 +392,10 @@ class GammaAlgebra:
         return f"GammaAlgebra(degrees={self.degrees})"
 
 
-def gamma_algebra(a: GradedAlgebra, degrees=None) -> GammaAlgebra:
+def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
     group = a.group
     field = a.field
-    if degrees is None:
-        degrees = a.support() if isinstance(group, IntegerWindow) else list(group.elements())
+    degrees = a.support() if isinstance(group, IntegerWindow) else list(group.elements())
     reg = regular_module(a)
     spaces = {g: module_hom_space(reg, reg, g) for g in degrees}
     dims = {g: spaces[g].dim for g in degrees if spaces[g].dim}
@@ -422,24 +421,13 @@ def gamma_algebra(a: GradedAlgebra, degrees=None) -> GammaAlgebra:
     return GammaAlgebra(a, degrees, spaces, graded, reg)
 
 
-def left_multiplication_family(a: GradedAlgebra, g, column: Matrix) -> HomElement:
-    """The family (x |-> v x)_p for v in A_g given by `column`."""
-    group = a.group
-    reg = regular_module(a)
-    comps = {}
-    for q in a.support():
-        p = group.mul(g, q)
-        if a.dim(p):
-            comps[p] = a.mult_map(g, q) @ kron(column, Matrix.identity(a.dim(q), a.field))
-    return HomElement(reg, reg, g, comps)
-
-
 def endo_iso(gamma: GammaAlgebra):
     """Mutually inverse maps between A and Gamma, with full receipts.
 
-    phi_g sends a basis vector of A_g to its left-multiplication family,
-    expressed in the canonical basis of Gamma_g. psi_g is materialized
-    as the literal chain
+    phi_g is the curried multiplication: on the block p of W_g, with
+    q = g^-1 p, it is sharp(m_{g,q}): A_g -> [A_q, A_p], which sends v to
+    left multiplication by v. Its columns are expressed in the canonical
+    basis of Gamma_g. psi_g is materialized as the literal chain
 
         Gamma_g >--> W_g --project--> [A_e, A_g] --[u, A_g]--> [k, A_g] = A_g
 
@@ -449,8 +437,9 @@ def endo_iso(gamma: GammaAlgebra):
     phi is an isomorphism of graded algebras onto Gamma.
     """
     a = gamma.algebra
+    group = a.group
     field = a.field
-    de = a.dim(a.group.identity)
+    de = a.dim(group.identity)
     phi_comps = {}
     psi_comps = {}
     failures = []
@@ -458,17 +447,20 @@ def endo_iso(gamma: GammaAlgebra):
         space = gamma.spaces[g]
         n_g = a.dim(g)
         dim_gamma = space.dim
-        vecs = []
-        for i in range(n_g):
-            column = Matrix(n_g, 1, field, [field.one if r == i else field.zero for r in range(n_g)])
-            vecs.append(space.element_to_vector(left_multiplication_family(a, g, column)))
-        bad = next((i for i, vec in enumerate(vecs) if not space.contains(vec)), None)
-        if bad is not None:
+        ginv = group.inv(g)
+        block_sizes = [size for _p, _off, size in space.source_layout]
+        curried = {}
+        for j, (p, _off, _size) in enumerate(space.source_layout):
+            q = group.mul(ginv, p)
+            curried[(j, 0)] = sharp(a.mult_map(g, q), n_g, a.dim(q))
+        vectors = block_matrix(block_sizes, [n_g], curried, field)
+        if not space.contains(vectors):
+            bad = next(i for i in range(n_g)
+                       if not space.contains(Matrix._trusted(vectors.rows, 1, field, vectors.col(i))))
             failures.append(Report("endo_iso", False, witness=("membership", (g, bad))))
             continue
-        phi_g = space.coords(hstack(vecs)) if n_g else Matrix.zeros(dim_gamma, 0, field)
+        phi_g = space.coords(vectors)
         # the chain for psi_g: project W_g onto its [A_e, A_g] block, then precompose with u
-        block_sizes = [size for _p, _off, size in space.source_layout]
         blocks = {(0, j): Matrix.identity(size, field)
                   for j, (p, _off, size) in enumerate(space.source_layout) if p == g}
         proj = block_matrix([n_g * de], block_sizes, blocks, field)
@@ -571,7 +563,6 @@ __all__ = [
     "compose_homs",
     "GammaAlgebra",
     "gamma_algebra",
-    "left_multiplication_family",
     "endo_iso",
     "check_shift_props",
 ]

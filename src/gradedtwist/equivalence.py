@@ -193,12 +193,7 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
         gamma_a = gamma_algebra(a)
     if gamma_b is None:
         gamma_b = gamma_algebra(b)
-    if isinstance(group, IntegerWindow):
-        dees = t.d_degrees()
-        notes = ("window-verified",)
-    else:
-        dees = list(group.elements())
-        notes = ()
+    notes = ("window-verified",) if isinstance(group, IntegerWindow) else ()
     maps = {}
     failures = []
     for g in gamma_b.degrees:
@@ -212,7 +207,7 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
         ]
         sizes = [size for _p, _off, size in layout]
         ginv = group.inv(g)
-        for d in dees:
+        for d in t.d_degrees():
             dg = group.mul(d, g)
             needed = []
             for p, _off, _size in layout:

@@ -6,11 +6,12 @@ Kronecker convention of exactmath. Nothing is assumed: associativity,
 unitality, and morphism identities are verified exhaustively over the
 supported degrees by the check_* functions.
 
-Storage rule: a mult/action key (g, h) must be present exactly when all
-three of dims(g), dims(h), dims(g*h) are nonzero. Slots touching a
-zero-dimensional component are the unique empty/zero matrix and may be
-omitted (checkers treat the missing identities as vacuous). This is what
-keeps integer-window data finite.
+Storage rule, enforced for mult and action alike by `_structure_maps`:
+a key (g, h) must be present exactly when all three of dims(g), dims(h),
+dims(g*h) are nonzero. Slots touching a zero-dimensional component are
+the unique empty/zero matrix and may be omitted (checkers treat the
+missing identities as vacuous). This is what keeps integer-window data
+finite.
 """
 
 from __future__ import annotations
@@ -58,22 +59,29 @@ class GradedVectorSpace:
         return f"GradedVectorSpace({{{inside}}})"
 
 
-def _require_structure_keys(space, other_dims, maps, label):
-    """Enforce the storage rule and shapes for a mult/action dict."""
+def _structure_maps(label, maps, left, right, field) -> dict:
+    """The storage rule for a mult/action dict, m_{g,h}: left_g (x) right_h -> left_gh.
+
+    Every map is a Matrix over `field` of shape dim left_gh x dim left_g *
+    dim right_h, every key whose three components are nonzero is present,
+    and the empty slots are dropped.
+    """
+    group = left.group
     checked = {}
-    group = space.group
     for (g, h), m in maps.items():
         if not isinstance(m, Matrix):
             raise TypeError(f"{label}[{(g, h)}] is not a Matrix")
-        target = group.mul(g, h)
-        want_rows = other_dims("left", target)
-        want_cols = other_dims("src_left", g) * other_dims("src_right", h)
-        if (m.rows, m.cols) != (want_rows, want_cols):
-            raise ValueError(
-                f"{label}[{(g, h)}] has shape {m.rows}x{m.cols}, expected {want_rows}x{want_cols}"
-            )
+        want = (left.dim(group.mul(g, h)), left.dim(g) * right.dim(h))
+        if (m.rows, m.cols) != want:
+            raise ValueError(f"{label}[{(g, h)}] has shape {m.rows}x{m.cols}, expected {want[0]}x{want[1]}")
+        if m.field != field:
+            raise ValueError(f"{label} field mismatch")
         if m.rows and m.cols:
             checked[(g, h)] = m
+    for g in left.support():
+        for h in right.support():
+            if left.dim(group.mul(g, h)) and (g, h) not in checked:
+                raise ValueError(f"missing {label} matrix for degrees ({g!r},{h!r})")
     return checked
 
 
@@ -83,25 +91,12 @@ class GradedAlgebra:
     def __init__(self, space: GradedVectorSpace, mult: dict, unit: Matrix, field):
         self.space = space
         self.field = field
-        group = space.group
-        e = group.identity
-
-        def dims_for(_role, g):
-            return space.dim(g)
-
-        self.mult = _require_structure_keys(space, dims_for, mult, "mult")
-        for g in space.support():
-            for h in space.support():
-                t = group.mul(g, h)
-                if space.dim(t) and (g, h) not in self.mult:
-                    raise ValueError(f"missing mult matrix for degrees ({g!r},{h!r})")
-        if not isinstance(unit, Matrix) or unit.cols != 1 or unit.rows != space.dim(e):
-            raise ValueError(f"unit must be a {space.dim(e)}x1 column")
+        self.mult = _structure_maps("mult", mult, space, space, field)
+        de = space.dim(space.group.identity)
+        if not isinstance(unit, Matrix) or unit.cols != 1 or unit.rows != de:
+            raise ValueError(f"unit must be a {de}x1 column")
         if unit.field != field:
             raise ValueError("unit field mismatch")
-        for m in self.mult.values():
-            if m.field != field:
-                raise ValueError("mult field mismatch")
         self.unit = unit
 
     @property
@@ -142,22 +137,7 @@ class GradedModule:
         self.space = space
         self.algebra = algebra
         self.field = algebra.field
-        group = space.group
-
-        def dims_for(role, g):
-            if role == "src_right":
-                return algebra.dim(g)
-            return space.dim(g)
-
-        self.action = _require_structure_keys(space, dims_for, action, "action")
-        for g in space.support():
-            for h in algebra.support():
-                t = group.mul(g, h)
-                if space.dim(t) and (g, h) not in self.action:
-                    raise ValueError(f"missing action matrix for degrees ({g!r},{h!r})")
-        for m in self.action.values():
-            if m.field != self.field:
-                raise ValueError("action field mismatch")
+        self.action = _structure_maps("action", action, space, algebra.space, self.field)
 
     @property
     def group(self):
@@ -418,7 +398,7 @@ def group_algebra(group: FiniteGroup, field=QQ) -> GradedAlgebra:
     return GradedAlgebra(space, mult, unit, field)
 
 
-def truncated_polynomial(nvars: int, maxdeg: int, field=QQ, window=None) -> GradedAlgebra:
+def truncated_polynomial(nvars: int, maxdeg: int, field=QQ) -> GradedAlgebra:
     """k[x_1..x_n] / (degree > maxdeg), graded by total degree.
 
     The degree-d basis is the monomials in lexicographic order (powers of
@@ -428,15 +408,11 @@ def truncated_polynomial(nvars: int, maxdeg: int, field=QQ, window=None) -> Grad
     """
     if nvars < 1 or maxdeg < 0:
         raise ValueError("need at least one variable and a nonnegative degree bound")
-    if window is None:
-        window = IntegerWindow(0, maxdeg)
-    if window.lo > 0 or window.hi < maxdeg:
-        raise ValueError("window too small for the requested degree bound")
     basis = {d: list(combinations_with_replacement(range(nvars), d)) for d in range(maxdeg + 1)}
     index = {d: {mono: i for i, mono in enumerate(basis[d])} for d in basis}
     dims = {d: len(basis[d]) for d in basis}
     assert all(dims[d] == comb(nvars + d - 1, d) for d in dims)
-    space = GradedVectorSpace(window, dims)
+    space = GradedVectorSpace(IntegerWindow(0, maxdeg), dims)
     mult = {}
     for d1 in range(maxdeg + 1):
         for d2 in range(maxdeg + 1):

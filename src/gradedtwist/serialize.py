@@ -217,19 +217,17 @@ def emit_module(m: GradedModule) -> dict:
     }
 
 
-def parse_module(data, base_dir=None, algebra: GradedAlgebra | None = None) -> GradedModule:
+def parse_module(data, base_dir=None) -> GradedModule:
     """Read a module file. The "algebra" entry may be an inline object or
-    a file path, resolved relative to base_dir; an explicitly supplied
-    algebra overrides both."""
-    if algebra is None:
-        ref = _need(data, "algebra", "module")
-        if isinstance(ref, str):
-            path = Path(ref)
-            if base_dir is not None and not path.is_absolute():
-                path = Path(base_dir) / path
-            algebra = parse_algebra(read_json(path))
-        else:
-            algebra = parse_algebra(ref)
+    a file path, resolved relative to base_dir."""
+    ref = _need(data, "algebra", "module")
+    if isinstance(ref, str):
+        path = Path(ref)
+        if base_dir is not None and not path.is_absolute():
+            path = Path(base_dir) / path
+        algebra = parse_algebra(read_json(path))
+    else:
+        algebra = parse_algebra(ref)
     field = parse_field(_need(data, "field", "module"))
     if field != algebra.field:
         raise FileFormatError("module field disagrees with its algebra")

@@ -7,18 +7,21 @@ condition
     m_{g1,g2} (id (x) tau_{d g1}(g2)) (tau_d(g1) (x) id)
         = tau_d(g1 g2) m_{g1,g2} (id (x) tau_{g1}(g2))
 
-for all d, g1, g2. Three storage kinds:
+for all d, g1, g2. Every system reads tau_d(g) from one table; its kind
+decides only how that table is filled and which criterion verifies it:
 
-- explicit: every tau_d(g) a stored matrix. Over the integers only a
+- explicit: the table is the stored matrices. Over the integers only a
   finite d-window can be stored, so condition checks are flagged
   "window-verified".
-- cocycle: tau_d(g) = alpha(d, g) * id for nonzero scalars alpha; the
-  twisting condition reduces to the 2-cocycle identity.
-- automorphism: tau_d(g) = sigma_g^d for a graded algebra automorphism
-  sigma; only meaningful when degrees exponentiate, i.e. over the
-  integers or a cyclic group (with sigma^n = id). This kind is exactly
-  verifiable even over the integers: sigma being a graded algebra
-  automorphism implies the twisting condition for every d.
+- cocycle: alpha(d, g) * id for nonzero scalars alpha, built once when
+  the system is; the twisting condition reduces to the 2-cocycle
+  identity.
+- automorphism: sigma_g^d for a graded algebra automorphism sigma,
+  computed the first time it is read; only meaningful when degrees
+  exponentiate, i.e. over the integers or a cyclic group (with
+  sigma^n = id). This kind is exactly verifiable even over the
+  integers: sigma being a graded algebra automorphism implies the
+  twisting condition for every d.
 
 Verification posture: non-invertible entries and failed conditions are
 report failures (users probe candidates); wrong shapes and missing
@@ -45,10 +48,22 @@ AUTOMORPHISM = "automorphism"
 
 
 class TwistingSystem:
+    """A twisting system on `algebra`, read through one table of tau_d(g).
+
+    `maps` holds tau_d(g) at key (d, g). An explicit system's table is the
+    given maps, a cocycle's is alpha(d, g) * id built here, and an
+    automorphism's is sigma_g^d, filled in the first time it is read.
+    `kind` decides only how the table is filled and which criterion
+    check_twist_condition runs.
+    """
+
     def __init__(self, algebra: GradedAlgebra, kind: str, *, maps=None, alpha=None, sigma=None, order=None):
         self.algebra = algebra
         self.kind = kind
+        self.sigma = None
+        self._d_window = None
         group = algebra.group
+        field = algebra.field
         if kind == EXPLICIT:
             if maps is None:
                 raise ValueError("explicit twisting systems need a maps dict")
@@ -59,28 +74,15 @@ class TwistingSystem:
                 n = algebra.dim(g)
                 if (m.rows, m.cols) != (n, n):
                     raise ValueError(f"tau[{(d, g)}] must be {n}x{n}, got {m.rows}x{m.cols}")
-            if isinstance(group, IntegerWindow):
-                self._d_window = sorted({d for (d, _g) in self.maps})
-                self._require_twisted_algebra_entries()
-            else:
-                for d in group.elements():
-                    for g in algebra.support():
-                        if (d, g) not in self.maps:
-                            raise ValueError(f"missing tau for ({d!r},{g!r})")
-                self._d_window = None
+            needed = algebra.support()
         elif kind == COCYCLE:
             if alpha is None:
                 raise ValueError("cocycle twisting systems need an alpha dict")
-            self.alpha = {k: algebra.field.coerce(v) if isinstance(v, int) else v for k, v in alpha.items()}
-            if isinstance(group, IntegerWindow):
-                self._d_window = sorted({d for (d, _g) in self.alpha})
-                self._require_twisted_algebra_entries()
-            else:
-                for d in group.elements():
-                    for g in group.elements():
-                        if (d, g) not in self.alpha:
-                            raise ValueError(f"missing alpha for ({d!r},{g!r})")
-                self._d_window = None
+            self.alpha = {k: field.coerce(v) if isinstance(v, int) else v for k, v in alpha.items()}
+            self.maps = {
+                (d, g): Matrix.identity(algebra.dim(g), field).scale(v) for (d, g), v in self.alpha.items()
+            }
+            needed = group.elements()
         elif kind == AUTOMORPHISM:
             if sigma is None:
                 raise ValueError("automorphism twisting systems need sigma")
@@ -97,9 +99,18 @@ class TwistingSystem:
                 raise ValueError("sigma must be an endomorphism of the algebra's space")
             self.sigma = sigma
             self.order = order
-            self._d_window = None
+            self.maps = {}
+            return
         else:
             raise ValueError(f"unknown twisting system kind {kind!r}")
+        if isinstance(group, IntegerWindow):
+            self._d_window = sorted({d for (d, _g) in self.maps})
+            self._require_twisted_algebra_entries()
+        else:
+            for d in group.elements():
+                for g in needed:
+                    if (d, g) not in self.maps:
+                        raise ValueError(f"missing tau for ({d!r},{g!r})")
 
     def _require_twisted_algebra_entries(self):
         """A stored window must hold every tau_g(h) that A^tau reads."""
@@ -125,32 +136,18 @@ class TwistingSystem:
         return isinstance(self.group, IntegerWindow) and self.kind != AUTOMORPHISM
 
     def has_tau(self, d, g) -> bool:
-        if self.algebra.dim(g) == 0:
-            return True
-        if self.kind == EXPLICIT:
-            return (d, g) in self.maps
-        if self.kind == COCYCLE:
-            return (d, g) in self.alpha
-        return True
+        return self.sigma is not None or self.algebra.dim(g) == 0 or (d, g) in self.maps
 
     def tau(self, d, g) -> Matrix:
-        n = self.algebra.dim(g)
-        field = self.algebra.field
-        if n == 0:
-            return Matrix.zeros(0, 0, field)
-        if self.kind == EXPLICIT:
-            try:
-                return self.maps[(d, g)]
-            except KeyError:
-                raise ValueError(f"tau not stored for ({d!r},{g!r})") from None
-        if self.kind == COCYCLE:
-            try:
-                scalar = self.alpha[(d, g)]
-            except KeyError:
-                raise ValueError(f"alpha not stored for ({d!r},{g!r})") from None
-            return Matrix.identity(n, field).scale(scalar)
-        # automorphism: exponent is the integer d (or the index in Z/n)
-        return self.sigma.component(g).power(d)
+        if self.algebra.dim(g) == 0:
+            return Matrix.zeros(0, 0, self.algebra.field)
+        got = self.maps.get((d, g))
+        if got is None:
+            if self.sigma is None:
+                raise ValueError(f"tau not stored for ({d!r},{g!r})")
+            # exponent is the integer d (or the index in Z/n)
+            got = self.maps[(d, g)] = self.sigma.component(g).power(d)
+        return got
 
     def __repr__(self):
         return f"TwistingSystem(kind={self.kind})"

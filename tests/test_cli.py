@@ -15,9 +15,10 @@ import gradedtwist
 from gradedtwist.cli import main
 from gradedtwist.equivalence import equivalence_from_twist, gamma_twist_phi
 from gradedtwist.exactmath import QQ, Matrix
-from gradedtwist.fixtures import sign_twist, z3_group_algebra
+from gradedtwist.fixtures import quantum_plane, sign_twist, z3_group_algebra
 from gradedtwist.graded import regular_module, shift_module
 from gradedtwist.serialize import (
+    emit_algebra,
     emit_matrix,
     emit_module,
     emit_phi,
@@ -27,7 +28,7 @@ from gradedtwist.serialize import (
     read_json,
     write_json,
 )
-from gradedtwist.twist import phi_from_twist, twist_algebra
+from gradedtwist.twist import PhiFamily, phi_from_twist, twist_algebra
 
 FIXTURES = Path(gradedtwist.__file__).parent / "fixtures"
 
@@ -326,6 +327,21 @@ class TestMalformedInput:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "not stored for (-2,0)" in result.output
+
+    def test_twist_from_phi_family_too_short_to_recover_from(self, runner, tmp_path):
+        # a valid window family whose d = 0 slice lacks the tau_g(h), g != 0, that A^tau reads
+        fam = phi_from_twist(quantum_plane(3)[1])
+        short = PhiFamily(fam.source, fam.target, {(d, g): m for (d, g), m in fam.maps.items() if d == 0})
+        args = []
+        for name, data in [("short.phi.json", emit_phi(short)), ("b.alg.json", emit_algebra(short.source)),
+                           ("a.alg.json", emit_algebra(short.target))]:
+            write_json(tmp_path / name, data)
+            args.append(str(tmp_path / name))
+        assert runner.invoke(main, ["check-phi", *args]).exit_code == 0
+        result = runner.invoke(main, ["twist-from-phi", *args, "-o", str(tmp_path / "out.json")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "not stored for (1,0)" in result.output
 
     @pytest.mark.parametrize("order", ["3", 2.5, True, 0], ids=["string", "float", "bool", "zero"])
     def test_automorphism_order_must_be_a_positive_integer(self, runner, tmp_path, order):

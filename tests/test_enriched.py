@@ -23,7 +23,6 @@ from gradedtwist.enriched import (
     flat,
     gamma_algebra,
     identity_hom,
-    left_multiplication_family,
     module_hom_space,
     postcompose,
     precompose,
@@ -356,16 +355,6 @@ class TestEndoIso:
         gb = gamma_algebra(twist_algebra(a, t))
         _phi, _psi, report = endo_iso(GammaAlgebra(a, gb.degrees, gb.spaces, gb.graded, gb.module))
         assert report.witness == {"failed": "endo_iso", "witness": ("membership", (1, 0))}
-
-    def test_left_multiplication_families_are_module_morphisms(self):
-        a, _t = quantum_plane()
-        reg = regular_module(a)
-        for g in a.support():
-            space = module_hom_space(reg, reg, g)
-            for i in range(a.dim(g)):
-                col = Matrix(a.dim(g), 1, QQ, [1 if r == i else 0 for r in range(a.dim(g))])
-                family = left_multiplication_family(a, g, col)
-                assert space.contains(space.element_to_vector(family))
 
 
 def dense_permutation(from_layout, to_layout, send):

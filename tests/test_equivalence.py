@@ -65,6 +65,19 @@ class TestEquivalenceData:
         assert report.passed
         assert "window-verified" in report.notes
 
+    @pytest.mark.parametrize("change, expected", [
+        (lambda comp: Matrix.zeros(comp.rows, comp.cols, QQ), ("not-invertible", (1, 0))),
+        (lambda comp: comp.scale(2), (1, ("intertwining", (0, 1)))),
+    ], ids=["zero", "doubled"])
+    def test_a_bad_stored_witness_is_named(self, change, expected):
+        a, t = sign_twist()
+        data = equivalence_from_twist(t)
+        w = data.witness(1)
+        comps = {**w.components, 0: change(w.component(0))}
+        data.witnesses[1] = GradedMorphism(w.source, w.target, comps, a.field)
+        report = check_equivalence(data)
+        assert report.witness == {"failed": "witness", "witness": expected}
+
     def test_random_cocycle_data(self):
         _a, t = random_cocycle_twist(42)
         assert check_equivalence(equivalence_from_twist(t)).passed
@@ -266,6 +279,14 @@ class TestBackward:
         # the recovered iso really maps the recovered twist onto B
         for g in (0, 1):
             assert result.iso.component(g).is_identity()
+
+    def test_a_failed_transport_returns_no_twist(self):
+        _a, t = quantum_plane(3)
+        small, _t2 = quantum_plane(2)
+        result = backward(equivalence_from_twist(t), gamma_a=gamma_algebra(small))
+        assert (result.twist, result.twisted, result.iso, result.forward_iso, result.family) == (None,) * 5
+        assert not result.report.passed
+        assert result.report.witness == {"failed": "gamma_twist_phi", "witness": ("layout", (0, 0))}
 
     def test_identity_twist_recovers_identity(self):
         a = z3_group_algebra()

@@ -194,10 +194,6 @@ class TestConstructors:
         assert (1, 2) not in a.mult
         assert a.mult_map(1, 2).rows == 0
 
-    def test_window_too_small(self):
-        with pytest.raises(ValueError):
-            truncated_polynomial(2, 3, window=IntegerWindow(0, 2))
-
     def test_shift_module_passes_checks(self):
         a = group_algebra(S3)
         m = regular_module(a)

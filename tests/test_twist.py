@@ -1,6 +1,7 @@
 """Twisting systems: condition checking, twisted structures, inversion,
 composition, and the phi-family correspondence."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from gradedtwist.graded import (
     group_algebra,
     regular_module,
 )
-from gradedtwist.groups import cyclic_group
+from gradedtwist.groups import IntegerWindow, cyclic_group
 from gradedtwist.twist import (
     AUTOMORPHISM,
     COCYCLE,
@@ -90,6 +91,19 @@ class TestCocycleChecker:
     def test_carry_cocycle_on_z3(self):
         a, t = random_cocycle_twist(7)
         assert check_cocycle(t.alpha, a.group, a.field).passed
+
+    def test_integer_window_is_verified_and_flagged(self):
+        # alpha(g, h) = 2^(g h) is a bicharacter on Z, hence a 2-cocycle
+        window = IntegerWindow(0, 4)
+        alpha = {(g, h): Fraction(2) ** (g * h) for g in range(3) for h in range(3)}
+        report = check_cocycle(alpha, window, QQ)
+        assert report.passed
+        assert report.notes == ("window-verified",)
+        alpha[(1, 2)] = Fraction(3) * alpha[(1, 2)]
+        report = check_cocycle(alpha, window, QQ)
+        assert not report.passed
+        assert report.witness == (1, 1, 1)
+        assert report.notes == ("window-verified",)
 
 
 class TestTwistCondition:
@@ -411,6 +425,47 @@ class TestRandomCocycles:
         _a1, t1 = random_cocycle_twist(123)
         _a2, t2 = random_cocycle_twist(123)
         assert t1.alpha == t2.alpha
+
+
+def seeded_systems(seed):
+    """One system of each kind from a seed: a random cocycle, the quantum
+    plane automorphism for a seeded q, and an explicit window copy of it."""
+    rng = random.Random(seed)
+    _a, cocycle = random_cocycle_twist(seed)
+    a, automorphism = quantum_plane(maxdeg=rng.randrange(1, 4), q=rng.choice([-3, -2, 2, 3, Fraction(1, 2)]))
+    maps = {(d, g): automorphism.sigma.component(g).power(d) for d in a.support() for g in a.support()}
+    return [cocycle, automorphism, TwistingSystem(a, EXPLICIT, maps=maps)]
+
+
+class TestTauTable:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31))
+    def test_every_kind_reads_tau_from_one_table(self, seed):
+        for t in seeded_systems(seed):
+            for d in t.d_degrees():
+                for g in t.algebra.support():
+                    assert t.has_tau(d, g)
+                    assert t.tau(d, g) is t.tau(d, g) is t.maps[(d, g)]
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31))
+    def test_twisting_back_by_the_inverse_returns_the_algebra(self, seed):
+        for t in seeded_systems(seed):
+            a = t.algebra
+            assert twist_algebra(twist_algebra(a, t), inverse_twist(t)) == a
+
+    @settings(max_examples=10, deadline=None)
+    @given(seeds=st.tuples(*[st.integers(min_value=0, max_value=2**31)] * 3))
+    def test_composition_is_associative_on_cocycles(self, seeds):
+        a, tau = random_cocycle_twist(seeds[0])
+        alpha_s, alpha_r = (random_cocycle_twist(seed)[1].alpha for seed in seeds[1:])
+        a_tau = twist_algebra(a, tau)
+        sigma = TwistingSystem(a_tau, COCYCLE, alpha=alpha_s)
+        a_tau_sigma = twist_algebra(a_tau, sigma)
+        rho = TwistingSystem(a_tau_sigma, COCYCLE, alpha=alpha_r)
+        left = compose_twists(compose_twists(tau, sigma), rho)
+        right = compose_twists(tau, compose_twists(sigma, rho))
+        assert twist_algebra(a, left) == twist_algebra(a, right) == twist_algebra(a_tau_sigma, rho)
 
 
 def test_support_closure_of_the_quantum_plane():
