@@ -232,7 +232,7 @@ def cmd_twist_from_phi(phi_file, source_algebra, target_algebra, output,
     report = check_phi_family(fam)
     if report.passed:
         try:
-            system, morphism = twist_from_phi_op(fam)
+            system, _twisted, morphism = twist_from_phi_op(fam)
         except ValueError as exc:
             _fail_input(f"{phi_file}: {exc}")
         write_json(output, emit_twist(system))

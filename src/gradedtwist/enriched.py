@@ -11,11 +11,12 @@ and S agree on it. The target of both is indexed by pairs (p, h):
     R:  (f_p)_p  |->  ( f_{ph} o rho^M_{g^-1 p, h} )_{(p, h)}
     S:  (f_p)_p  |->  ( rho^N_{p, h} o (f_p (x) id_{A_h}) )_{(p, h)}
 
-Each block of R and S is materialized through the closed-structure
-primitives rather than hand-written index arithmetic, so the matrices
-are literally the categorical composites: an R block is the internal-Hom
-map precompose(rho^M) = [rho^M_{g^-1 p, h}, N_ph], and an S block is the
-curried composite sharp(rho^N o (evaluation (x) id)).
+The blocks are the categorical composites: an R block is the internal-Hom
+map precompose(rho^M) = [rho^M_{g^-1 p, h}, N_ph], an S block the curried
+sharp(rho^N o (evaluation (x) id)). `build_RS` writes the action maps'
+entries straight to their places by the formulas in its docstring, and
+tests/test_enriched.py (test_r_blocks_are_the_curried_evaluation_composites,
+test_s_blocks_are_the_curried_action_composites) checks them bit for bit.
 The Hom space itself is ker(R - S) with its canonical (column-echelon)
 basis, so equal subspaces always have bit-identical bases. That basis is
 all a space keeps: its pivot rows hold an identity block, so the
@@ -108,35 +109,15 @@ def postcompose(c: Matrix, dim_y: int) -> Matrix:
 
 def _source_blocks(m: GradedModule, n: GradedModule, g) -> list:
     """(p, offset, size) for W_g, ascending p."""
-    group = m.group
-    ginv = group.inv(g)
+    ginv = m.group.inv(g)
+    mul = m.group.mul_unchecked
     blocks = []
     offset = 0
     for p in n.support():
-        size = n.dim(p) * m.dim(group.mul(ginv, p))
+        size = n.dim(p) * m.dim(mul(ginv, p))
         if size:
             blocks.append((p, offset, size))
             offset += size
-    return blocks
-
-
-def _target_blocks(m: GradedModule, n: GradedModule, g) -> list:
-    """((p, h), offset, size) for the common target of R and S."""
-    group = m.group
-    a = m.algebra
-    pairs = []
-    for q in m.support():
-        p = group.mul(g, q)
-        for h in a.support():
-            size = n.dim(group.mul(p, h)) * m.dim(q) * a.dim(h)
-            if size:
-                pairs.append(((p, h), size))
-    pairs.sort(key=lambda item: item[0])
-    blocks = []
-    offset = 0
-    for key, size in pairs:
-        blocks.append((key, offset, size))
-        offset += size
     return blocks
 
 
@@ -144,44 +125,57 @@ def build_RS(m: GradedModule, n: GradedModule, g):
     """The two assembled maps whose equalizer is the degree-g Hom space.
 
     Returns (R, S, source_layout, target_layout); the layouts are lists
-    of (label, offset, size).
+    of (label, offset, size). With q = g^-1 p and K = dim M_q dim A_h, each
+    nonzero action-map entry goes straight to its (row, column) in target
+    block (p, h) and source block ph (for R) or p (for S):
+
+      R:  (r K + c, r dim M_qh + s)                      = rho^M_{q,h}[s, c]
+      S:  ((r dim M_q + l) dim A_h + j, k dim M_q + l)  = rho^N_{p,h}[r, k dim A_h + j]
+
+    The module docstring names the composites and the tests comparing them.
     """
     if m.algebra is not n.algebra and m.algebra != n.algebra:
         raise ValueError("modules live over different algebras")
     if not same_group(m.group, n.group):
         raise ValueError("modules graded by different groups")
-    group = m.group
-    a = m.algebra
-    field = m.field
-    ginv = group.inv(g)
+    mul, a, field = m.group.mul_unchecked, m.algebra, m.field
+    ginv = m.group.inv(g)
     source = _source_blocks(m, n, g)
-    target = _target_blocks(m, n, g)
-    src_index = {p: (off, size) for p, off, size in source}
-    row_dims = [size for _key, _off, size in target]
-    col_dims = [size for _p, _off, size in source]
-    col_index = {p: j for j, (p, _off, _size) in enumerate(source)}
-    r_blocks = {}
-    s_blocks = {}
-    for ti, ((p, h), _off, _size) in enumerate(target):
-        q = group.mul(ginv, p)          # source degree of M at this block
-        ph = group.mul(p, h)
-        n_m1 = m.dim(q)
-        n_a = a.dim(h)
-        # R reads the family component at degree ph: [rho^M_{q,h}, N_ph]
-        if ph in src_index:
-            r_blocks[(ti, col_index[ph])] = precompose(m.action_map(q, h), n.dim(ph))
-        # S reads the family component at degree p
-        if p in src_index:
-            n_n1 = n.dim(p)
-            d_hp = n_n1 * n_m1
-            ev = evaluation(n_m1, n_n1, field)
-            rho_n = n.action_map(p, h)
-            s_blocks[(ti, col_index[p])] = sharp(
-                rho_n @ kron(ev, Matrix.identity(n_a, field)), d_hp, n_m1 * n_a
-            )
-    big_r = block_matrix(row_dims, col_dims, r_blocks, field)
-    big_s = block_matrix(row_dims, col_dims, s_blocks, field)
-    return big_r, big_s, source, target
+    src_offset = {p: off for p, off, _size in source}
+    width = sum(size for _p, _off, size in source)
+    # the target layout: nonzero blocks (p, h), p = g q, in ascending order
+    pairs = []
+    for q in m.support():
+        p = mul(g, q)
+        pairs += [((p, h), n.dim(mul(p, h)) * m.dim(q) * a.dim(h)) for h in a.support()]
+    target, height = [], 0
+    for key, size in sorted(pairs):
+        if size:
+            target.append((key, height, size))
+            height += size
+    r_data, s_data = [field.zero] * (height * width), [field.zero] * (height * width)
+    for (p, h), row0, _size in target:
+        q, ph = mul(ginv, p), mul(p, h)
+        # one entry of rho^M fills dim N_ph places, one per r
+        if ph in src_offset:
+            rho, dim_ph = m.action_map(q, h), n.dim(ph)
+            step = rho.cols * width + rho.rows
+            for idx, x in enumerate(rho.data):
+                if x:
+                    s, c = divmod(idx, rho.cols)
+                    start = (row0 + c) * width + src_offset[ph] + s
+                    r_data[start : start + dim_ph * step : step] = [x] * dim_ph
+        # one entry of rho^N fills dim M_q places, one per l
+        if p in src_offset:
+            rho, dim_q, dim_h = n.action_map(p, h), m.dim(q), a.dim(h)
+            step = dim_h * width + 1
+            for idx, x in enumerate(rho.data):
+                if x:
+                    r, (k, j) = idx // rho.cols, divmod(idx % rho.cols, dim_h)
+                    start = (row0 + r * dim_q * dim_h + j) * width + src_offset[p] + k * dim_q
+                    s_data[start : start + dim_q * step : step] = [x] * dim_q
+    return (Matrix._trusted(height, width, field, r_data), Matrix._trusted(height, width, field, s_data),
+            source, target)
 
 
 class HomElement:
@@ -195,7 +189,8 @@ class HomElement:
         ginv = group.inv(degree)
         self.components = {}
         for p, mat in components.items():
-            want = (target.dim(p), source.dim(group.mul(ginv, p)))
+            mul = group.mul_unchecked if p in target.space.dims else group.mul
+            want = (target.dim(p), source.dim(mul(ginv, p)))
             if (mat.rows, mat.cols) != want:
                 raise ValueError(f"component at {p!r} must be {want[0]}x{want[1]}")
             if want[0] and want[1]:
@@ -359,7 +354,7 @@ def compose_homs(f: HomElement, g_el: HomElement) -> HomElement:
     comps = {}
     for p in f.target.support():
         left = f.component(p)
-        right = g_el.component(group.mul(dinv, p))
+        right = g_el.component(group.mul_unchecked(dinv, p))
         if left.rows and right.cols:
             comps[p] = left @ right
     return HomElement(g_el.source, f.target, degree, comps)

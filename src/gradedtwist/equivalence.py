@@ -285,8 +285,7 @@ def backward(data: EquivalenceData, gamma_a=None, gamma_b=None) -> BackwardResul
     conjugated = PhiFamily(b, a, {
         (d, g): psi_a.component(g) @ mat @ phi_b.component(g) for (d, g), mat in family.maps.items()
     })
-    recovered, forward = twist_from_phi(conjugated)
-    twisted_rec = twist_algebra(a, recovered, run_checks=False)
+    recovered, twisted_rec, forward = twist_from_phi(conjugated)
     comps = {g: inverse(c) for g, c in forward.components.items()}
     iso = GradedMorphism(twisted_rec.space, b.space, comps, a.field)
     reports.append(check_algebra_morphism(iso, twisted_rec, b))

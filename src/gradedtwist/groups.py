@@ -51,6 +51,10 @@ class FiniteGroup:
         self._check_index(b)
         return self.table[a][b]
 
+    def mul_unchecked(self, a: int, b: int) -> int:
+        """a * b for indices already known to be elements: a bare table lookup."""
+        return self.table[a][b]
+
     def inv(self, a: int) -> int:
         self._check_index(a)
         for b in range(self.order):
@@ -62,7 +66,7 @@ class FiniteGroup:
         return range(self.order)
 
     def contains(self, g) -> bool:
-        return isinstance(g, int) and 0 <= g < self.order
+        return _is_int(g) and 0 <= g < self.order
 
     def _check_index(self, a):
         if not self.contains(a):
@@ -100,6 +104,8 @@ class IntegerWindow:
     def mul(self, a: int, b: int) -> int:
         return a + b
 
+    mul_unchecked = mul  # a sum needs no check
+
     def inv(self, a: int) -> int:
         return -a
 
@@ -107,7 +113,7 @@ class IntegerWindow:
         return range(self.lo, self.hi + 1)
 
     def contains(self, g) -> bool:
-        return isinstance(g, int) and self.lo <= g <= self.hi
+        return _is_int(g) and self.lo <= g <= self.hi
 
     def __eq__(self, other):
         return isinstance(other, IntegerWindow) and (other.lo, other.hi) == (self.lo, self.hi)

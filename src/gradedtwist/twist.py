@@ -524,11 +524,11 @@ def phi_from_twist(t: TwistingSystem, iso: GradedMorphism | None = None,
 
 
 def twist_from_phi(p: PhiFamily):
-    """Recover (twisting system on A, algebra iso B -> A^tau) from a family.
+    """Recover (twisting system on A, A^tau, algebra iso B -> A^tau) from a family.
 
     tau_d(g) = phi_d(g) phi_e(g)^-1 and the iso has components phi_e(g).
-    Both outputs are re-verified; a family that fails check_phi_family is
-    rejected up front.
+    Both are re-verified, the iso against the returned A^tau; a family
+    that fails check_phi_family is rejected up front.
     """
     family_report = check_phi_family(p)
     if not family_report.passed:
@@ -552,7 +552,7 @@ def twist_from_phi(p: PhiFamily):
     morphism_report = check_algebra_morphism(morphism, b, twisted)
     if not morphism_report.passed:
         raise ValueError(f"recovered morphism fails at {morphism_report.witness}")
-    return t, morphism
+    return t, twisted, morphism
 
 
 __all__ = [

@@ -120,13 +120,14 @@ def test_c05_phi_round_trip():
     for algebra, system in fixture_twists():
         family = phi_from_twist(system)
         assert check_phi_family(family).passed
-        recovered, morphism = twist_from_phi(family)
+        recovered, twisted, morphism = twist_from_phi(family)
         for d in degrees_of(algebra):
             for g in algebra.support():
                 if system.has_tau(d, g) and recovered.has_tau(d, g):
                     assert recovered.tau(d, g) == system.tau(d, g)
         assert check_twist_condition(recovered).passed
         rebuilt = twist_algebra(algebra, recovered, run_checks=False)
+        assert twisted == rebuilt
         assert check_algebra_morphism(morphism, family.source, rebuilt).passed
 
 

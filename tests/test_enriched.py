@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedtwist import enriched, exactmath
 from gradedtwist.exactmath import QQ, Matrix, PrimeField, block_matrix, hstack, kron
 from gradedtwist.fixtures import F7, quantum_plane, s3_group_algebra, z3_group_algebra
 from gradedtwist.enriched import (
@@ -30,8 +31,10 @@ from gradedtwist.enriched import (
 )
 from gradedtwist.graded import (
     GradedAlgebra,
+    GradedModule,
     GradedVectorSpace,
     check_algebra,
+    check_module,
     regular_module,
     shift_module,
     zero_module,
@@ -119,6 +122,63 @@ class TestSharpFlat:
             flat(Matrix.identity(2, QQ), 3, 3)
 
 
+def gappy_module():
+    """k in degrees 0 and 2 over quantum_plane(3), with A_+ acting by zero.
+
+    M_1 and M_3 are zero, so every action slot touching them is empty
+    (an n x 0 or 0 x n block), and rho_{0,2} is a stored zero map.
+    """
+    a, _t = quantum_plane(3)
+    one = Matrix.from_rows([[1]], QQ)
+    space = GradedVectorSpace(a.group, {0: 1, 2: 1})
+    module = GradedModule(space, a, {(0, 0): one, (2, 0): one, (0, 2): Matrix.zeros(1, a.dim(2), QQ)})
+    assert check_module(module).passed
+    assert module.action_map(1, 1).rows == 1 and module.action_map(1, 1).cols == 0
+    return module
+
+
+def composite_case(case):
+    """(source, target, degrees) for the block-composite tests."""
+    qp, s3 = regular_module(quantum_plane(3)[0]), regular_module(s3_group_algebra(F7))
+    m, n = {
+        "qp3-regular": (qp, qp),
+        "s3-f7-regular": (s3, s3),
+        "qp3-shifted-target": (qp, shift_module(qp, 1)),
+        "s3-f7-shifted-target": (s3, shift_module(s3, 3)),
+        "qp3-gappy-to-regular": (gappy_module(), qp),
+        "qp3-regular-to-gappy": (qp, gappy_module()),
+    }[case]
+    return m, n, (m.group.elements() if m.group.is_finite else range(-3, 5))
+
+
+COMPOSITE_CASES = ["qp3-regular", "s3-f7-regular", "qp3-shifted-target", "s3-f7-shifted-target",
+                   "qp3-gappy-to-regular", "qp3-regular-to-gappy"]
+
+
+def check_blocks_against_composites(case, which, block_of):
+    """Assemble R (which=0) or S (which=1) from the composites that
+    block_of(m, n, q, p, h) returns as (source degree, block) and compare
+    it with build_RS, bit for bit, at every degree of the case."""
+    m, n, degrees = composite_case(case)
+    group = m.group
+    nonzero = 0
+    for g in degrees:
+        built = build_RS(m, n, g)
+        source, target = built[2], built[3]
+        col_index = {p: j for j, (p, _off, _size) in enumerate(source)}
+        blocks = {}
+        for ti, ((p, h), _off, _size) in enumerate(target):
+            q = group.mul(group.inv(g), p)
+            col, block = block_of(m, n, q, p, h)
+            if col in col_index:
+                blocks[(ti, col_index[col])] = block
+        row_dims = [size for _key, _off, size in target]
+        col_dims = [size for _p, _off, size in source]
+        assert built[which] == block_matrix(row_dims, col_dims, blocks, m.field), g
+        nonzero += not built[which].is_zero()
+    assert nonzero
+
+
 class TestHomSpaces:
     def test_group_algebra_kernel_is_the_constant_family(self):
         reg = regular_module(z3_group_algebra())
@@ -172,29 +232,54 @@ class TestHomSpaces:
         with pytest.raises(ValueError, match="GF\\(5\\)"):
             space.vector_to_element(vec)
 
-    def test_r_blocks_are_the_curried_evaluation_composites(self):
+    @pytest.mark.parametrize("case", COMPOSITE_CASES)
+    def test_r_blocks_are_the_curried_evaluation_composites(self, case):
         # each R block is [rho^M, N_ph], written out here as the literal
         # sharp(evaluation o (id (x) rho^M)) it equals
-        for a in (quantum_plane()[0], s3_group_algebra()):
-            reg = regular_module(a)
-            group = a.group
-            for g in a.support():
-                big_r, _s, source, target = build_RS(reg, reg, g)
-                col_index = {p: j for j, (p, _off, _size) in enumerate(source)}
-                blocks = {}
-                for ti, ((p, h), _off, _size) in enumerate(target):
-                    q = group.mul(group.inv(g), p)
-                    ph = group.mul(p, h)
-                    if ph not in col_index:
-                        continue
-                    n_m2, n_n2 = reg.dim(group.mul(q, h)), reg.dim(ph)
-                    d_h = n_n2 * n_m2
-                    rho = reg.action_map(q, h)
-                    composite = evaluation(n_m2, n_n2, QQ) @ kron(Matrix.identity(d_h, QQ), rho)
-                    blocks[(ti, col_index[ph])] = sharp(composite, d_h, rho.cols)
-                row_dims = [size for _key, _off, size in target]
-                col_dims = [size for _p, _off, size in source]
-                assert big_r == block_matrix(row_dims, col_dims, blocks, QQ), g
+        def r_block(m, n, q, p, h):
+            field, ph = m.field, m.group.mul(p, h)
+            n_m2, n_n2 = m.dim(m.group.mul(q, h)), n.dim(ph)
+            d_h = n_n2 * n_m2
+            rho = m.action_map(q, h)
+            composite = evaluation(n_m2, n_n2, field) @ kron(Matrix.identity(d_h, field), rho)
+            return ph, sharp(composite, d_h, rho.cols)
+
+        check_blocks_against_composites(case, 0, r_block)
+
+    @pytest.mark.parametrize("case", COMPOSITE_CASES)
+    def test_s_blocks_are_the_curried_action_composites(self, case):
+        # each S block is the curried sharp(rho^N o (evaluation (x) id_{A_h}))
+        def s_block(m, n, q, p, h):
+            field = m.field
+            n_m1, n_n1, n_a = m.dim(q), n.dim(p), m.algebra.dim(h)
+            composite = n.action_map(p, h) @ kron(evaluation(n_m1, n_n1, field), Matrix.identity(n_a, field))
+            return p, sharp(composite, n_n1 * n_m1, n_m1 * n_a)
+
+        check_blocks_against_composites(case, 1, s_block)
+
+    def test_module_hom_space_calls_no_kron_identity_or_mat_mul(self, monkeypatch):
+        # build_RS places the action maps' entries directly; this counts
+        # the per-block products it must not fall back to
+        cases = [(regular_module(s3_group_algebra(F7)), range(6)),
+                 (regular_module(quantum_plane(3)[0]), range(-3, 5))]
+        counts = {"kron": 0, "identity": 0, "mat_mul": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in ("kron", "mat_mul"):
+            original = getattr(exactmath, name)
+            for module in (exactmath, enriched):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
+        monkeypatch.setattr(Matrix, "identity", classmethod(counting("identity", Matrix.identity.__func__)))
+        dims = [module_hom_space(reg, reg, g).dim for reg, degrees in cases for g in degrees]
+        monkeypatch.undo()
+        assert sum(dims) == 6 + 10  # dim Gamma = dim A: 6 for k[S3], 10 for qp3
+        assert counts == {"kron": 0, "identity": 0, "mat_mul": 0}
 
     def test_contains_rejects_non_morphisms(self):
         reg = regular_module(z3_group_algebra())

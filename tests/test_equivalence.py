@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from gradedtwist import equivalence as equivalence_lib
+from gradedtwist import twist as twist_lib
 from gradedtwist.exactmath import QQ, Matrix, hstack, inverse
 from gradedtwist.enriched import gamma_algebra, identity_hom, module_hom_space
 from gradedtwist.equivalence import (
@@ -306,9 +308,22 @@ class TestBackward:
                 for g in range(3):
                     assert result.twist.tau(d, g) == t.tau(d, g)
 
-    def check_quantum_plane_recovery(self, maxdeg):
+    def check_quantum_plane_recovery(self, maxdeg, monkeypatch):
         a, t = quantum_plane(maxdeg=maxdeg)
-        result = backward(equivalence_from_twist(t))
+        data = equivalence_from_twist(t)
+        # backward builds the recovered twisted algebra once, inside twist_from_phi
+        systems = []
+        real = twist_lib.twist_algebra
+
+        def counted(algebra, system, run_checks=True):
+            systems.append(system)
+            return real(algebra, system, run_checks)
+
+        monkeypatch.setattr(twist_lib, "twist_algebra", counted)
+        monkeypatch.setattr(equivalence_lib, "twist_algebra", counted)
+        result = backward(data)
+        monkeypatch.undo()
+        assert [s is result.twist for s in systems] == [True]
         assert result.report.passed
         assert "window-verified" in result.report.notes
         assert result.twist.maps
@@ -316,11 +331,11 @@ class TestBackward:
             assert result.twist.tau(d, g) == t.tau(d, g)
         assert result.twisted == twist_algebra(a, t)
 
-    def test_quantum_plane_recovery_on_the_window(self):
-        self.check_quantum_plane_recovery(3)
+    def test_quantum_plane_recovery_on_the_window(self, monkeypatch):
+        self.check_quantum_plane_recovery(3, monkeypatch)
 
-    def test_quantum_plane_recovery_at_maxdeg_4(self):
-        self.check_quantum_plane_recovery(4)
+    def test_quantum_plane_recovery_at_maxdeg_4(self, monkeypatch):
+        self.check_quantum_plane_recovery(4, monkeypatch)
 
     @pytest.mark.parametrize("group", [
         symmetric_group(3),

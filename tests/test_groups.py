@@ -68,14 +68,14 @@ def test_s3_matches_table_on_all_pairs():
     s3 = symmetric_group(3)
     for a in s3.elements():
         for b in s3.elements():
-            assert s3.mul(a, b) == s3.table[a][b]
+            assert s3.mul(a, b) == s3.mul_unchecked(a, b) == s3.table[a][b]
     for a in s3.elements():
         assert s3.mul(a, s3.inv(a)) == s3.identity
 
 
 def test_integer_window():
     z = IntegerWindow(-2, 3)
-    assert z.mul(2, 3) == 5
+    assert z.mul(2, 3) == z.mul_unchecked(2, 3) == 5
     assert z.inv(5) == -5
     assert z.identity == 0
     assert list(z.elements()) == [-2, -1, 0, 1, 2, 3]
@@ -94,7 +94,14 @@ def test_window_compatibility():
 
 def test_index_range_errors():
     z3 = cyclic_group(3)
-    with pytest.raises(ValueError):
-        z3.mul(0, 3)
+    # the public product checks both arguments: out of range, bool, float
+    for bad in (3, -1, True, False, 1.0):
+        for args in ((0, bad), (bad, 0)):
+            with pytest.raises(ValueError):
+                z3.mul(*args)
+            with pytest.raises(ValueError):
+                mul(z3, *args)
     with pytest.raises(ValueError):
         z3.inv(-1)
+    with pytest.raises(ValueError):
+        z3.inv(True)

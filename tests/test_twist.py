@@ -339,7 +339,7 @@ class TestPhiFamilies:
         a, t = sign_twist()
         family = phi_from_twist(t)
         assert check_phi_family(family).passed
-        back, morphism = twist_from_phi(family)
+        back, _twisted, morphism = twist_from_phi(family)
         for d in (0, 1):
             for g in (0, 1):
                 assert back.tau(d, g) == t.tau(d, g)
@@ -352,7 +352,7 @@ class TestPhiFamilies:
         report = check_phi_family(family)
         assert report.passed
         assert "window-verified" in report.notes
-        back, _morphism = twist_from_phi(family)
+        back, _twisted, _morphism = twist_from_phi(family)
         assert back.kind == EXPLICIT
         for d, g in back.maps:
             assert back.tau(d, g) == t.tau(d, g)
@@ -372,7 +372,7 @@ class TestPhiFamilies:
         maps = {(d, g): comps[g] for d in (0, 1) for g in (0, 1)}
         family = PhiFamily(a, a, maps)
         assert check_phi_family(family).passed
-        back, morphism = twist_from_phi(family)
+        back, _twisted, morphism = twist_from_phi(family)
         for key in maps:
             assert back.tau(*key).is_identity()
         assert morphism.component(1) == comps[1]
@@ -414,7 +414,7 @@ class TestRandomCocycles:
     @given(seed=st.integers(min_value=0, max_value=2**31))
     def test_seeded_round_trips_are_exact(self, seed):
         a, t = random_cocycle_twist(seed)
-        back, morphism = twist_from_phi(phi_from_twist(t))
+        back, _twisted, morphism = twist_from_phi(phi_from_twist(t))
         for d in range(3):
             for g in range(3):
                 assert back.tau(d, g) == t.tau(d, g)
