@@ -232,7 +232,7 @@ def cmd_twist_from_phi(phi_file, source_algebra, target_algebra, output,
     report = check_phi_family(fam)
     if report.passed:
         try:
-            system, _twisted, morphism = twist_from_phi_op(fam)
+            system, _twisted, morphism = twist_from_phi_op(fam, family_report=report)
         except ValueError as exc:
             _fail_input(f"{phi_file}: {exc}")
         write_json(output, emit_twist(system))
@@ -270,18 +270,20 @@ def cmd_hom_space(source_module, target_module, degree, output, fmt):
               help="file for the graded endomorphism algebra")
 @common_options
 def cmd_gamma(algebra_file, output, fmt):
-    """Compute the graded endomorphism algebra of the regular module."""
+    """Compute the graded endomorphism algebra of the regular module
+    (after checking the algebra)."""
     algebra = _load(algebra_file, parse_algebra)
     t0 = time.perf_counter()
-    try:
-        gamma = gamma_algebra(algebra)
-    except ValueError as exc:
-        _fail_input(str(exc))
-    seconds = time.perf_counter() - t0
-    write_json(output, emit_algebra(gamma.graded))
-    dims = {g: gamma.dim(g) for g in gamma.degrees if gamma.dim(g)}
-    report = Report("gamma_algebra", True, notes=(f"dimensions {dims}",))
-    _finish(report, fmt, seconds)
+    report = check_algebra(algebra)
+    if report.passed:
+        try:
+            gamma = gamma_algebra(algebra)
+        except ValueError as exc:
+            _fail_input(str(exc))
+        write_json(output, emit_algebra(gamma.graded))
+        dims = {g: gamma.dim(g) for g in gamma.degrees if gamma.dim(g)}
+        report = Report("gamma_algebra", True, notes=(f"dimensions {dims}",))
+    _finish(report, fmt, time.perf_counter() - t0)
 
 
 @main.command("verify-endo")

@@ -10,7 +10,9 @@ pairs of nonzero entries, `kron` skips zero entries of either factor, and
 `rref` updates a row only where the pivot row is nonzero. Zero tests are
 by truthiness, which is exact because entries are kept in canonical form
 (`Fraction` over QQ, an int in [0, p) over F_p), and `Fraction(0)` and
-`0` are both falsy.
+`0` are both falsy. `mat_mul` and `kron` find the nonzero entries of their
+operands through `Matrix.nonzero_rows()`, so a matrix is scanned for zeros
+at most once however many products read it.
 
 Entries from outside (parsed files, user code) are coerced and checked by
 `Matrix(...)`. Results of the kernels here are wrapped by
@@ -97,6 +99,16 @@ class RationalField:
         return a - b
 
     def mul(self, a, b):
+        """a * b. When a factor is the canonical one (`QQ.one`, the object
+        identity matrices are filled with) the other factor is returned
+        as it is: a `Fraction` times 1 is the same value in the same
+        lowest terms, so the shortcut is exact and skips only the
+        arithmetic. The kernels still make one `mul` call per pair of
+        nonzero entries."""
+        if a is _FRACTION_ONE:
+            return b
+        if b is _FRACTION_ONE:
+            return a
         return a * b
 
     def neg(self, a):
@@ -206,9 +218,16 @@ class Matrix:
     anything parsed or supplied by a caller. `Matrix._trusted` skips both
     and is only for entries produced by field operations on entries of
     matrices that already exist, as in the kernels of this package.
+
+    `nonzero_rows()` is a per-row index of the nonzero entries. The
+    kernels that know it while they write a result (`kron`,
+    `Matrix.identity`, `Matrix.zeros`) hand it to `_trusted`; any other
+    matrix builds it with one scan of `data` the first time it is read.
+    It is derived from `data` alone and takes no part in equality or
+    hashing, and since a matrix never changes it cannot go stale.
     """
 
-    __slots__ = ("rows", "cols", "field", "data")
+    __slots__ = ("rows", "cols", "field", "data", "_nonzero")
 
     def __init__(self, rows: int, cols: int, field, entries):
         if rows < 0 or cols < 0:
@@ -220,16 +239,30 @@ class Matrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_nonzero", None)
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, field, data) -> "Matrix":
-        """Wrap rows * cols entries already in canonical form, unchecked."""
+    def _trusted(cls, rows: int, cols: int, field, data, nonzero=None) -> "Matrix":
+        """Wrap rows * cols entries already in canonical form, unchecked.
+
+        `nonzero`, when given, must be exactly what `nonzero_rows()` would
+        build from `data`.
+        """
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "field", field)
         object.__setattr__(m, "data", tuple(data))
+        object.__setattr__(m, "_nonzero", nonzero)
         return m
+
+    def nonzero_rows(self) -> tuple:
+        """For each row, the (col, value) pairs of its nonzero entries, by column."""
+        index = self._nonzero
+        if index is None:
+            index = _scan_nonzero_rows(self)
+            object.__setattr__(self, "_nonzero", index)
+        return index
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -249,15 +282,16 @@ class Matrix:
     def identity(cls, n: int, field) -> "Matrix":
         if n < 0:
             raise ValueError("negative dimensions")
+        one = field.one
         data = [field.zero] * (n * n)
-        data[:: n + 1] = [field.one] * n
-        return cls._trusted(n, n, field, data)
+        data[:: n + 1] = [one] * n
+        return cls._trusted(n, n, field, data, tuple(((i, one),) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field) -> "Matrix":
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        return cls._trusted(rows, cols, field, (field.zero,) * (rows * cols))
+        return cls._trusted(rows, cols, field, (field.zero,) * (rows * cols), ((),) * rows)
 
     @classmethod
     def column(cls, entries, field) -> "Matrix":
@@ -358,26 +392,36 @@ class Matrix:
         return result
 
 
+def _scan_nonzero_rows(m: Matrix) -> tuple:
+    """The nonzero-row index of m, by one scan of its entries."""
+    data, cols = m.data, m.cols
+    if not cols:
+        return ((),) * m.rows
+    return tuple(
+        tuple([(j, x) for j, x in enumerate(data[start : start + cols]) if x])
+        for start in range(0, m.rows * cols, cols)
+    )
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product. (m x 0) times (0 x n) is the m x n zero matrix.
 
-    Makes one field multiplication per pair a[i, k] != 0, b[k, j] != 0.
+    Makes one field multiplication per pair a[i, k] != 0, b[k, j] != 0,
+    found through the nonzero-row index of each operand.
     """
     a._check_same_field(b)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     field = a.field
-    add, mul = field.add, field.mul
+    add, mul, zero = field.add, field.mul, field.zero
     n = b.cols
-    # the nonzero (column, value) pairs of each row of b
-    b_nonzero = [[(j, y) for j, y in enumerate(b.row(k)) if y] for k in range(b.rows)]
+    b_rows = b.nonzero_rows()
     out = []
-    for i in range(a.rows):
-        acc = [field.zero] * n
-        for k, x in enumerate(a.row(i)):
-            if x:
-                for j, y in b_nonzero[k]:
-                    acc[j] = add(acc[j], mul(x, y))
+    for a_row in a.nonzero_rows():
+        acc = [zero] * n
+        for k, x in a_row:
+            for j, y in b_rows[k]:
+                acc[j] = add(acc[j], mul(x, y))
         out += acc
     return Matrix._trusted(a.rows, n, field, out)
 
@@ -386,22 +430,27 @@ def kron(f: Matrix, g: Matrix) -> Matrix:
     """Kronecker product in the fixed convention (left factor outer).
 
     kron(f, g)[i*g.rows + j, k*g.cols + l] = f[i, k] * g[j, l].
+
+    Output row i*g.rows + j holds the products of row i of f with row j
+    of g, already in column order, so the result's nonzero-row index is
+    written along with its entries.
     """
     f._check_same_field(g)
     field = f.field
     mul = field.mul
-    rows, cols = f.rows * g.rows, f.cols * g.cols
+    rows, cols, width = f.rows * g.rows, f.cols * g.cols, g.cols
     out = [field.zero] * (rows * cols)
-    # each nonzero g[j, l] with its offset inside an output block
-    g_nonzero = [(j * cols + l, y) for j in range(g.rows) for l, y in enumerate(g.row(j)) if y]
-    for i in range(f.rows):
-        for k in range(f.cols):
-            fik = f.data[i * f.cols + k]
-            if fik:
-                base = i * g.rows * cols + k * g.cols
-                for offset, y in g_nonzero:
-                    out[base + offset] = mul(fik, y)
-    return Matrix._trusted(rows, cols, field, out)
+    index = []
+    start = 0
+    g_rows = g.nonzero_rows()
+    for f_row in f.nonzero_rows():
+        for g_row in g_rows:
+            entries = tuple([(k * width + l, mul(x, y)) for k, x in f_row for l, y in g_row])
+            for j, value in entries:
+                out[start + j] = value
+            index.append(entries)
+            start += cols
+    return Matrix._trusted(rows, cols, field, out, tuple(index))
 
 
 def rref(m: Matrix):

@@ -24,8 +24,9 @@ decides only how that table is filled and which criterion verifies it:
   twisting condition for every d.
 
 Verification posture: non-invertible entries and failed conditions are
-report failures (users probe candidates); wrong shapes and missing
-stored entries are input errors and raise.
+report failures (users probe candidates); wrong shapes, missing stored
+entries and degree keys outside a finite grading group are input errors
+and raise.
 """
 
 from __future__ import annotations
@@ -45,6 +46,19 @@ from .report import Report
 EXPLICIT = "explicit"
 COCYCLE = "cocycle"
 AUTOMORPHISM = "automorphism"
+
+
+def _refuse_keys_outside(group, keys, name):
+    """Raise on a (d, g) key with a degree outside a finite grading group.
+
+    Over the integers any degree can be stored, so only finite groups
+    are checked.
+    """
+    if isinstance(group, IntegerWindow):
+        return
+    for d, g in keys:
+        if not (group.contains(d) and group.contains(g)):
+            raise ValueError(f"{name} key ({d!r},{g!r}) is not a pair of elements of the grading group")
 
 
 class TwistingSystem:
@@ -68,6 +82,7 @@ class TwistingSystem:
             if maps is None:
                 raise ValueError("explicit twisting systems need a maps dict")
             self.maps = dict(maps)
+            _refuse_keys_outside(group, self.maps, "tau")
             for (d, g), m in self.maps.items():
                 if not isinstance(m, Matrix):
                     raise TypeError(f"tau[{(d, g)}] is not a Matrix")
@@ -78,6 +93,7 @@ class TwistingSystem:
         elif kind == COCYCLE:
             if alpha is None:
                 raise ValueError("cocycle twisting systems need an alpha dict")
+            _refuse_keys_outside(group, alpha, "alpha")
             self.alpha = {k: field.coerce(v) if isinstance(v, int) else v for k, v in alpha.items()}
             self.maps = {
                 (d, g): Matrix.identity(algebra.dim(g), field).scale(v) for (d, g), v in self.alpha.items()
@@ -430,6 +446,7 @@ class PhiFamily:
         self.source = source
         self.target = target
         self.maps = dict(maps)
+        _refuse_keys_outside(source.group, self.maps, "phi")
         for (d, g), m in self.maps.items():
             want = (target.dim(g), source.dim(g))
             if (m.rows, m.cols) != want:
@@ -523,14 +540,19 @@ def phi_from_twist(t: TwistingSystem, iso: GradedMorphism | None = None,
     return PhiFamily(source_algebra, a, maps)
 
 
-def twist_from_phi(p: PhiFamily):
+def twist_from_phi(p: PhiFamily, family_report: Report | None = None):
     """Recover (twisting system on A, A^tau, algebra iso B -> A^tau) from a family.
 
     tau_d(g) = phi_d(g) phi_e(g)^-1 and the iso has components phi_e(g).
     Both are re-verified, the iso against the returned A^tau; a family
-    that fails check_phi_family is rejected up front.
+    that fails check_phi_family is rejected up front. A caller that has
+    already run check_phi_family on p passes its report as
+    `family_report`, and the family is not checked a second time.
     """
-    family_report = check_phi_family(p)
+    if family_report is None:
+        family_report = check_phi_family(p)
+    elif family_report.check != "check_phi_family":
+        raise ValueError(f"family_report comes from {family_report.check}, not check_phi_family")
     if not family_report.passed:
         raise ValueError(f"phi family fails its conditions at {family_report.witness}")
     a, b = p.target, p.source

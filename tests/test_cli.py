@@ -12,6 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 import gradedtwist
+from gradedtwist import cli as cli_lib
+from gradedtwist import twist as twist_lib
 from gradedtwist.cli import main
 from gradedtwist.equivalence import equivalence_from_twist, gamma_twist_phi
 from gradedtwist.exactmath import QQ, Matrix
@@ -146,6 +148,31 @@ class TestPipelines:
         )
         assert result.exit_code == 1
 
+    def test_twist_from_phi_checks_the_family_once(self, runner, tmp_path, monkeypatch):
+        _a, t = sign_twist()
+        phi_file = tmp_path / "fam.phi.json"
+        write_json(phi_file, emit_phi(phi_from_twist(t)))
+        twisted_file = tmp_path / "twisted.alg.json"
+        write_json(twisted_file, emit_algebra(twist_algebra(t.algebra, t)))
+        args = [str(phi_file), fx("z2.alg.json"), str(twisted_file)]
+        expected = runner.invoke(main, ["check-phi", *args, "--format", "structured"])
+        checked = []
+        real = twist_lib.check_phi_family
+
+        def counted(family):
+            checked.append(family)
+            return real(family)
+
+        monkeypatch.setattr(twist_lib, "check_phi_family", counted)
+        monkeypatch.setattr(cli_lib, "check_phi_family", counted)
+        result = runner.invoke(main, ["twist-from-phi", *args, "-o", str(tmp_path / "out.json"),
+                                      "--format", "structured"])
+        assert result.exit_code == 0
+        assert len(checked) == 1
+        drop_timings = lambda out: {k: v for k, v in json.loads(out).items() if k != "timings"}
+        assert drop_timings(result.output) == drop_timings(expected.output)
+        assert parse_twist(read_json(tmp_path / "out.json"), t.algebra).maps == t.maps
+
 
 class TestSpacesAndEndo:
     def test_hom_space_dimension_and_export(self, runner, tmp_path):
@@ -166,6 +193,17 @@ class TestSpacesAndEndo:
         result = runner.invoke(main, ["gamma", fx("z3.alg.json"), "-o", str(out)])
         assert result.exit_code == 0
         assert parse_algebra(read_json(out)) == z3_group_algebra()
+
+    def test_gamma_refuses_a_non_algebra(self, runner, tmp_path):
+        data = read_json(FIXTURES / "z2.alg.json")
+        data["mult"]["0,0"]["entries"] = ["0.5"]
+        bad = tmp_path / "bad.alg.json"
+        write_json(bad, data)
+        out = tmp_path / "gamma.alg.json"
+        result = runner.invoke(main, ["gamma", str(bad), "-o", str(out)])
+        assert result.exit_code == 1
+        assert "check_algebra: fail  witness=('associativity', (0, 0, 1))" in result.output
+        assert not out.exists()
 
     def test_verify_endo_s3(self, runner):
         result = runner.invoke(main, ["verify-endo", fx("s3.alg.json")])
@@ -342,6 +380,35 @@ class TestMalformedInput:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "not stored for (1,0)" in result.output
+
+    @pytest.mark.parametrize("kind, key", [("cocycle", "9,9"), ("cocycle", "0,2"), ("explicit", "2,0"),
+                                           ("phi", "9,9"), ("phi", "1,2")])
+    def test_degree_keys_outside_the_grading_group_exit_2(self, runner, tmp_path, kind, key):
+        _a, t = sign_twist()
+        if kind == "cocycle":
+            data = read_json(FIXTURES / "sign.twist.json")
+            data["alpha"][key] = "1"
+        else:
+            data = emit_phi(phi_from_twist(t)) if kind == "phi" else {
+                "kind": "explicit", "maps": {f"{d},{g}": emit_matrix(t.tau(d, g)) for d in (0, 1) for g in (0, 1)}}
+            data["maps"][key] = emit_matrix(Matrix.zeros(0, 0, QQ))
+        bad = tmp_path / f"bad.{kind}.json"
+        write_json(bad, data)
+        if kind == "phi":
+            twisted_file = tmp_path / "twisted.alg.json"
+            write_json(twisted_file, emit_algebra(twist_algebra(t.algebra, t)))
+            commands = [["check-phi", str(bad), fx("z2.alg.json"), str(twisted_file)],
+                        ["twist-from-phi", str(bad), fx("z2.alg.json"), str(twisted_file),
+                         "-o", str(tmp_path / "out.json")]]
+        else:
+            commands = [["check-twist", str(bad), fx("z2.alg.json")],
+                        ["backward", str(bad), fx("z2.alg.json")]]
+        for args in commands:
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)
+            assert f"key ({key}) is not a pair of elements of the grading group" in result.output
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("order", ["3", 2.5, True, 0], ids=["string", "float", "bool", "zero"])
     def test_automorphism_order_must_be_a_positive_integer(self, runner, tmp_path, order):

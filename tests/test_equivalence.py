@@ -2,8 +2,11 @@
 and exact recovery of a twisting system from the equivalence data."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedtwist import equivalence as equivalence_lib
 from gradedtwist import twist as twist_lib
@@ -307,6 +310,37 @@ class TestBackward:
             for d in range(3):
                 for g in range(3):
                     assert result.twist.tau(d, g) == t.tau(d, g)
+
+    @staticmethod
+    def assert_recovers_the_normalised_twist(t):
+        """backward(equivalence_from_twist(t)) returns tau_d(g) tau_e(g)^-1
+        at every stored (d, g), entry for entry in canonical form."""
+        result = backward(equivalence_from_twist(t))
+        assert result.report.passed
+        a = t.algebra
+        e = a.group.identity
+        assert {g for _d, g in result.twist.maps} == set(a.support())
+        for (d, g), m in result.twist.maps.items():
+            assert m == t.tau(d, g) @ inverse(t.tau(e, g))
+            if a.field == QQ:
+                assert all(type(x) is Fraction for x in m.data)
+            else:
+                assert all(type(x) is int and 0 <= x < a.field.p for x in m.data)
+        return result
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31))
+    def test_backward_recovers_seeded_cocycles(self, seed):
+        _a, t = random_cocycle_twist(seed)
+        result = self.assert_recovers_the_normalised_twist(t)
+        assert sorted(result.twist.maps) == [(d, g) for d in range(3) for g in range(3)]
+
+    @settings(max_examples=8, deadline=None)
+    @given(num=st.integers(min_value=-9, max_value=9).filter(bool), den=st.integers(min_value=1, max_value=9))
+    def test_backward_recovers_the_quantum_plane_at_a_rational_q(self, num, den):
+        _a, t = quantum_plane(maxdeg=3, q=Fraction(num, den))
+        result = self.assert_recovers_the_normalised_twist(t)
+        assert sorted({d for d, _g in result.twist.maps}) == list(range(7))
 
     def check_quantum_plane_recovery(self, maxdeg, monkeypatch):
         a, t = quantum_plane(maxdeg=maxdeg)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedtwist import exactmath
 from gradedtwist.exactmath import (
     QQ,
     Matrix,
@@ -452,6 +453,83 @@ def test_derived_matrices_stay_canonical(field, data):
     assert (a - a).is_zero()
     assert Matrix.identity(a.rows, field).is_identity()
     assert a.is_identity() == (a == Matrix.identity(a.rows, field))
+
+
+def scanned_rows(m):
+    """The nonzero-row index straight from the dense entries."""
+    return tuple(tuple((j, x) for j, x in enumerate(m.row(i)) if x) for i in range(m.rows))
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_kernel_result_indexes_its_own_nonzeros(field, data):
+    a, b = data.draw(sparse_pairs(field))
+    c = data.draw(sparse_matrix(field, a.rows, a.cols))
+    g = data.draw(sparse_matrices(field, max_dim=3))
+    square = data.draw(sparse_matrix(field, a.rows, a.rows))
+    results = [a, b, mat_mul(a, b), kron(a, g), kron(g, b), kron(Matrix.identity(2, field), a),
+               Matrix.identity(a.rows, field), Matrix.zeros(a.rows, b.cols, field), Matrix.zeros(0, a.cols, field),
+               a + c, a - c, -a, a.scale(3), a.transpose(), rref(a)[0], column_echelon(a), kernel_matrix(a),
+               hstack([a, c]), vstack([b, b]),
+               block_matrix([a.rows, b.rows], [a.cols, b.cols], {(0, 0): a, (1, 1): b}, field)]
+    inv = try_inverse(square)
+    if inv is not None:
+        results.append(inv)
+    for m in results:
+        index = m.nonzero_rows()
+        assert index == scanned_rows(m)
+        assert m.nonzero_rows() is index
+        # the index holds the very entry objects of data, so it is canonical when data is
+        assert all(x is m.data[i * m.cols + j] for i, row in enumerate(index) for j, x in row)
+        assert_canonical(m)
+
+
+def test_kron_and_identity_hand_their_index_over(monkeypatch):
+    scans = []
+    real = exactmath._scan_nonzero_rows
+
+    def counted(m):
+        scans.append(m)
+        return real(m)
+
+    monkeypatch.setattr(exactmath, "_scan_nonzero_rows", counted)
+    rng = random.Random(6)
+    for field in SPARSE_FIELDS:
+        f = Matrix(3, 4, field, [rng.randrange(3) for _ in range(12)])
+        g = Matrix(2, 0, field, [])
+        assert scanned_rows(f) == f.nonzero_rows() == f.nonzero_rows()
+        assert g.nonzero_rows() == ((), ())
+        assert scans == [f, g]
+        scans.clear()
+        made = []
+        for m in (Matrix.identity(5, field), Matrix.identity(0, field), kron(f, f), kron(f, g), kron(g, f)):
+            made += [m, kron(m, f), kron(Matrix.identity(2, field), m)]
+        for m in made:
+            assert m.nonzero_rows() == scanned_rows(m)
+            mat_mul(m, Matrix.identity(m.cols, field))
+        assert scans == []
+        # a product is indexed by one scan, the first time it is read
+        product = mat_mul(f, Matrix.identity(4, field))
+        product.nonzero_rows()
+        product.nonzero_rows()
+        assert scans == [product]
+        scans.clear()
+
+
+rationals = st.fractions(max_denominator=10**6)
+
+
+@given(rationals, rationals)
+def test_rational_mul_is_the_product_and_returns_a_factor_times_the_canonical_one(x, y):
+    assert QQ.mul(x, QQ.one) is x
+    assert QQ.mul(QQ.one, x) is x
+    product = QQ.mul(x, y)
+    assert product == x * y
+    assert type(product) is Fraction
+    # a one that is not the canonical object is multiplied out
+    assert QQ.mul(x, Fraction(1)) == x
+    assert QQ.mul(Fraction(y.denominator, y.denominator), x) == x
 
 
 class CountingField(PrimeField):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedtwist import twist as twist_lib
 from gradedtwist.exactmath import QQ, Matrix, PrimeField, inverse
 from gradedtwist.fixtures import (
     broken_algebra,
@@ -477,6 +478,46 @@ def test_explicit_constructor_rejects_partial_finite_data():
     a = z2_group_algebra()
     with pytest.raises(ValueError, match="missing tau"):
         TwistingSystem(a, EXPLICIT, maps={(0, 0): Matrix.identity(1, QQ)})
+
+
+@pytest.mark.parametrize("key", [(0, 2), (2, 0), (9, 9), (-1, 0)], ids=str)
+def test_degree_keys_outside_a_finite_group_are_refused(key):
+    a = z2_group_algebra()
+    ones = {(d, g): Matrix.identity(1, QQ) for d in (0, 1) for g in (0, 1)}
+    with pytest.raises(ValueError, match="alpha key"):
+        TwistingSystem(a, COCYCLE, alpha={**{k: 1 for k in ones}, key: 1})
+    with pytest.raises(ValueError, match="tau key"):
+        TwistingSystem(a, EXPLICIT, maps={**ones, key: Matrix.zeros(0, 0, QQ)})
+    with pytest.raises(ValueError, match="phi key"):
+        PhiFamily(a, a, {**ones, key: Matrix.zeros(0, 0, QQ)})
+
+
+def test_integer_degree_keys_may_leave_the_window():
+    # over the integers tau is quantified over sums of support degrees,
+    # which reach past the window the algebra is stored on
+    a, t = quantum_plane(2)
+    assert max(d for d, _g in identity_twist(a).alpha) > a.group.hi
+    assert check_twist_condition(identity_twist(a)).passed
+    family = phi_from_twist(t)
+    assert max(d for d, _g in family.maps) > a.group.hi
+    assert check_phi_family(family).passed
+
+
+def test_twist_from_phi_takes_the_callers_family_report(monkeypatch):
+    _a, t = sign_twist()
+    family = phi_from_twist(t)
+    report = check_phi_family(family)
+    calls = []
+    monkeypatch.setattr(twist_lib, "check_phi_family", lambda p: calls.append(p))
+    back, _twisted, _morphism = twist_from_phi(family, family_report=report)
+    assert calls == []
+    assert all(back.tau(d, g) == t.tau(d, g) for d in (0, 1) for g in (0, 1))
+    with pytest.raises(ValueError, match="not check_phi_family"):
+        twist_from_phi(family, family_report=check_twist_condition(t))
+    monkeypatch.undo()
+    family.maps[(0, 1)] = Matrix.from_rows([[2]], QQ)
+    with pytest.raises(ValueError, match="fails its conditions"):
+        twist_from_phi(family, family_report=check_phi_family(family))
 
 
 def test_broken_algebras_are_really_broken():
