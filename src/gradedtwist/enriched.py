@@ -17,8 +17,14 @@ sharp(rho^N o (evaluation (x) id)). `build_RS` writes the action maps'
 entries straight to their places by the formulas in its docstring, and
 tests/test_enriched.py (test_r_blocks_are_the_curried_evaluation_composites,
 test_s_blocks_are_the_curried_action_composites) checks them bit for bit.
+It also hands R and S the index of their nonzero entries, row by row.
 The Hom space itself is ker(R - S) with its canonical (column-echelon)
-basis, so equal subspaces always have bit-identical bases. That basis is
+basis, so equal subspaces always have bit-identical bases. Every row of
+R - S has few nonzeros (at most two over a group algebra), so the basis
+comes from those rows alone, merged from the two indexes, by the sparse
+elimination `exactmath.sparse_kernel`; no dense R - S is formed. The
+dense `kernel_matrix` stays for `direct_intertwiner_basis`, the
+independent oracle the tests compare with. That basis is
 all a space keeps: its pivot rows hold an identity block, so the
 coordinates of a vector V are V's entries at the pivot rows, and V lies
 in the space exactly when the basis times those coordinates is V again.
@@ -42,6 +48,7 @@ from .exactmath import (
     hstack,
     kernel_matrix,
     kron,
+    sparse_kernel,
 )
 from .graded import (
     GradedAlgebra,
@@ -132,6 +139,8 @@ def build_RS(m: GradedModule, n: GradedModule, g):
       R:  (r K + c, r dim M_qh + s)                      = rho^M_{q,h}[s, c]
       S:  ((r dim M_q + l) dim A_h + j, k dim M_q + l)  = rho^N_{p,h}[r, k dim A_h + j]
 
+    Each entry is also appended to its row's (col, value) list, in column
+    order, and the lists become R's and S's `nonzero_rows()` index.
     The module docstring names the composites and the tests comparing them.
     """
     if m.algebra is not n.algebra and m.algebra != n.algebra:
@@ -139,43 +148,50 @@ def build_RS(m: GradedModule, n: GradedModule, g):
     if not same_group(m.group, n.group):
         raise ValueError("modules graded by different groups")
     mul, a, field = m.group.mul_unchecked, m.algebra, m.field
+    m_dims, n_dims, a_dims = m.space.dims, n.space.dims, a.space.dims
     ginv = m.group.inv(g)
     source = _source_blocks(m, n, g)
     src_offset = {p: off for p, off, _size in source}
     width = sum(size for _p, _off, size in source)
     # the target layout: nonzero blocks (p, h), p = g q, in ascending order
     pairs = []
-    for q in m.support():
+    for q, dim_q in m_dims.items():
         p = mul(g, q)
-        pairs += [((p, h), n.dim(mul(p, h)) * m.dim(q) * a.dim(h)) for h in a.support()]
+        pairs += [((p, h), n_dims.get(mul(p, h), 0) * dim_q * dim_h) for h, dim_h in a_dims.items()]
     target, height = [], 0
     for key, size in sorted(pairs):
         if size:
             target.append((key, height, size))
             height += size
     r_data, s_data = [field.zero] * (height * width), [field.zero] * (height * width)
+    # each row's (col, value) pairs, appended in column order by the loops below
+    r_rows, s_rows = [[] for _ in range(height)], [[] for _ in range(height)]
     for (p, h), row0, _size in target:
         q, ph = mul(ginv, p), mul(p, h)
         # one entry of rho^M fills dim N_ph places, one per r
-        if ph in src_offset:
-            rho, dim_ph = m.action_map(q, h), n.dim(ph)
-            step = rho.cols * width + rho.rows
-            for idx, x in enumerate(rho.data):
-                if x:
-                    s, c = divmod(idx, rho.cols)
-                    start = (row0 + c) * width + src_offset[ph] + s
-                    r_data[start : start + dim_ph * step : step] = [x] * dim_ph
+        rho = m.action.get((q, h))
+        if ph in src_offset and rho is not None:
+            col0, dim_ph, width_q, dim_qh = src_offset[ph], n_dims[ph], rho.cols, rho.rows
+            for s, entries in enumerate(rho.nonzero_rows()):
+                for c, x in entries:
+                    for r in range(dim_ph):
+                        i, j = row0 + r * width_q + c, col0 + r * dim_qh + s
+                        r_data[i * width + j] = x
+                        r_rows[i].append((j, x))
         # one entry of rho^N fills dim M_q places, one per l
-        if p in src_offset:
-            rho, dim_q, dim_h = n.action_map(p, h), m.dim(q), a.dim(h)
-            step = dim_h * width + 1
-            for idx, x in enumerate(rho.data):
-                if x:
-                    r, (k, j) = idx // rho.cols, divmod(idx % rho.cols, dim_h)
-                    start = (row0 + r * dim_q * dim_h + j) * width + src_offset[p] + k * dim_q
-                    s_data[start : start + dim_q * step : step] = [x] * dim_q
-    return (Matrix._trusted(height, width, field, r_data), Matrix._trusted(height, width, field, s_data),
-            source, target)
+        rho = n.action.get((p, h))
+        if p in src_offset and rho is not None:
+            col0, dim_q, dim_h = src_offset[p], m_dims[q], a_dims[h]
+            for r, entries in enumerate(rho.nonzero_rows()):
+                for col, x in entries:
+                    k, j = divmod(col, dim_h)
+                    for l in range(dim_q):
+                        i, jj = row0 + (r * dim_q + l) * dim_h + j, col0 + k * dim_q + l
+                        s_data[i * width + jj] = x
+                        s_rows[i].append((jj, x))
+    r_index, s_index = tuple(map(tuple, r_rows)), tuple(map(tuple, s_rows))
+    return (Matrix._trusted(height, width, field, r_data, r_index),
+            Matrix._trusted(height, width, field, s_data, s_index), source, target)
 
 
 class HomElement:
@@ -219,8 +235,10 @@ class ModuleHomSpace:
     """ker(R - S) at one degree, kept as its canonical basis and layout.
 
     `kernel` is in reduced column echelon form: row `pivots[i]` of it is
-    the i-th unit row. Membership and coordinates read those rows; R and
-    S are dropped once the kernel is known.
+    the i-th unit row. Both come from `sparse_kernel` on the nonzero rows
+    of R - S, which are merged from the nonzero-row indexes of R and S.
+    Membership and coordinates read the pivot rows; R and S are dropped
+    once the kernel is known.
     """
 
     def __init__(self, source, target, degree, big_r, big_s, source_layout):
@@ -228,8 +246,7 @@ class ModuleHomSpace:
         self.target = target
         self.degree = degree
         self.source_layout = source_layout
-        self.kernel = kernel_matrix(big_r - big_s)
-        self.pivots = tuple(next(i for i, x in enumerate(self.kernel.col(j)) if x) for j in range(self.dim))
+        self.kernel, self.pivots = sparse_kernel(_difference_rows(big_r, big_s), big_r.cols, big_r.field)
 
     @property
     def dim(self) -> int:
@@ -283,6 +300,26 @@ class ModuleHomSpace:
 
     def __repr__(self):
         return f"ModuleHomSpace(degree={self.degree!r}, dim={self.dim})"
+
+
+def _difference_rows(big_r: Matrix, big_s: Matrix):
+    """The nonzero rows of R - S as {col: value} dicts, merged from the
+    nonzero-row indexes of R and S; entries that cancel are dropped."""
+    sub, neg = big_r.field.sub, big_r.field.neg
+    for r_row, s_row in zip(big_r.nonzero_rows(), big_s.nonzero_rows()):
+        row = dict(r_row)
+        for j, y in s_row:
+            x = row.get(j)
+            if x is None:
+                row[j] = neg(y)
+            else:
+                x = sub(x, y)
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        if row:
+            yield row
 
 
 def module_hom_space(m: GradedModule, n: GradedModule, g) -> ModuleHomSpace:
@@ -404,9 +441,10 @@ def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
             if not (spaces[g].dim and spaces[h].dim) or target is None or not target.dim:
                 continue
             composites = hstack([target.element_to_vector(compose_homs(f, f2)) for f in bases[g] for f2 in bases[h]])
-            if not target.contains(composites):
-                raise ValueError("composite is not a module morphism family")
-            mult[(g, h)] = target.coords(composites)
+            try:
+                mult[(g, h)] = target.coords(composites)
+            except ValueError:
+                raise ValueError("composite is not a module morphism family") from None
     e = group.identity
     unit_space = spaces.get(e)
     if unit_space is None or not unit_space.dim:
@@ -449,12 +487,13 @@ def endo_iso(gamma: GammaAlgebra):
             q = group.mul(ginv, p)
             curried[(j, 0)] = sharp(a.mult_map(g, q), n_g, a.dim(q))
         vectors = block_matrix(block_sizes, [n_g], curried, field)
-        if not space.contains(vectors):
+        try:
+            phi_g = space.coords(vectors)
+        except ValueError:
             bad = next(i for i in range(n_g)
                        if not space.contains(Matrix._trusted(vectors.rows, 1, field, vectors.col(i))))
             failures.append(Report("endo_iso", False, witness=("membership", (g, bad))))
             continue
-        phi_g = space.coords(vectors)
         # the chain for psi_g: project W_g onto its [A_e, A_g] block, then precompose with u
         blocks = {(0, j): Matrix.identity(size, field)
                   for j, (p, _off, size) in enumerate(space.source_layout) if p == g}

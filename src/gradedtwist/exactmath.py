@@ -7,7 +7,9 @@ equality of matrices is literal equality of entries.
 
 Storage is dense, but the kernels skip zeros: `mat_mul` multiplies only
 pairs of nonzero entries, `kron` skips zero entries of either factor, and
-`rref` updates a row only where the pivot row is nonzero. Zero tests are
+`rref` updates a row only where the pivot row is nonzero. `sparse_kernel`
+takes a kernel from {col: value} rows alone, with no dense matrix to
+eliminate: its result is `kernel_matrix`'s, bit for bit. Zero tests are
 by truthiness, which is exact because entries are kept in canonical form
 (`Fraction` over QQ, an int in [0, p) over F_p), and `Fraction(0)` and
 `0` are both falsy. `mat_mul` and `kron` find the nonzero entries of their
@@ -78,10 +80,12 @@ class RationalField:
     name = "rational"
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+        """x as a `Fraction`; any value equal to 1 becomes the canonical
+        one, so that it takes the shortcut in `mul`."""
+        if isinstance(x, (Fraction, int)):
+            if x == 1:
+                return _FRACTION_ONE
+            return x if isinstance(x, Fraction) else Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into the rational field")
 
     @property
@@ -364,9 +368,6 @@ class Matrix:
         data, cols = self.data, self.cols
         return Matrix._trusted(cols, self.rows, self.field, [x for j in range(cols) for x in data[j::cols]])
 
-    def is_zero(self) -> bool:
-        return not any(self.data)
-
     def is_identity(self) -> bool:
         n = self.rows
         if n != self.cols:
@@ -517,6 +518,79 @@ def kernel_matrix(m: Matrix) -> Matrix:
     return column_echelon(raw)
 
 
+def sparse_kernel(rows, cols: int, field):
+    """kernel_matrix of the cols-wide matrix with the given sparse rows,
+    bit for bit, together with its pivots.
+
+    Each row is a {col: value} dict of nonzero entries in canonical form;
+    the dicts are consumed. Returns (K, pivots): K is the canonical kernel
+    basis, in reduced column echelon form, and row pivots[t] of K holds
+    the leading 1 of column t. The kernel comes from the reduced rows;
+    its column echelon form from reducing the free-column basis vectors,
+    written as rows, in the same way.
+    """
+    reduced = _sparse_rref(rows, field)
+    one, neg = field.one, field.neg
+    # free column j gives the vector with 1 at j and -R[p, j] at each pivot p
+    vectors = {j: {j: one} for j in range(cols) if j not in reduced}
+    for p, row in reduced.items():
+        for j, x in row.items():
+            vectors[j][p] = neg(x)
+    basis = _sparse_rref(vectors.values(), field)
+    pivots = tuple(sorted(basis))
+    k = len(pivots)
+    data = [field.zero] * (cols * k)
+    for t, p in enumerate(pivots):
+        data[p * k + t] = one
+        for i, x in basis[p].items():
+            data[i * k + t] = x
+    return Matrix._trusted(cols, k, field, data), pivots
+
+
+def _sparse_rref(rows, field) -> dict:
+    """Incremental Gauss-Jordan over {col: value} rows (consumed).
+
+    Returns {pivot column: the rest of its row}; the pivot entry, 1, is
+    not stored, and no row has an entry in another pivot column. Sorted by
+    pivot, these are the rows of the reduced row echelon form. Each row is
+    reduced by the pivot rows kept so far, which stay fully reduced, so one
+    pass suffices and a row that reduces to zero is dropped at once. A
+    surviving row is normalised on its smallest column, and that column is
+    then eliminated from the earlier pivot rows.
+    """
+    one, sub, mul, neg = field.one, field.sub, field.mul, field.neg
+
+    def subtract(row, factor, other):
+        # row -= factor * other, keeping only nonzero entries
+        for j, y in other.items():
+            x = row.get(j)
+            if x is None:
+                row[j] = neg(mul(factor, y))
+            else:
+                x = sub(x, mul(factor, y))
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+
+    reduced = {}
+    for row in rows:
+        for c in [c for c in row if c in reduced]:
+            subtract(row, row.pop(c), reduced[c])
+        if not row:
+            continue
+        pivot = min(row)
+        scale = field.inv(row.pop(pivot))
+        if scale != one:
+            row = {j: mul(scale, x) for j, x in row.items()}
+        for other in reduced.values():
+            factor = other.pop(pivot, None)
+            if factor is not None:
+                subtract(other, factor, row)
+        reduced[pivot] = row
+    return reduced
+
+
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse; raises SingularMatrixError when none exists."""
     if m.rows != m.cols:
@@ -525,7 +599,9 @@ def inverse(m: Matrix) -> Matrix:
     aug = hstack([m, Matrix.identity(n, m.field)])
     r, pivots = rref(aug)
     if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
-        raise SingularMatrixError(f"matrix of rank {rank(m)} is singular at size {n}")
+        # the pivots left of column n are those of rref(m)
+        rank_m = sum(1 for p in pivots if p < n)
+        raise SingularMatrixError(f"matrix of rank {rank_m} is singular at size {n}")
     return Matrix._trusted(n, n, m.field, [x for i in range(n) for x in r.row(i)[n:]])
 
 

@@ -175,7 +175,7 @@ def check_blocks_against_composites(case, which, block_of):
         row_dims = [size for _key, _off, size in target]
         col_dims = [size for _p, _off, size in source]
         assert built[which] == block_matrix(row_dims, col_dims, blocks, m.field), g
-        nonzero += not built[which].is_zero()
+        nonzero += any(built[which].data)
     assert nonzero
 
 
@@ -257,12 +257,22 @@ class TestHomSpaces:
 
         check_blocks_against_composites(case, 1, s_block)
 
+    @pytest.mark.parametrize("case", COMPOSITE_CASES)
+    def test_build_rs_hands_over_the_nonzero_index_of_its_data(self, case):
+        m, n, degrees = composite_case(case)
+        for g in degrees:
+            big_r, big_s, _source, _target = build_RS(m, n, g)
+            for built in (big_r, big_s):
+                assert built._nonzero is not None
+                assert built.nonzero_rows() == exactmath._scan_nonzero_rows(built), g
+
     def test_module_hom_space_calls_no_kron_identity_or_mat_mul(self, monkeypatch):
-        # build_RS places the action maps' entries directly; this counts
-        # the per-block products it must not fall back to
+        # build_RS places the action maps' entries directly and the kernel
+        # comes from the sparse rows of R - S; this counts the per-block
+        # products and the dense elimination it must not fall back to
         cases = [(regular_module(s3_group_algebra(F7)), range(6)),
                  (regular_module(quantum_plane(3)[0]), range(-3, 5))]
-        counts = {"kron": 0, "identity": 0, "mat_mul": 0}
+        counts = {"kron": 0, "identity": 0, "mat_mul": 0, "rref": 0, "kernel_matrix": 0, "sub": 0}
 
         def counting(name, fn):
             def counted(*args):
@@ -270,16 +280,17 @@ class TestHomSpaces:
                 return fn(*args)
             return counted
 
-        for name in ("kron", "mat_mul"):
+        for name in ("kron", "mat_mul", "rref", "kernel_matrix"):
             original = getattr(exactmath, name)
             for module in (exactmath, enriched):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting(name, original))
         monkeypatch.setattr(Matrix, "identity", classmethod(counting("identity", Matrix.identity.__func__)))
+        monkeypatch.setattr(Matrix, "__sub__", counting("sub", Matrix.__sub__))
         dims = [module_hom_space(reg, reg, g).dim for reg, degrees in cases for g in degrees]
         monkeypatch.undo()
         assert sum(dims) == 6 + 10  # dim Gamma = dim A: 6 for k[S3], 10 for qp3
-        assert counts == {"kron": 0, "identity": 0, "mat_mul": 0}
+        assert counts == {"kron": 0, "identity": 0, "mat_mul": 0, "rref": 0, "kernel_matrix": 0, "sub": 0}
 
     def test_contains_rejects_non_morphisms(self):
         reg = regular_module(z3_group_algebra())

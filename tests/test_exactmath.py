@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedtwist import exactmath
+from gradedtwist import exactmath, serialize
 from gradedtwist.exactmath import (
     QQ,
     Matrix,
@@ -23,6 +23,7 @@ from gradedtwist.exactmath import (
     rank,
     rref,
     solve,
+    sparse_kernel,
     try_inverse,
     vstack,
 )
@@ -134,7 +135,7 @@ class TestKernel:
         m = Matrix.from_rows([[1, 3], [2, 6]], F7)
         k = kernel_matrix(m)
         assert k.cols == 1
-        assert (m @ k).is_zero()
+        assert not any((m @ k).data)
 
 
 class TestInverse:
@@ -165,6 +166,20 @@ class TestInverse:
     def test_empty_matrix_is_invertible(self):
         e = Matrix.zeros(0, 0, QQ)
         assert inverse(e) == e
+
+    def test_singular_message_names_the_rank_from_one_rref(self, monkeypatch):
+        calls = []
+        real = exactmath.rref
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(exactmath, "rref", counted)
+        m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]], QQ)
+        with pytest.raises(SingularMatrixError, match=r"^matrix of rank 2 is singular at size 3$"):
+            inverse(m)
+        assert len(calls) == 1
 
 
 class TestSolve:
@@ -260,7 +275,7 @@ def test_rank_nullity_and_kernel_membership(m):
     k = kernel_matrix(m)
     assert rank(m) + k.cols == m.cols
     if k.cols:
-        assert (m @ k).is_zero()
+        assert not any((m @ k).data)
 
 
 @settings(max_examples=60, deadline=None)
@@ -428,7 +443,7 @@ def test_sparse_rref_and_kernel(field, data):
     r, pivots = rref(m)
     k = kernel_matrix(m)
     assert len(pivots) + k.cols == m.cols
-    assert (m @ k).is_zero()
+    assert not any((m @ k).data)
     for row_index, p in enumerate(pivots):
         assert r[row_index, p] == 1
         assert all(r[other, p] == 0 for other in range(m.rows) if other != row_index)
@@ -450,9 +465,22 @@ def test_derived_matrices_stay_canonical(field, data):
                Matrix.identity(a.rows, field), Matrix.zeros(a.rows, b.cols, field)]
     for m in results:
         assert_canonical(m)
-    assert (a - a).is_zero()
+    assert a - a == Matrix.zeros(a.rows, a.cols, field)
     assert Matrix.identity(a.rows, field).is_identity()
     assert a.is_identity() == (a == Matrix.identity(a.rows, field))
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sparse_kernel_is_the_dense_kernel(field, data):
+    m = data.draw(st.one_of(sparse_matrices(field), sparse_matrix(field, 0, 4), sparse_matrix(field, 4, 0),
+                            sparse_matrices(field).map(lambda a: vstack([a, Matrix.zeros(2, a.cols, field)]))))
+    kernel, pivots = sparse_kernel([dict(row) for row in m.nonzero_rows()], m.cols, field)
+    dense = kernel_matrix(m)
+    assert kernel == dense
+    assert_canonical(kernel)
+    assert pivots == tuple(next(i for i, x in enumerate(dense.col(j)) if x) for j in range(dense.cols))
 
 
 def scanned_rows(m):
@@ -530,6 +558,15 @@ def test_rational_mul_is_the_product_and_returns_a_factor_times_the_canonical_on
     # a one that is not the canonical object is multiplied out
     assert QQ.mul(x, Fraction(1)) == x
     assert QQ.mul(Fraction(y.denominator, y.denominator), x) == x
+
+
+def test_rational_coerce_makes_every_one_the_canonical_one():
+    assert QQ.coerce(1) is QQ.one
+    assert QQ.coerce(Fraction(2, 2)) is QQ.one
+    assert QQ.coerce(-1) == -1 and type(QQ.coerce(-1)) is Fraction
+    parsed = serialize.parse_matrix({"rows": 2, "cols": 3, "entries": [1, "1", "2/2", "-1", 0, "3/2"]}, QQ)
+    ones = [x for x in parsed.data if x == 1]
+    assert len(ones) == 3 and all(x is QQ.one for x in ones)
 
 
 class CountingField(PrimeField):
