@@ -99,6 +99,12 @@ def _load_module(path):
     return _load(path, parse_module, base_dir=Path(path).parent)
 
 
+def _check_modules(*modules) -> Report:
+    """The first failing check_module report of the modules, else the last."""
+    reports = [check_module(module) for module in modules]
+    return next((r for r in reports if not r.passed), reports[-1])
+
+
 common_options = click.option(
     "--format", "fmt", type=click.Choice(["text", "structured"]), default="text",
     help="report style", show_default=True,
@@ -249,19 +255,20 @@ def cmd_twist_from_phi(phi_file, source_algebra, target_algebra, output,
               help="optional file for the canonical basis export")
 @common_options
 def cmd_hom_space(source_module, target_module, degree, output, fmt):
-    """Compute a graded module Hom space and report its dimension."""
+    """Compute a graded module Hom space and report its dimension (after checking both modules)."""
     m = _load_module(source_module)
     n = _load_module(target_module)
     t0 = time.perf_counter()
-    try:
-        space = module_hom_space(m, n, degree)
-    except ValueError as exc:
-        _fail_input(str(exc))
-    seconds = time.perf_counter() - t0
-    if output:
-        write_json(output, emit_hom_basis(space, degree))
-    report = Report("module_hom_space", True, notes=(f"degree {degree} dimension {space.dim}",))
-    _finish(report, fmt, seconds)
+    report = _check_modules(m, n)
+    if report.passed:
+        try:
+            space = module_hom_space(m, n, degree)
+        except ValueError as exc:
+            _fail_input(str(exc))
+        if output:
+            write_json(output, emit_hom_basis(space, degree))
+        report = Report("module_hom_space", True, notes=(f"degree {degree} dimension {space.dim}",))
+    _finish(report, fmt, time.perf_counter() - t0)
 
 
 @main.command("gamma")
@@ -308,14 +315,16 @@ def cmd_verify_endo(algebra_file, fmt):
 @click.option("-d", "--degree", type=int, required=True)
 @common_options
 def cmd_shift_props(source_module, target_module, shift_degree, degree, fmt):
-    """Check the three shift identities on a pair of modules."""
+    """Check the three shift identities on a pair of modules (after checking both)."""
     m = _load_module(source_module)
     n = _load_module(target_module)
     t0 = time.perf_counter()
-    try:
-        report = check_shift_props(m, n, shift_degree, degree)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    report = _check_modules(m, n)
+    if report.passed:
+        try:
+            report = check_shift_props(m, n, shift_degree, degree)
+        except ValueError as exc:
+            _fail_input(str(exc))
     _finish(report, fmt, time.perf_counter() - t0)
 
 

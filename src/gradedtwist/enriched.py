@@ -13,21 +13,21 @@ and S agree on it. The target of both is indexed by pairs (p, h):
 
 The blocks are the categorical composites: an R block is the internal-Hom
 map precompose(rho^M) = [rho^M_{g^-1 p, h}, N_ph], an S block the curried
-sharp(rho^N o (evaluation (x) id)). `build_RS` writes the action maps'
-entries straight to their places by the formulas in its docstring, and
-tests/test_enriched.py (test_r_blocks_are_the_curried_evaluation_composites,
-test_s_blocks_are_the_curried_action_composites) checks them bit for bit.
-It also hands R and S the index of their nonzero entries, row by row.
-The Hom space itself is ker(R - S) with its canonical (column-echelon)
-basis, so equal subspaces always have bit-identical bases. Every row of
-R - S has few nonzeros (at most two over a group algebra), so the basis
-comes from those rows alone, merged from the two indexes, by the sparse
-elimination `exactmath.sparse_kernel`; no dense R - S is formed. The
-dense `kernel_matrix` stays for `direct_intertwiner_basis`, the
-independent oracle the tests compare with. That basis is
-all a space keeps: its pivot rows hold an identity block, so the
-coordinates of a vector V are V's entries at the pivot rows, and V lies
-in the space exactly when the basis times those coordinates is V again.
+sharp(rho^N o (evaluation (x) id)). Only their difference is needed:
+`build_RS` writes the one matrix D = R - S, placing the action maps'
+entries by the formulas in its docstring, and tests/test_enriched.py
+(test_r_blocks_are_the_curried_evaluation_composites,
+test_s_blocks_are_the_curried_action_composites) checks D bit for bit
+against the composites. The Hom space itself is ker(D) with its
+canonical (column-echelon) basis, so equal subspaces always have
+bit-identical bases. Every row of D has few nonzeros (at most two over a
+group algebra), so the basis comes from those rows alone by the sparse
+elimination `exactmath.sparse_kernel`. The dense `kernel_matrix` stays
+for `direct_intertwiner_basis`, the independent oracle the tests compare
+with. That basis is all a space keeps: its pivot rows hold an identity
+block, so the coordinates of a vector V are V's entries at the pivot
+rows, and V lies in the space exactly when the basis times those
+coordinates is V again.
 
 Hom elements compose by (f o f')_p = f_p o f'_{g^-1 p}; over the regular
 module this composition makes the spaces [[A, A]]_g into a graded
@@ -129,25 +129,27 @@ def _source_blocks(m: GradedModule, n: GradedModule, g) -> list:
 
 
 def build_RS(m: GradedModule, n: GradedModule, g):
-    """The two assembled maps whose equalizer is the degree-g Hom space.
+    """D = R - S, whose kernel is the degree-g Hom space.
 
-    Returns (R, S, source_layout, target_layout); the layouts are lists
-    of (label, offset, size). With q = g^-1 p and K = dim M_q dim A_h, each
+    Returns (D, source_layout, target_layout); the layouts are lists of
+    (label, offset, size). With q = g^-1 p and K = dim M_q dim A_h, each
     nonzero action-map entry goes straight to its (row, column) in target
     block (p, h) and source block ph (for R) or p (for S):
 
       R:  (r K + c, r dim M_qh + s)                      = rho^M_{q,h}[s, c]
       S:  ((r dim M_q + l) dim A_h + j, k dim M_q + l)  = rho^N_{p,h}[r, k dim A_h + j]
 
-    Each entry is also appended to its row's (col, value) list, in column
-    order, and the lists become R's and S's `nonzero_rows()` index.
-    The module docstring names the composites and the tests comparing them.
+    R's entries of a block are placed first, no two at one place, and S's
+    are subtracted; each row's entries, by column and without the sums
+    that cancel, are D's `nonzero_rows()` index. The module docstring
+    names the composites and the tests comparing them.
     """
     if m.algebra is not n.algebra and m.algebra != n.algebra:
         raise ValueError("modules live over different algebras")
     if not same_group(m.group, n.group):
         raise ValueError("modules graded by different groups")
     mul, a, field = m.group.mul_unchecked, m.algebra, m.field
+    sub, zero = field.sub, field.zero
     m_dims, n_dims, a_dims = m.space.dims, n.space.dims, a.space.dims
     ginv = m.group.inv(g)
     source = _source_blocks(m, n, g)
@@ -163,9 +165,8 @@ def build_RS(m: GradedModule, n: GradedModule, g):
         if size:
             target.append((key, height, size))
             height += size
-    r_data, s_data = [field.zero] * (height * width), [field.zero] * (height * width)
-    # each row's (col, value) pairs, appended in column order by the loops below
-    r_rows, s_rows = [[] for _ in range(height)], [[] for _ in range(height)]
+    data = [zero] * (height * width)
+    rows = [{} for _ in range(height)]  # each row's nonzero entries, {col: value}
     for (p, h), row0, _size in target:
         q, ph = mul(ginv, p), mul(p, h)
         # one entry of rho^M fills dim N_ph places, one per r
@@ -176,22 +177,24 @@ def build_RS(m: GradedModule, n: GradedModule, g):
                 for c, x in entries:
                     for r in range(dim_ph):
                         i, j = row0 + r * width_q + c, col0 + r * dim_qh + s
-                        r_data[i * width + j] = x
-                        r_rows[i].append((j, x))
-        # one entry of rho^N fills dim M_q places, one per l
+                        data[i * width + j] = rows[i][j] = x
+        # one entry of rho^N is subtracted at dim M_q places, one per l
         rho = n.action.get((p, h))
         if p in src_offset and rho is not None:
             col0, dim_q, dim_h = src_offset[p], m_dims[q], a_dims[h]
             for r, entries in enumerate(rho.nonzero_rows()):
-                for col, x in entries:
+                for col, y in entries:
                     k, j = divmod(col, dim_h)
                     for l in range(dim_q):
                         i, jj = row0 + (r * dim_q + l) * dim_h + j, col0 + k * dim_q + l
-                        s_data[i * width + jj] = x
-                        s_rows[i].append((jj, x))
-    r_index, s_index = tuple(map(tuple, r_rows)), tuple(map(tuple, s_rows))
-    return (Matrix._trusted(height, width, field, r_data, r_index),
-            Matrix._trusted(height, width, field, s_data, s_index), source, target)
+                        row = rows[i]
+                        x = data[i * width + jj] = sub(row.get(jj, zero), y)
+                        if x:
+                            row[jj] = x
+                        else:
+                            del row[jj]  # R's entry cancelled
+    index = tuple(tuple(sorted(row.items())) for row in rows)
+    return Matrix._trusted(height, width, field, data, index), source, target
 
 
 class HomElement:
@@ -235,18 +238,17 @@ class ModuleHomSpace:
     """ker(R - S) at one degree, kept as its canonical basis and layout.
 
     `kernel` is in reduced column echelon form: row `pivots[i]` of it is
-    the i-th unit row. Both come from `sparse_kernel` on the nonzero rows
-    of R - S, which are merged from the nonzero-row indexes of R and S.
-    Membership and coordinates read the pivot rows; R and S are dropped
-    once the kernel is known.
+    the i-th unit row. Both come from `sparse_kernel` on the difference
+    D = R - S that `build_RS` writes. Membership and coordinates read the
+    pivot rows; D is dropped once the kernel is known.
     """
 
-    def __init__(self, source, target, degree, big_r, big_s, source_layout):
+    def __init__(self, source, target, degree, difference, source_layout):
         self.source = source
         self.target = target
         self.degree = degree
         self.source_layout = source_layout
-        self.kernel, self.pivots = sparse_kernel(_difference_rows(big_r, big_s), big_r.cols, big_r.field)
+        self.kernel, self.pivots = sparse_kernel(difference)
 
     @property
     def dim(self) -> int:
@@ -302,29 +304,9 @@ class ModuleHomSpace:
         return f"ModuleHomSpace(degree={self.degree!r}, dim={self.dim})"
 
 
-def _difference_rows(big_r: Matrix, big_s: Matrix):
-    """The nonzero rows of R - S as {col: value} dicts, merged from the
-    nonzero-row indexes of R and S; entries that cancel are dropped."""
-    sub, neg = big_r.field.sub, big_r.field.neg
-    for r_row, s_row in zip(big_r.nonzero_rows(), big_s.nonzero_rows()):
-        row = dict(r_row)
-        for j, y in s_row:
-            x = row.get(j)
-            if x is None:
-                row[j] = neg(y)
-            else:
-                x = sub(x, y)
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-        if row:
-            yield row
-
-
 def module_hom_space(m: GradedModule, n: GradedModule, g) -> ModuleHomSpace:
-    big_r, big_s, source, _target = build_RS(m, n, g)
-    return ModuleHomSpace(m, n, g, big_r, big_s, source)
+    difference, source, _target = build_RS(m, n, g)
+    return ModuleHomSpace(m, n, g, difference, source)
 
 
 def direct_intertwiner_basis(m: GradedModule, n: GradedModule, g) -> Matrix:

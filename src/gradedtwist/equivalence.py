@@ -225,10 +225,10 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
                     inverse(t.tau(dg, q)), b.dim(p)
                 )
             transported = block_matrix(sizes, sizes, blocks, field) @ space_b.kernel
-            if not space_a.contains(transported):
+            try:
+                maps[(d, g)] = space_a.coords(transported)
+            except ValueError:
                 failures.append(Report("gamma_twist_phi", False, witness=("level-exchange", (d, g))))
-                continue
-            maps[(d, g)] = space_a.coords(transported)
     if failures:
         return None, merge("gamma_twist_phi", failures, notes=notes)
     family = PhiFamily(gamma_b.graded, gamma_a.graded, maps)

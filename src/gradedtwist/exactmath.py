@@ -8,13 +8,14 @@ equality of matrices is literal equality of entries.
 Storage is dense, but the kernels skip zeros: `mat_mul` multiplies only
 pairs of nonzero entries, `kron` skips zero entries of either factor, and
 `rref` updates a row only where the pivot row is nonzero. `sparse_kernel`
-takes a kernel from {col: value} rows alone, with no dense matrix to
-eliminate: its result is `kernel_matrix`'s, bit for bit. Zero tests are
-by truthiness, which is exact because entries are kept in canonical form
-(`Fraction` over QQ, an int in [0, p) over F_p), and `Fraction(0)` and
-`0` are both falsy. `mat_mul` and `kron` find the nonzero entries of their
-operands through `Matrix.nonzero_rows()`, so a matrix is scanned for zeros
-at most once however many products read it.
+takes a matrix as `kernel_matrix` does and returns the same kernel, bit
+for bit, by eliminating only the rows of its nonzero-row index. Zero
+tests are by truthiness, which is exact because entries are kept in
+canonical form (`Fraction` over QQ, an int in [0, p) over F_p), and
+`Fraction(0)` and `0` are both falsy. `mat_mul`, `kron` and
+`sparse_kernel` find the nonzero entries of their operands through
+`Matrix.nonzero_rows()`, so a matrix is scanned for zeros at most once
+however many of them read it.
 
 Entries from outside (parsed files, user code) are coerced and checked by
 `Matrix(...)`. Results of the kernels here are wrapped by
@@ -518,18 +519,18 @@ def kernel_matrix(m: Matrix) -> Matrix:
     return column_echelon(raw)
 
 
-def sparse_kernel(rows, cols: int, field):
-    """kernel_matrix of the cols-wide matrix with the given sparse rows,
-    bit for bit, together with its pivots.
+def sparse_kernel(m: Matrix):
+    """kernel_matrix(m), bit for bit, together with its pivots, taken from
+    m's nonzero-row index alone.
 
-    Each row is a {col: value} dict of nonzero entries in canonical form;
-    the dicts are consumed. Returns (K, pivots): K is the canonical kernel
-    basis, in reduced column echelon form, and row pivots[t] of K holds
-    the leading 1 of column t. The kernel comes from the reduced rows;
-    its column echelon form from reducing the free-column basis vectors,
+    Returns (K, pivots): K is the canonical kernel basis, in reduced
+    column echelon form, and row pivots[t] of K holds the leading 1 of
+    column t. The kernel comes from the reduced nonzero rows of m; its
+    column echelon form from reducing the free-column basis vectors,
     written as rows, in the same way.
     """
-    reduced = _sparse_rref(rows, field)
+    field, cols = m.field, m.cols
+    reduced = _sparse_rref((dict(row) for row in m.nonzero_rows() if row), field)
     one, neg = field.one, field.neg
     # free column j gives the vector with 1 at j and -R[p, j] at each pivot p
     vectors = {j: {j: one} for j in range(cols) if j not in reduced}

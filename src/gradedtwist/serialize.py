@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .exactmath import Matrix, PrimeField, QQ, RationalField
 from .graded import GradedAlgebra, GradedModule, GradedMorphism, GradedVectorSpace
-from .groups import FiniteGroup, IntegerWindow, check_group
+from .groups import FiniteGroup, IntegerWindow, check_group, same_group
 from .twist import AUTOMORPHISM, COCYCLE, EXPLICIT, PhiFamily, TwistingSystem
 
 
@@ -219,7 +219,8 @@ def emit_module(m: GradedModule) -> dict:
 
 def parse_module(data, base_dir=None) -> GradedModule:
     """Read a module file. The "algebra" entry may be an inline object or
-    a file path, resolved relative to base_dir."""
+    a file path, resolved relative to base_dir. Its own "group" grades it
+    and must match its algebra's."""
     ref = _need(data, "algebra", "module")
     if isinstance(ref, str):
         path = Path(ref)
@@ -231,7 +232,10 @@ def parse_module(data, base_dir=None) -> GradedModule:
     field = parse_field(_need(data, "field", "module"))
     if field != algebra.field:
         raise FileFormatError("module field disagrees with its algebra")
-    space = GradedVectorSpace(algebra.group, _parse_dims(_need(data, "dims", "module", dict)))
+    group = parse_group(_need(data, "group", "module"))
+    if not same_group(group, algebra.group):
+        raise FileFormatError("module group disagrees with its algebra")
+    space = GradedVectorSpace(group, _parse_dims(_need(data, "dims", "module", dict)))
     action = {
         _parse_pair(k): parse_matrix(x, field)
         for k, x in _need(data, "action", "module", dict).items()

@@ -10,6 +10,7 @@ cocycles)."""
 import random
 from fractions import Fraction
 
+from composites import assemble, r_composite, s_composite
 from gradedtwist.exactmath import Matrix, PrimeField, QQ, kron
 from gradedtwist.enriched import (
     build_RS,
@@ -141,11 +142,15 @@ def test_c06_quantum_plane_relation():
 
 
 def _equal_sharp_identities(space, m, n, g):
-    """For each kernel vector, the curried maps through every target
-    block agree when built from either side of the equalizer."""
+    """build_RS's D is R - S with R and S taken from their composites, and
+    for each kernel vector the curried maps through every target block
+    agree when built from either side of the equalizer."""
     group = m.group
     field = m.field
-    big_r, big_s, _source, target_layout = build_RS(m, n, g)
+    difference, source, target_layout = build_RS(m, n, g)
+    big_r = assemble(r_composite, m, n, g, source, target_layout)
+    big_s = assemble(s_composite, m, n, g, source, target_layout)
+    assert difference == big_r - big_s
     for i in range(space.dim):
         nu = Matrix(space.total, 1, field, space.kernel.col(i))
         for (p, h), offset, size in target_layout:

@@ -19,8 +19,10 @@ from gradedtwist.equivalence import equivalence_from_twist, gamma_twist_phi
 from gradedtwist.exactmath import QQ, Matrix
 from gradedtwist.fixtures import quantum_plane, sign_twist, z3_group_algebra
 from gradedtwist.graded import regular_module, shift_module
+from gradedtwist.groups import cyclic_group
 from gradedtwist.serialize import (
     emit_algebra,
+    emit_group,
     emit_matrix,
     emit_module,
     emit_phi,
@@ -205,6 +207,24 @@ class TestSpacesAndEndo:
         assert "check_algebra: fail  witness=('associativity', (0, 0, 1))" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, options", [
+        ("hom-space", ["-g", "1", "-o", "basis.json"]),
+        ("shift-props", ["-g", "1", "-d", "1"]),
+    ])
+    def test_a_non_module_is_refused(self, runner, tmp_path, command, options):
+        data = read_json(FIXTURES / "reg-z2.mod.json")
+        data["action"]["1,1"]["entries"] = ["2"]
+        bad = tmp_path / "bad.mod.json"
+        write_json(bad, data)
+        witness = "check_module: fail  witness=('associativity', (0, 1, 1))"
+        assert witness in runner.invoke(main, ["check-module", str(bad)]).output
+        options = [str(tmp_path / x) if x.endswith(".json") else x for x in options]
+        for pair in ([str(bad), fx("reg-z2.mod.json")], [fx("reg-z2.mod.json"), str(bad)]):
+            result = runner.invoke(main, [command, *pair, *options])
+            assert result.exit_code == 1
+            assert witness in result.output
+            assert not (tmp_path / "basis.json").exists()
+
     def test_verify_endo_s3(self, runner):
         result = runner.invoke(main, ["verify-endo", fx("s3.alg.json")])
         assert result.exit_code == 0
@@ -278,6 +298,26 @@ class TestMalformedInput:
         write_json(mod_file, data)
         result = runner.invoke(main, ["check-module", str(mod_file)])
         assert result.exit_code == 2
+
+    def test_a_module_keeps_its_own_window(self, runner, tmp_path):
+        # degree 8 lies outside the algebra's window but inside the module's
+        module_file = tmp_path / "shifted.mod.json"
+        write_json(module_file, emit_module(shift_module(regular_module(quantum_plane(3)[0]), 5)))
+        result = runner.invoke(main, ["check-module", str(module_file)])
+        assert result.exit_code == 0
+
+    @pytest.mark.parametrize("group", [emit_group(cyclic_group(3)), None], ids=["z3", "missing"])
+    def test_a_module_group_other_than_its_algebras(self, runner, tmp_path, group):
+        data = read_json(FIXTURES / "reg-z2.mod.json")
+        data["group"] = group
+        if group is None:
+            del data["group"]
+        mod_file = tmp_path / "m.mod.json"
+        write_json(mod_file, data)
+        result = runner.invoke(main, ["check-module", str(mod_file)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "group" in result.output
 
     def test_hom_space_mismatched_algebras(self, runner):
         result = runner.invoke(

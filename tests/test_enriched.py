@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from composites import assemble, r_composite, s_composite
 from gradedtwist import enriched, exactmath
-from gradedtwist.exactmath import QQ, Matrix, PrimeField, block_matrix, hstack, kron
+from gradedtwist.exactmath import QQ, Matrix, PrimeField, hstack, kron
 from gradedtwist.fixtures import F7, quantum_plane, s3_group_algebra, z3_group_algebra
 from gradedtwist.enriched import (
     GammaAlgebra,
@@ -155,27 +156,22 @@ COMPOSITE_CASES = ["qp3-regular", "s3-f7-regular", "qp3-shifted-target", "s3-f7-
                    "qp3-gappy-to-regular", "qp3-regular-to-gappy"]
 
 
-def check_blocks_against_composites(case, which, block_of):
-    """Assemble R (which=0) or S (which=1) from the composites that
-    block_of(m, n, q, p, h) returns as (source degree, block) and compare
-    it with build_RS, bit for bit, at every degree of the case."""
+def check_difference_against_composites(case, composite, check_block):
+    """Assemble R and S from their composites and compare R - S with
+    build_RS's D, bit for bit, at every degree of the case; check_block
+    tests each block of one side, given by its composite, on its own."""
     m, n, degrees = composite_case(case)
     group = m.group
     nonzero = 0
     for g in degrees:
-        built = build_RS(m, n, g)
-        source, target = built[2], built[3]
-        col_index = {p: j for j, (p, _off, _size) in enumerate(source)}
-        blocks = {}
-        for ti, ((p, h), _off, _size) in enumerate(target):
+        difference, source, target = build_RS(m, n, g)
+        big_r = assemble(r_composite, m, n, g, source, target)
+        big_s = assemble(s_composite, m, n, g, source, target)
+        assert difference == big_r - big_s, g
+        for (p, h), _off, _size in target:
             q = group.mul(group.inv(g), p)
-            col, block = block_of(m, n, q, p, h)
-            if col in col_index:
-                blocks[(ti, col_index[col])] = block
-        row_dims = [size for _key, _off, size in target]
-        col_dims = [size for _p, _off, size in source]
-        assert built[which] == block_matrix(row_dims, col_dims, blocks, m.field), g
-        nonzero += any(built[which].data)
+            check_block(m, n, q, p, h, composite(m, n, q, p, h)[1])
+        nonzero += any(difference.data)
     assert nonzero
 
 
@@ -234,37 +230,40 @@ class TestHomSpaces:
 
     @pytest.mark.parametrize("case", COMPOSITE_CASES)
     def test_r_blocks_are_the_curried_evaluation_composites(self, case):
-        # each R block is [rho^M, N_ph], written out here as the literal
-        # sharp(evaluation o (id (x) rho^M)) it equals
-        def r_block(m, n, q, p, h):
-            field, ph = m.field, m.group.mul(p, h)
-            n_m2, n_n2 = m.dim(m.group.mul(q, h)), n.dim(ph)
-            d_h = n_n2 * n_m2
-            rho = m.action_map(q, h)
-            composite = evaluation(n_m2, n_n2, field) @ kron(Matrix.identity(d_h, field), rho)
-            return ph, sharp(composite, d_h, rho.cols)
+        # each R block is also the closed-structure map [rho^M_{q,h}, N_ph]
+        def check_block(m, n, q, p, h, block):
+            assert block == precompose(m.action_map(q, h), n.dim(m.group.mul(p, h)))
 
-        check_blocks_against_composites(case, 0, r_block)
+        check_difference_against_composites(case, r_composite, check_block)
 
     @pytest.mark.parametrize("case", COMPOSITE_CASES)
     def test_s_blocks_are_the_curried_action_composites(self, case):
-        # each S block is the curried sharp(rho^N o (evaluation (x) id_{A_h}))
-        def s_block(m, n, q, p, h):
-            field = m.field
-            n_m1, n_n1, n_a = m.dim(q), n.dim(p), m.algebra.dim(h)
-            composite = n.action_map(p, h) @ kron(evaluation(n_m1, n_n1, field), Matrix.identity(n_a, field))
-            return p, sharp(composite, n_n1 * n_m1, n_m1 * n_a)
+        # each S block sends f in [M_q, N_p] to rho^N_{p,h} o (f (x) id_{A_h})
+        def check_block(m, n, q, p, h, block):
+            field, n_m1, n_n1 = m.field, m.dim(q), n.dim(p)
+            unit = Matrix.identity(m.algebra.dim(h), field)
+            for k in range(n_n1 * n_m1):
+                f = Matrix(n_n1, n_m1, field, [int(i == k) for i in range(n_n1 * n_m1)])
+                assert block.col(k) == (n.action_map(p, h) @ kron(f, unit)).data
 
-        check_blocks_against_composites(case, 1, s_block)
+        check_difference_against_composites(case, s_composite, check_block)
 
     @pytest.mark.parametrize("case", COMPOSITE_CASES)
     def test_build_rs_hands_over_the_nonzero_index_of_its_data(self, case):
         m, n, degrees = composite_case(case)
+        cancelled = 0
         for g in degrees:
-            big_r, big_s, _source, _target = build_RS(m, n, g)
-            for built in (big_r, big_s):
-                assert built._nonzero is not None
-                assert built.nonzero_rows() == exactmath._scan_nonzero_rows(built), g
+            difference, _source, target = build_RS(m, n, g)
+            index = difference.nonzero_rows()
+            assert difference._nonzero is not None
+            assert index == exactmath._scan_nonzero_rows(difference), g
+            # R and S cancel on every row of a target block (p, e), where A_e = k acts
+            # by its unit, and the index keeps none of the cancelled sums
+            for (p, h), offset, size in target:
+                if h == m.group.identity:
+                    assert not any(index[offset : offset + size]), (g, p)
+                    cancelled += size
+        assert cancelled
 
     def test_module_hom_space_calls_no_kron_identity_or_mat_mul(self, monkeypatch):
         # build_RS places the action maps' entries directly and the kernel
@@ -312,7 +311,7 @@ class TestHomSpaces:
 
     @pytest.mark.parametrize("case", ["quantum-plane-3", "s3-f7", "quantum-plane-3-shifted", "s3-f7-shifted"])
     def test_membership_and_coords_agree_with_the_equalizer(self, case):
-        # reference: V is a module map exactly when R V = S V (build_RS)
+        # reference: V is a module map exactly when D V = 0, D = R - S (build_RS)
         a = quantum_plane(3)[0] if case.startswith("quantum") else s3_group_algebra(F7)
         field = a.field
         m = regular_module(a)
@@ -321,10 +320,10 @@ class TestHomSpaces:
         outsiders = 0
         for g in a.group.elements():
             space = module_hom_space(m, n, g)
-            big_r, big_s, _source, _target = build_RS(m, n, g)
+            difference, _source, _target = build_RS(m, n, g)
             coeffs = random_matrix(rng, space.dim, 3, field)
             members = space.kernel @ coeffs
-            assert big_r @ members == big_s @ members
+            assert difference @ members == Matrix.zeros(difference.rows, members.cols, field)
             assert space.contains(members)
             assert space.coords(members) == coeffs
             assert space.kernel @ space.coords(members) == members
@@ -335,7 +334,7 @@ class TestHomSpaces:
                 i = rng.randrange(len(entries))
                 entries[i] = field.add(entries[i], field.one)
                 column = Matrix.column(entries, field)
-                inside = big_r @ column == big_s @ column
+                inside = not any((difference @ column).data)
                 assert space.contains(column) == inside, (g, j)
                 if not inside:
                     outsiders += 1

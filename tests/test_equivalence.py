@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gradedtwist import equivalence as equivalence_lib
 from gradedtwist import twist as twist_lib
 from gradedtwist.exactmath import QQ, Matrix, hstack, inverse
-from gradedtwist.enriched import gamma_algebra, identity_hom, module_hom_space
+from gradedtwist.enriched import ModuleHomSpace, gamma_algebra, identity_hom, module_hom_space
 from gradedtwist.equivalence import (
     backward,
     check_equivalence,
@@ -364,6 +364,23 @@ class TestBackward:
         for d, g in result.twist.maps:
             assert result.twist.tau(d, g) == t.tau(d, g)
         assert result.twisted == twist_algebra(a, t)
+
+    def test_a_passing_backward_makes_no_membership_test(self, monkeypatch):
+        # coords refuses a vector outside the space, so a separate contains is the same product twice
+        calls = {"contains": 0, "coords": 0}
+        for name in calls:
+            real = getattr(ModuleHomSpace, name)
+
+            def counted(space, vectors, name=name, real=real):
+                calls[name] += 1
+                return real(space, vectors)
+
+            monkeypatch.setattr(ModuleHomSpace, name, counted)
+        result = backward(equivalence_from_twist(quantum_plane(3)[1]))
+        monkeypatch.undo()
+        assert result.report.passed
+        assert calls["contains"] == 0
+        assert calls["coords"]
 
     def test_quantum_plane_recovery_on_the_window(self, monkeypatch):
         self.check_quantum_plane_recovery(3, monkeypatch)

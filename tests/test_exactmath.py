@@ -476,7 +476,7 @@ def test_derived_matrices_stay_canonical(field, data):
 def test_sparse_kernel_is_the_dense_kernel(field, data):
     m = data.draw(st.one_of(sparse_matrices(field), sparse_matrix(field, 0, 4), sparse_matrix(field, 4, 0),
                             sparse_matrices(field).map(lambda a: vstack([a, Matrix.zeros(2, a.cols, field)]))))
-    kernel, pivots = sparse_kernel([dict(row) for row in m.nonzero_rows()], m.cols, field)
+    kernel, pivots = sparse_kernel(m)
     dense = kernel_matrix(m)
     assert kernel == dense
     assert_canonical(kernel)

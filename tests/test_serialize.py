@@ -144,6 +144,25 @@ class TestAlgebrasAndModules:
         m = shift_module(regular_module(s3_group_algebra()), 3)
         assert parse_module(emit_module(m)) == m
 
+    def test_module_round_trip_keeps_its_own_window(self):
+        # the shifted module's window reaches degree 8, past its algebra's
+        m = shift_module(regular_module(quantum_plane(3)[0]), 5)
+        back = parse_module(emit_module(m))
+        assert back == m
+        assert back.group == m.group == IntegerWindow(0, 8)
+
+    @pytest.mark.parametrize("group, message", [
+        (emit_group(symmetric_group(3)), "module group disagrees with its algebra"),
+        (None, "module is missing the key 'group'"),
+    ], ids=["s3", "missing"])
+    def test_module_group_must_be_its_algebras(self, group, message):
+        data = emit_module(regular_module(z3_group_algebra()))
+        data["group"] = group
+        if group is None:
+            del data["group"]
+        with pytest.raises(FileFormatError, match=message):
+            parse_module(data)
+
     def test_module_algebra_by_path(self, tmp_path):
         a = z3_group_algebra()
         write_json(tmp_path / "alg.json", emit_algebra(a))

@@ -1,6 +1,7 @@
 """The benchmark's layer tracer (perfbench/tracer.py) must still find every
-library function and method it names, so that renaming or deleting one
-fails here and not only in a traced benchmark run."""
+library function and method it names, and its observers must accept what
+those functions return, so that renaming, deleting or reshaping one fails
+here and not only in a traced benchmark run."""
 
 import importlib
 import sys
@@ -9,6 +10,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracer  # noqa: E402
+
+from gradedtwist.enriched import build_RS, module_hom_space  # noqa: E402
+from gradedtwist.fixtures import F7, s3_group_algebra  # noqa: E402
+from gradedtwist.graded import regular_module  # noqa: E402
 
 
 def _holder(owner, attr):
@@ -36,3 +41,22 @@ def test_install_rebinds_every_target_and_uninstall_restores_it():
         t.uninstall()
     for (holder, attr), original in zip(targets, originals):
         assert holder.__dict__[attr] is original, (holder.__name__, attr)
+
+
+def test_the_build_rs_observer_reads_the_difference_matrix():
+    reg = regular_module(s3_group_algebra(F7))
+    degrees = list(reg.group.elements())
+    largest = max((build_RS(reg, reg, g)[0] for g in degrees), key=lambda d: d.rows * d.cols)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        dims = [module_hom_space(reg, reg, g).dim for g in degrees]
+    finally:
+        t.uninstall()
+    assert dims == [1] * 6
+    stat = t.stats["enriched.build_RS"]
+    assert stat.calls == len(degrees)
+    assert stat.extra["max_shape"] == (largest.rows * largest.cols, f"{largest.rows}x{largest.cols}")
+    metrics = t.layer_metrics(passes=1)
+    assert metrics["enriched.build_RS.calls"] == (len(degrees), "count")
+    assert metrics["enriched.build_RS.max_shape"] == (largest.rows * largest.cols, "entries")
