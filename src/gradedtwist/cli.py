@@ -100,8 +100,9 @@ def _load_module(path):
 
 
 def _check_modules(*modules) -> Report:
-    """The first failing check_module report of the modules, else the last."""
-    reports = [check_module(module) for module in modules]
+    """The first failing check_module report of the distinct modules, else the last."""
+    distinct = [m for i, m in enumerate(modules) if m not in modules[:i]]
+    reports = [check_module(module) for module in distinct]
     return next((r for r in reports if not r.passed), reports[-1])
 
 
@@ -297,14 +298,17 @@ def cmd_gamma(algebra_file, output, fmt):
 @click.argument("algebra_file", type=click.Path())
 @common_options
 def cmd_verify_endo(algebra_file, fmt):
-    """Verify the isomorphism between an algebra and its graded endomorphism algebra."""
+    """Verify the isomorphism between an algebra and its graded endomorphism
+    algebra (after checking the algebra)."""
     algebra = _load(algebra_file, parse_algebra)
     t0 = time.perf_counter()
-    try:
-        gamma = gamma_algebra(algebra)
-    except ValueError as exc:
-        _fail_input(str(exc))
-    _phi, _psi, report = endo_iso(gamma)
+    report = check_algebra(algebra)
+    if report.passed:
+        try:
+            gamma = gamma_algebra(algebra)
+        except ValueError as exc:
+            _fail_input(str(exc))
+        _phi, _psi, report = endo_iso(gamma)
     _finish(report, fmt, time.perf_counter() - t0)
 
 

@@ -29,11 +29,13 @@ block, so the coordinates of a vector V are V's entries at the pivot
 rows, and V lies in the space exactly when the basis times those
 coordinates is V again.
 
-Hom elements compose by (f o f')_p = f_p o f'_{g^-1 p}; over the regular
-module this composition makes the spaces [[A, A]]_g into a graded
-algebra Gamma, and left multiplication A_g -> Gamma_g is an isomorphism
-of graded algebras. Both facts are computed here, not assumed: see
-`gamma_algebra` and `endo_iso`.
+A family (f_p) is one column on the space's layout, the form the
+kernel's columns have. `compose_homs` composes whole sets of such
+columns at once by (f o f')_p = f_p o f'_{g^-1 p}, slicing each column
+into its blocks; over the regular module this composition makes the
+spaces [[A, A]]_g into a graded algebra Gamma, and left multiplication
+A_g -> Gamma_g is an isomorphism of graded algebras. Both facts are
+computed here, not assumed: see `gamma_algebra` and `endo_iso`.
 
 Every flat index in this file follows the package-wide Kronecker
 convention (left factor owns the coarse index).
@@ -45,7 +47,6 @@ from .exactmath import (
     Matrix,
     block_matrix,
     column_echelon,
-    hstack,
     kernel_matrix,
     kron,
     sparse_kernel,
@@ -197,43 +198,6 @@ def build_RS(m: GradedModule, n: GradedModule, g):
     return Matrix._trusted(height, width, field, data, index), source, target
 
 
-class HomElement:
-    """A degree-g family f_p: M_{g^-1 p} -> N_p (zero blocks omitted)."""
-
-    def __init__(self, source: GradedModule, target: GradedModule, degree, components: dict):
-        self.source = source
-        self.target = target
-        self.degree = degree
-        group = source.group
-        ginv = group.inv(degree)
-        self.components = {}
-        for p, mat in components.items():
-            mul = group.mul_unchecked if p in target.space.dims else group.mul
-            want = (target.dim(p), source.dim(mul(ginv, p)))
-            if (mat.rows, mat.cols) != want:
-                raise ValueError(f"component at {p!r} must be {want[0]}x{want[1]}")
-            if want[0] and want[1]:
-                self.components[p] = mat
-
-    def component(self, p) -> Matrix:
-        got = self.components.get(p)
-        if got is not None:
-            return got
-        group = self.source.group
-        q = group.mul(group.inv(self.degree), p)
-        return Matrix.zeros(self.target.dim(p), self.source.dim(q), self.source.field)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomElement)
-            and self.degree == other.degree
-            and self.components == other.components
-        )
-
-    def __repr__(self):
-        return f"HomElement(degree={self.degree!r}, blocks={sorted(self.components)})"
-
-
 class ModuleHomSpace:
     """ker(R - S) at one degree, kept as its canonical basis and layout.
 
@@ -267,30 +231,6 @@ class ModuleHomSpace:
     def contains(self, vectors: Matrix) -> bool:
         """Whether every column of `vectors` lies in the space."""
         return self.kernel @ self._pivot_entries(vectors) == vectors
-
-    def element_to_vector(self, el: HomElement) -> Matrix:
-        entries = []
-        for p, _off, _size in self.source_layout:
-            entries.extend(el.component(p).data)
-        return Matrix(self.total, 1, self.source.field, entries)
-
-    def vector_to_element(self, vector: Matrix) -> HomElement:
-        if (vector.rows, vector.cols) != (self.total, 1):
-            raise ValueError(f"vector must be {self.total}x1")
-        field = self.source.field
-        if vector.field != field:
-            raise ValueError(f"vector is over {vector.field!r}, the space over {field!r}")
-        group = self.source.group
-        ginv = group.inv(self.degree)
-        comps = {}
-        for p, off, size in self.source_layout:
-            rows = self.target.dim(p)
-            cols = self.source.dim(group.mul(ginv, p))
-            comps[p] = Matrix._trusted(rows, cols, field, vector.data[off : off + size])
-        return HomElement(self.source, self.target, self.degree, comps)
-
-    def basis_element(self, i: int) -> HomElement:
-        return self.vector_to_element(Matrix._trusted(self.total, 1, self.source.field, self.kernel.col(i)))
 
     def coords(self, vectors: Matrix) -> Matrix:
         """Coordinates of each column of `vectors` in the canonical basis,
@@ -357,26 +297,54 @@ def direct_intertwiner_basis(m: GradedModule, n: GradedModule, g) -> Matrix:
     return kernel_matrix(Matrix.from_rows(rows, field))
 
 
-def identity_hom(m: GradedModule) -> HomElement:
-    e = m.group.identity
-    comps = {p: Matrix.identity(m.dim(p), m.field) for p in m.support()}
-    return HomElement(m, m, e, comps)
+def identity_hom(m: GradedModule) -> Matrix:
+    """The identity family of m, one column on the layout of [[m, m]]_e."""
+    layout = _source_blocks(m, m, m.group.identity)
+    entries = [x for p, _off, _size in layout for x in Matrix.identity(m.dim(p), m.field).data]
+    return Matrix._trusted(len(entries), 1, m.field, entries)
 
 
-def compose_homs(f: HomElement, g_el: HomElement) -> HomElement:
-    """(f o g)_p = f_p o g_{d^-1 p} where d is the degree of f."""
-    if f.source is not g_el.target and f.source != g_el.target:
+def compose_homs(left: ModuleHomSpace, fs: Matrix, right: ModuleHomSpace, gs: Matrix) -> Matrix:
+    """The composites f o f' of the columns fs on left = [[N, P]]_g with the
+    columns gs on right = [[M, N]]_h, as one matrix on the layout of
+    [[M, P]]_gh: column a * gs.cols + b is fs[:, a] o gs[:, b].
+
+    Block p of f o f' is f_p o f'_{g^-1 p}; its entries are summed from the
+    nonzero entries of the two slices, read through the nonzero-row
+    indexes of fs and gs. The columns need not lie in the spaces.
+    """
+    if left.source is not right.target and left.source != right.target:
         raise ValueError("inner modules do not match")
-    group = f.source.group
-    degree = group.mul(f.degree, g_el.degree)
-    dinv = group.inv(f.degree)
-    comps = {}
-    for p in f.target.support():
-        left = f.component(p)
-        right = g_el.component(group.mul_unchecked(dinv, p))
-        if left.rows and right.cols:
-            comps[p] = left @ right
-    return HomElement(g_el.source, f.target, degree, comps)
+    m, n, target, field = right.source, right.target, left.target, right.source.field
+    if (fs.rows, gs.rows, fs.field, gs.field) != (left.total, right.total, field, field):
+        raise ValueError(f"columns must have {left.total} and {right.total} rows over {field!r}")
+    group, add, mul = m.group, field.add, field.mul
+    ginv = group.inv(left.degree)
+    layout = _source_blocks(m, target, group.mul(left.degree, right.degree))
+    f_at = {p: off for p, off, _size in left.source_layout}
+    g_at = {q: off for q, off, _size in right.source_layout}
+    f_rows, g_rows = fs.nonzero_rows(), gs.nonzero_rows()
+    total, cols = sum(size for _p, _off, size in layout), fs.cols * gs.cols
+    out = [field.zero] * (total * cols)
+    for p, off, size in layout:
+        q = group.mul_unchecked(ginv, p)
+        if p not in f_at:
+            continue  # N_q = 0: the composite's block is zero
+        # f_p is dim P_p x dim N_q, f'_q is dim N_q x dim M_{(gh)^-1 p}
+        f0, g0, dim_q, dim_p = f_at[p], g_at[q], n.dim(q), target.dim(p)
+        dim_m = size // dim_p
+        for i in range(dim_p):
+            for k in range(dim_q):
+                f_row = f_rows[f0 + i * dim_q + k]
+                if not f_row:
+                    continue
+                for j in range(dim_m):
+                    at = (off + i * dim_m + j) * cols
+                    for b, y in g_rows[g0 + k * dim_m + j]:
+                        for a, x in f_row:
+                            c = at + a * gs.cols + b
+                            out[c] = add(out[c], mul(x, y))
+    return Matrix._trusted(total, cols, field, out)
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +382,13 @@ def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
     spaces = {g: module_hom_space(reg, reg, g) for g in degrees}
     dims = {g: spaces[g].dim for g in degrees if spaces[g].dim}
     space = GradedVectorSpace(group, dims)
-    bases = {g: [spaces[g].basis_element(i) for i in range(spaces[g].dim)] for g in degrees}
     mult = {}
     for g in degrees:
         for h in degrees:
-            gh = group.mul(g, h)
-            target = spaces.get(gh)
+            target = spaces.get(group.mul(g, h))
             if not (spaces[g].dim and spaces[h].dim) or target is None or not target.dim:
                 continue
-            composites = hstack([target.element_to_vector(compose_homs(f, f2)) for f in bases[g] for f2 in bases[h]])
+            composites = compose_homs(spaces[g], spaces[g].kernel, spaces[h], spaces[h].kernel)
             try:
                 mult[(g, h)] = target.coords(composites)
             except ValueError:
@@ -431,7 +397,7 @@ def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
     unit_space = spaces.get(e)
     if unit_space is None or not unit_space.dim:
         raise ValueError("no identity-degree component; cannot form the unit")
-    unit = unit_space.coords(unit_space.element_to_vector(identity_hom(reg)))
+    unit = unit_space.coords(identity_hom(reg))
     graded = GradedAlgebra(space, mult, unit, field)
     return GammaAlgebra(a, degrees, spaces, graded, reg)
 
@@ -571,7 +537,6 @@ __all__ = [
     "postcompose",
     "build_RS",
     "block_permutation",
-    "HomElement",
     "ModuleHomSpace",
     "module_hom_space",
     "direct_intertwiner_basis",

@@ -10,19 +10,21 @@ witness morphisms
 each an isomorphism of B-modules (a consequence of the twisting
 condition, and verified here rather than assumed).
 
-These witnesses drive the backward direction: from the equivalence data
-alone one can transport the endomorphism algebra Gamma(B) onto
-Gamma(A) degree by degree, producing a family of isomorphisms
+Only `check_equivalence` reads the witnesses. The backward direction
+reads tau itself from the data: it transports the endomorphism algebra
+Gamma(B) onto Gamma(A) degree by degree, producing a family of
+isomorphisms
 
     phi_d(g) : Gamma(B)_g -> Gamma(A)_g
 
 built as the composite: shift by d, pull back along t_{dg}, push
-forward along t_d^-1, exchange the base ring, and shift back by d^-1.
-The shifts by d and d^-1 only relabel blocks and cancel, so the
-composite is block-diagonal on the layout Gamma(B)_g already has:
-block p is the pull-back [tau_{dg}(g^-1 p)^-1, 1] followed by the
-push-forward [1, tau_d(p)]. The base-ring exchange is a comparison of
-the two layouts plus a membership check in Gamma(A)_g.
+forward along t_d^-1, exchange the base ring, and shift back by d^-1,
+with the blocks of t taken from tau. The shifts by d and d^-1 only
+relabel blocks and cancel, so the composite is block-diagonal on the
+layout Gamma(B)_g already has: block p is the pull-back
+[tau_{dg}(g^-1 p)^-1, 1] followed by the push-forward [1, tau_d(p)].
+The base-ring exchange is a comparison of the two layouts plus a
+membership check in Gamma(A)_g.
 
 Conjugating the family through the left-multiplication isomorphisms
 B = Gamma(B) and Gamma(A) = A gives a family B_g -> A_g, and the
@@ -39,9 +41,8 @@ bit-exact.
 from __future__ import annotations
 
 from .exactmath import block_matrix, inverse, try_inverse
-from .enriched import HomElement, endo_iso, gamma_algebra, postcompose, precompose
+from .enriched import endo_iso, gamma_algebra, postcompose, precompose
 from .graded import (
-    GradedModule,
     GradedMorphism,
     check_algebra,
     check_algebra_morphism,
@@ -67,7 +68,8 @@ class EquivalenceData:
 
     witnesses[g] is the morphism t_g above; over the integers only the
     degrees whose tau entries are stored get a witness, and `skipped`
-    records the rest.
+    records the rest. Only `check_equivalence` reads the witnesses;
+    `gamma_twist_phi` and `backward` read tau from `twist`.
     """
 
     def __init__(self, algebra, twist, twisted, witnesses, skipped=()):
@@ -144,29 +146,6 @@ def check_equivalence(data: EquivalenceData) -> Report:
             reports.append(Report("witness", False, witness=(g, inner.witness)))
     notes = ("window-verified",) if data.skipped else ()
     return merge("check_equivalence", reports, notes=notes)
-
-
-def pullback(f, u: GradedMorphism, new_source: GradedModule):
-    """f o u: precompose a Hom family with a module morphism into its source."""
-    group = f.source.group
-    ginv = group.inv(f.degree)
-    comps = {}
-    for p in list(f.components):
-        q = group.mul(ginv, p)
-        mat = f.component(p) @ u.component(q)
-        if mat.rows and mat.cols:
-            comps[p] = mat
-    return HomElement(new_source, f.target, f.degree, comps)
-
-
-def pushforward(f, v: GradedMorphism, new_target: GradedModule):
-    """v o f: postcompose a Hom family with a module morphism out of its target."""
-    comps = {}
-    for p in list(f.components):
-        mat = v.component(p) @ f.component(p)
-        if mat.rows and mat.cols:
-            comps[p] = mat
-    return HomElement(f.source, new_target, f.degree, comps)
 
 
 def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
@@ -305,8 +284,6 @@ __all__ = [
     "EquivalenceData",
     "equivalence_from_twist",
     "check_equivalence",
-    "pullback",
-    "pushforward",
     "gamma_twist_phi",
     "BackwardResult",
     "backward",

@@ -337,10 +337,14 @@ def parse_phi(data, source: GradedAlgebra, target: GradedAlgebra) -> PhiFamily:
 # -- hom-space basis export --------------------------------------------
 
 def emit_hom_basis(space, degree) -> dict:
+    """The canonical basis of a Hom space, each column sliced into its blocks."""
+    kernel, field = space.kernel, space.kernel.field
     basis = []
     for i in range(space.dim):
-        element = space.basis_element(i)
-        basis.append(
-            {_degree_key(p): emit_matrix(element.component(p)) for p, _o, _s in space.source_layout}
-        )
+        column = kernel.col(i)
+        basis.append({
+            _degree_key(p): emit_matrix(Matrix._trusted(
+                space.target.dim(p), size // space.target.dim(p), field, column[off : off + size]))
+            for p, off, size in space.source_layout
+        })
     return {"degree": degree, "basis": basis}

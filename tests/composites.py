@@ -1,12 +1,18 @@
-"""The equalizer's two sides written out as the categorical composites
-their blocks equal, for the tests that check `build_RS`'s D = R - S.
+"""Per-block references for the tests of `enriched` and `equivalence`.
 
-Each `*_composite(m, n, q, p, h)` returns (source degree, block) for the
-target block (p, h), q = g^-1 p; `assemble` places the blocks of one side
-on the layouts `build_RS` returns."""
+The equalizer's two sides are written out as the categorical composites
+their blocks equal, for the tests that check `build_RS`'s D = R - S:
+each `*_composite(m, n, q, p, h)` returns (source degree, block) for the
+target block (p, h), q = g^-1 p, and `assemble` places the blocks of one
+side on the layouts `build_RS` returns.
+
+A Hom family is a column on its space's layout. `column_blocks` slices
+one into a Matrix per block, and `block_composites` and `pull_push`
+compose such blocks with `@` and lay the products out again: the
+references for `compose_homs` and for the transport of `gamma_twist_phi`."""
 
 from gradedtwist.enriched import evaluation, sharp
-from gradedtwist.exactmath import Matrix, block_matrix, kron
+from gradedtwist.exactmath import Matrix, block_matrix, hstack, kron
 
 
 def r_composite(m, n, q, p, h):
@@ -40,3 +46,50 @@ def assemble(block_of, m, n, g, source, target) -> Matrix:
     row_dims = [size for _key, _off, size in target]
     col_dims = [size for _p, _off, size in source]
     return block_matrix(row_dims, col_dims, blocks, m.field)
+
+
+def column_blocks(space, column) -> dict:
+    """{p: f_p} of one column on the layout of a Hom space."""
+    group = space.source.group
+    ginv = group.inv(space.degree)
+    return {
+        p: Matrix(space.target.dim(p), space.source.dim(group.mul(ginv, p)), space.source.field,
+                  column[off : off + size])
+        for p, off, size in space.source_layout
+    }
+
+
+def block_composites(left, fs, right, gs) -> Matrix:
+    """compose_homs block by block: column a * gs.cols + b holds, for each
+    degree p of the target module with a nonzero block, f_p @ f'_{g^-1 p}
+    of f = fs[:, a] and f' = gs[:, b], or zeros where N_{g^-1 p} = 0."""
+    m, target, group, field = right.source, left.target, right.source.group, right.source.field
+    g, h = left.degree, right.degree
+    columns = []
+    for a in range(fs.cols):
+        f = column_blocks(left, fs.col(a))
+        for b in range(gs.cols):
+            f2 = column_blocks(right, gs.col(b))
+            entries = []
+            for p in target.support():
+                q = group.mul(group.inv(g), p)
+                shape = (target.dim(p), m.dim(group.mul(group.inv(h), q)))
+                if shape[0] and shape[1]:
+                    block = f[p] @ f2[q] if p in f else Matrix.zeros(*shape, field)
+                    entries += block.data
+            columns.append(Matrix.column(entries, field))
+    return hstack(columns)
+
+
+def pull_push(space, columns, u, v) -> Matrix:
+    """v o f o u for each column f on the layout of `space`: block p becomes
+    v[p] @ f_p @ u[g^-1 p], for {degree: Matrix} dicts u and v."""
+    group = space.source.group
+    ginv = group.inv(space.degree)
+    images = []
+    for j in range(columns.cols):
+        blocks = column_blocks(space, columns.col(j))
+        entries = [x for p, _off, _size in space.source_layout
+                   for x in (v[p] @ blocks[p] @ u[group.mul(ginv, p)]).data]
+        images.append(Matrix.column(entries, space.source.field))
+    return hstack(images)

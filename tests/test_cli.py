@@ -196,13 +196,15 @@ class TestSpacesAndEndo:
         assert result.exit_code == 0
         assert parse_algebra(read_json(out)) == z3_group_algebra()
 
-    def test_gamma_refuses_a_non_algebra(self, runner, tmp_path):
+    @pytest.mark.parametrize("command", ["gamma", "verify-endo"])
+    def test_gamma_refuses_a_non_algebra(self, runner, tmp_path, command):
         data = read_json(FIXTURES / "z2.alg.json")
         data["mult"]["0,0"]["entries"] = ["0.5"]
         bad = tmp_path / "bad.alg.json"
         write_json(bad, data)
         out = tmp_path / "gamma.alg.json"
-        result = runner.invoke(main, ["gamma", str(bad), "-o", str(out)])
+        options = ["-o", str(out)] if command == "gamma" else []
+        result = runner.invoke(main, [command, str(bad), *options])
         assert result.exit_code == 1
         assert "check_algebra: fail  witness=('associativity', (0, 0, 1))" in result.output
         assert not out.exists()
@@ -224,6 +226,18 @@ class TestSpacesAndEndo:
             assert result.exit_code == 1
             assert witness in result.output
             assert not (tmp_path / "basis.json").exists()
+
+    @pytest.mark.parametrize("command, options", [
+        ("hom-space", ["-g", "1"]),
+        ("shift-props", ["-g", "1", "-d", "1"]),
+    ])
+    def test_a_module_given_twice_is_checked_once(self, runner, monkeypatch, command, options):
+        checked = []
+        original = cli_lib.check_module
+        monkeypatch.setattr(cli_lib, "check_module", lambda m: checked.append(m) or original(m))
+        result = runner.invoke(main, [command, fx("reg-z2.mod.json"), fx("reg-z2.mod.json"), *options])
+        assert result.exit_code == 0
+        assert len(checked) == 1
 
     def test_verify_endo_s3(self, runner):
         result = runner.invoke(main, ["verify-endo", fx("s3.alg.json")])

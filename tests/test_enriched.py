@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composites import assemble, r_composite, s_composite
+from composites import assemble, block_composites, r_composite, s_composite
 from gradedtwist import enriched, exactmath
 from gradedtwist.exactmath import QQ, Matrix, PrimeField, hstack, kron
 from gradedtwist.fixtures import F7, quantum_plane, s3_group_algebra, z3_group_algebra
 from gradedtwist.enriched import (
     GammaAlgebra,
-    HomElement,
     block_permutation,
     build_RS,
     coevaluation,
@@ -210,24 +209,6 @@ class TestHomSpaces:
         assert module_hom_space(reg, reg, 0).kernel == Matrix(2, 1, QQ, [1, 1])
         assert module_hom_space(reg, reg, 1).kernel == Matrix(2, 1, QQ, [0, 1])
 
-    def test_element_vector_round_trip(self):
-        a, _t = quantum_plane()
-        reg = regular_module(a)
-        space = module_hom_space(reg, reg, 1)
-        for i in range(space.dim):
-            el = space.basis_element(i)
-            vec = space.element_to_vector(el)
-            assert space.contains(vec)
-            assert space.vector_to_element(vec) == el
-
-    def test_vector_over_another_field_is_refused(self):
-        a, _t = quantum_plane()
-        reg = regular_module(a)
-        space = module_hom_space(reg, reg, 1)
-        vec = Matrix(space.total, 1, F5, [1] * space.total)
-        with pytest.raises(ValueError, match="GF\\(5\\)"):
-            space.vector_to_element(vec)
-
     @pytest.mark.parametrize("case", COMPOSITE_CASES)
     def test_r_blocks_are_the_curried_evaluation_composites(self, case):
         # each R block is also the closed-structure map [rho^M_{q,h}, N_ph]
@@ -300,7 +281,8 @@ class TestHomSpaces:
         a, _t = quantum_plane()
         reg = regular_module(a)
         space = module_hom_space(reg, reg, 2)
-        basis = hstack([space.element_to_vector(space.basis_element(i)) for i in range(space.dim)])
+        basis = space.kernel
+        assert basis.cols == space.dim > 1
         assert space.contains(basis)
         assert space.coords(basis) == Matrix.identity(space.dim, QQ)
         outsider = Matrix.column([1] + [0] * (space.total - 1), QQ)
@@ -359,19 +341,21 @@ class TestComposition:
     def test_identity_is_neutral(self):
         a = s3_group_algebra()
         reg = regular_module(a)
+        units = module_hom_space(reg, reg, a.group.identity)
         ident = identity_hom(reg)
         space = module_hom_space(reg, reg, 2)
-        f = space.basis_element(0)
-        assert compose_homs(ident, f) == f
-        assert compose_homs(f, ident) == f
+        f = space.kernel
+        assert compose_homs(units, ident, space, f) == f
+        assert compose_homs(space, f, units, ident) == f
 
     def test_degrees_multiply(self):
         a = s3_group_algebra()
         reg = regular_module(a)
-        f = module_hom_space(reg, reg, 1).basis_element(0)
-        g = module_hom_space(reg, reg, 2).basis_element(0)
-        composite = compose_homs(f, g)
-        assert composite.degree == a.group.mul(1, 2)
+        s1, s2 = module_hom_space(reg, reg, 1), module_hom_space(reg, reg, 2)
+        target = module_hom_space(reg, reg, a.group.mul(1, 2))
+        composite = compose_homs(s1, s1.kernel, s2, s2.kernel)
+        assert composite.rows == target.total
+        assert target.coords(composite) == Matrix.identity(1, QQ)
 
     def test_membership_check_accepts_real_composites(self):
         a, _t = quantum_plane()
@@ -379,28 +363,88 @@ class TestComposition:
         s1 = module_hom_space(reg, reg, 1)
         s2 = module_hom_space(reg, reg, 2)
         s3 = module_hom_space(reg, reg, 3)
-        for i in range(s1.dim):
-            for j in range(s2.dim):
-                composite = compose_homs(s1.basis_element(i), s2.basis_element(j))
-                assert s3.contains(s3.element_to_vector(composite))
+        composites = compose_homs(s1, s1.kernel, s2, s2.kernel)
+        assert composites.cols == s1.dim * s2.dim
+        assert s3.contains(composites)
 
     def test_membership_check_rejects_non_morphism_factors(self):
         a = z3_group_algebra()
         reg = regular_module(a)
         space = module_hom_space(reg, reg, 0)
-        two = Matrix.from_rows([[2]], QQ)
-        one = Matrix.from_rows([[1]], QQ)
-        bad = HomElement(reg, reg, 0, {0: two, 1: one, 2: one})
-        assert not space.contains(space.element_to_vector(compose_homs(bad, bad)))
+        bad = Matrix.column([2, 1, 1], QQ)
+        assert not space.contains(bad)
+        assert not space.contains(compose_homs(space, bad, space, bad))
 
     def test_inner_module_mismatch_raises(self):
         a = z3_group_algebra()
         reg = regular_module(a)
         zero = zero_module(a)
-        f = identity_hom(reg)
-        g = identity_hom(zero)
+        left, right = module_hom_space(reg, reg, 0), module_hom_space(zero, zero, 0)
         with pytest.raises(ValueError, match="inner modules"):
-            compose_homs(f, g)
+            compose_homs(left, identity_hom(reg), right, identity_hom(zero))
+
+    def test_columns_off_the_layouts_are_refused(self):
+        reg = regular_module(z3_group_algebra())
+        space = module_hom_space(reg, reg, 0)
+        ident = identity_hom(reg)
+        with pytest.raises(ValueError, match="rows"):
+            compose_homs(space, ident, space, Matrix.column([1, 1], QQ))
+        with pytest.raises(ValueError, match="rows"):
+            compose_homs(space, Matrix.column([1, 1, 1], F5), space, ident)
+
+
+def _composition_case(name):
+    # over the integers, negative degrees too: their spaces are zero, their layouts not
+    a = s3_group_algebra(F7) if name == "s3-f7" else quantum_plane(3)[0]
+    reg = regular_module(a)
+    degrees = list(a.group.elements()) if name == "s3-f7" else list(range(-3, 4))
+    return reg, degrees, {g: module_hom_space(reg, reg, g) for g in degrees}
+
+
+COMPOSITION_CASES = {name: _composition_case(name) for name in ("s3-f7", "quantum-plane-3")}
+
+
+def _random_columns(rng, space, members):
+    """Two columns on the layout of `space`: members when asked, else random
+    entries (about a third zero) that mostly lie outside it."""
+    field = space.source.field
+    if members:
+        return space.kernel @ random_matrix(rng, space.dim, 2, field)
+    return Matrix(space.total, 2, field,
+                  [0 if rng.random() < 0.35 else rng.randrange(1, 5) for _ in range(space.total * 2)])
+
+
+class TestCompositionProperties:
+    """compose_homs on seeded random columns against the per-block products
+    of tests/composites.py, and the laws composition must satisfy."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.sampled_from(sorted(COMPOSITION_CASES)), seed=st.integers(0, 2**32 - 1),
+           members=st.booleans())
+    def test_composition_matches_the_block_products_and_its_laws(self, case, seed, members):
+        reg, degrees, spaces = COMPOSITION_CASES[case]
+        group = reg.group
+        rng = random.Random(seed)
+        g, h, k = (rng.choice(degrees) for _ in range(3))
+
+        def space(d):
+            return spaces.get(d) or module_hom_space(reg, reg, d)
+
+        fs, gs, ks = (_random_columns(rng, space(d), members) for d in (g, h, k))
+        fg = compose_homs(space(g), fs, space(h), gs)
+        assert fg == block_composites(space(g), fs, space(h), gs)
+        gh = group.mul(g, h)
+        assert fg.rows == space(gh).total
+        # associativity, with the column order (a, b, c) on both sides
+        left = compose_homs(space(gh), fg, space(k), ks)
+        right = compose_homs(space(g), fs, space(group.mul(h, k)), compose_homs(space(h), gs, space(k), ks))
+        assert left == right
+        # the identity family is neutral on both sides
+        units, ident = space(group.identity), identity_hom(reg)
+        assert compose_homs(units, ident, space(g), fs) == fs
+        assert compose_homs(space(g), fs, units, ident) == fs
+        if members:
+            assert space(gh).contains(fg)
 
 
 class TestGamma:

@@ -230,6 +230,20 @@ class TestHomExportAndIO:
         for block in out["basis"][0].values():
             assert block["entries"] == ["1"]
 
+    def test_hom_basis_export_slices_blocks_larger_than_one_by_one(self):
+        reg = regular_module(quantum_plane(3)[0])
+        out = emit_hom_basis(module_hom_space(reg, reg, 1), 1)
+
+        def block(rows, cols, entries):
+            return {"rows": rows, "cols": cols, "entries": [str(x) for x in entries]}
+
+        assert out == {"degree": 1, "basis": [
+            {"1": block(2, 1, [1, 0]), "2": block(3, 2, [1, 0, 0, 1, 0, 0]),
+             "3": block(4, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0])},
+            {"1": block(2, 1, [0, 1]), "2": block(3, 2, [0, 0, 1, 0, 0, 1]),
+             "3": block(4, 3, [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1])},
+        ]}
+
     def test_read_json_reports_position(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": finite}')

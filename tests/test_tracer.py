@@ -11,8 +11,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracer  # noqa: E402
 
-from gradedtwist.enriched import build_RS, module_hom_space  # noqa: E402
-from gradedtwist.fixtures import F7, s3_group_algebra  # noqa: E402
+from gradedtwist.enriched import build_RS, gamma_algebra, module_hom_space  # noqa: E402
+from gradedtwist.fixtures import F7, quantum_plane, s3_group_algebra  # noqa: E402
 from gradedtwist.graded import regular_module  # noqa: E402
 
 
@@ -60,3 +60,21 @@ def test_the_build_rs_observer_reads_the_difference_matrix():
     metrics = t.layer_metrics(passes=1)
     assert metrics["enriched.build_RS.calls"] == (len(degrees), "count")
     assert metrics["enriched.build_RS.max_shape"] == (largest.rows * largest.cols, "entries")
+
+
+def test_compose_homs_is_counted_once_per_pair_of_degrees():
+    # composition takes whole basis families: one call per (g, h) whose
+    # product degree has a nonzero Hom space, not one per pair of elements
+    a = quantum_plane(3)[0]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        gamma = gamma_algebra(a)
+    finally:
+        t.uninstall()
+    pairs = [(g, h) for g in gamma.degrees for h in gamma.degrees
+             if gamma.dim(g) and gamma.dim(h) and gamma.dim(g + h)]
+    assert len(pairs) == 10  # g + h <= 3 on the degrees 0..3 of qp3
+    assert sorted(gamma.graded.mult) == pairs
+    assert t.stats["enriched.compose_homs"].calls == len(pairs)
+    assert t.layer_metrics(passes=1)["enriched.compose_homs.calls"] == (len(pairs), "count")
