@@ -40,8 +40,8 @@ bit-exact.
 
 from __future__ import annotations
 
-from .exactmath import block_matrix, inverse, try_inverse
-from .enriched import endo_iso, gamma_algebra, postcompose, precompose
+from .exactmath import block_matrix, inverse, kron, try_inverse
+from .enriched import endo_iso, gamma_algebra
 from .graded import (
     GradedMorphism,
     check_algebra,
@@ -94,13 +94,9 @@ def equivalence_from_twist(t: TwistingSystem) -> EquivalenceData:
     group = a.group
     b = twist_algebra(a, t, run_checks=False)
     reg_a = regular_module(a)
-    if isinstance(group, IntegerWindow):
-        degrees = support_closure(a)
-    else:
-        degrees = list(group.elements())
     witnesses = {}
     skipped = []
-    for g in degrees:
+    for g in support_closure(a):
         shifted = shift_module(reg_a, g)
         ginv = group.inv(g)
         needed = list(shifted.action) + [(g, group.mul(ginv, d)) for d in shifted.space.dims]
@@ -153,8 +149,10 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
 
     The shifts by d and d^-1 relabel blocks and cancel, so the map is
     block-diagonal on the layout of Gamma(B)_g: block p is pull-back
-    along t_{dg} (precompose with tau_{dg}(g^-1 p)^-1), then push-forward
-    along t_d^-1 (postcompose with tau_d(p)).
+    along t_{dg} (precompose with tau_{dg}(q)^-1, q = g^-1 p), then
+    push-forward along t_d^-1 (postcompose with tau_d(p)). By the
+    mixed-product property the two are the single Kronecker product
+    kron(tau_d(p), (tau_{dg}(q)^-1)^T).
 
     Returns (family, report). The report records the base-ring exchange:
     Gamma(A)_g must have the same block layout as Gamma(B)_g (witness
@@ -197,12 +195,10 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
             if not same_layout:
                 failures.append(Report("gamma_twist_phi", False, witness=("layout", (d, g))))
                 continue
-            blocks = {}
-            for i, (p, _off, _size) in enumerate(layout):
-                q = group.mul(ginv, p)
-                blocks[(i, i)] = postcompose(t.tau(d, p), a.dim(q)) @ precompose(
-                    inverse(t.tau(dg, q)), b.dim(p)
-                )
+            blocks = {
+                (i, i): kron(t.tau(d, p), inverse(t.tau(dg, group.mul(ginv, p))).transpose())
+                for i, (p, _off, _size) in enumerate(layout)
+            }
             transported = block_matrix(sizes, sizes, blocks, field) @ space_b.kernel
             try:
                 maps[(d, g)] = space_a.coords(transported)

@@ -61,6 +61,31 @@ def _refuse_keys_outside(group, keys, name):
             raise ValueError(f"{name} key ({d!r},{g!r}) is not a pair of elements of the grading group")
 
 
+def _table_window(group, maps, shape, needed, name):
+    """The rule for a (d, g) table of tau or phi maps; returns its d-window.
+
+    In order: keys outside a finite grading group are refused, every
+    entry must be a Matrix of shape(g), and over a finite group every
+    (d, g) with g in `needed` must be stored. Over the integers only a
+    finite window can be stored, and the sorted stored d's are returned;
+    over a finite group the table covers every d and None is returned.
+    """
+    _refuse_keys_outside(group, maps, name)
+    for (d, g), m in maps.items():
+        if not isinstance(m, Matrix):
+            raise TypeError(f"{name}[{(d, g)}] is not a Matrix")
+        want = shape(g)
+        if (m.rows, m.cols) != want:
+            raise ValueError(f"{name}[{(d, g)}] must be {want[0]}x{want[1]}, got {m.rows}x{m.cols}")
+    if isinstance(group, IntegerWindow):
+        return sorted({d for (d, _g) in maps})
+    for d in group.elements():
+        for g in needed:
+            if (d, g) not in maps:
+                raise ValueError(f"missing {name} for ({d!r},{g!r})")
+    return None
+
+
 class TwistingSystem:
     """A twisting system on `algebra`, read through one table of tau_d(g).
 
@@ -82,17 +107,11 @@ class TwistingSystem:
             if maps is None:
                 raise ValueError("explicit twisting systems need a maps dict")
             self.maps = dict(maps)
-            _refuse_keys_outside(group, self.maps, "tau")
-            for (d, g), m in self.maps.items():
-                if not isinstance(m, Matrix):
-                    raise TypeError(f"tau[{(d, g)}] is not a Matrix")
-                n = algebra.dim(g)
-                if (m.rows, m.cols) != (n, n):
-                    raise ValueError(f"tau[{(d, g)}] must be {n}x{n}, got {m.rows}x{m.cols}")
             needed = algebra.support()
         elif kind == COCYCLE:
             if alpha is None:
                 raise ValueError("cocycle twisting systems need an alpha dict")
+            # a bad key is named as an alpha key before its scalar is read
             _refuse_keys_outside(group, alpha, "alpha")
             self.alpha = {k: field.coerce(v) if isinstance(v, int) else v for k, v in alpha.items()}
             self.maps = {
@@ -119,14 +138,11 @@ class TwistingSystem:
             return
         else:
             raise ValueError(f"unknown twisting system kind {kind!r}")
-        if isinstance(group, IntegerWindow):
-            self._d_window = sorted({d for (d, _g) in self.maps})
+        self._d_window = _table_window(
+            group, self.maps, lambda g: (algebra.dim(g), algebra.dim(g)), needed, "tau"
+        )
+        if self._d_window is not None:
             self._require_twisted_algebra_entries()
-        else:
-            for d in group.elements():
-                for g in needed:
-                    if (d, g) not in self.maps:
-                        raise ValueError(f"missing tau for ({d!r},{g!r})")
 
     def _require_twisted_algebra_entries(self):
         """A stored window must hold every tau_g(h) that A^tau reads."""
@@ -141,15 +157,13 @@ class TwistingSystem:
 
     def d_degrees(self) -> list:
         """Degrees d over which the condition is quantified."""
-        if not isinstance(self.group, IntegerWindow):
-            return list(self.group.elements())
         if self._d_window is not None:
             return list(self._d_window)
         return support_closure(self.algebra)
 
     def window_limited(self) -> bool:
         """True when only a stored d-window is verifiable (integer degrees, non-automorphism)."""
-        return isinstance(self.group, IntegerWindow) and self.kind != AUTOMORPHISM
+        return self._d_window is not None
 
     def has_tau(self, d, g) -> bool:
         return self.sigma is not None or self.algebra.dim(g) == 0 or (d, g) in self.maps
@@ -171,23 +185,23 @@ class TwistingSystem:
 
 def identity_twist(algebra: GradedAlgebra) -> TwistingSystem:
     """tau_d(g) = id for all d, g (stored as the constant cocycle 1)."""
-    field = algebra.field
-    group = algebra.group
-    if isinstance(group, IntegerWindow):
-        dees = support_closure(algebra)
-        alpha = {(d, g): field.one for d in dees for g in algebra.support()}
-    else:
-        alpha = {(d, g): field.one for d in group.elements() for g in group.elements()}
+    dees = support_closure(algebra)
+    # a finite cocycle table holds every (d, g), an integer one the support's g
+    gees = algebra.support() if isinstance(algebra.group, IntegerWindow) else dees
+    alpha = {(d, g): algebra.field.one for d in dees for g in gees}
     return TwistingSystem(algebra, COCYCLE, alpha=alpha)
 
 
 def support_closure(algebra: GradedAlgebra) -> list:
-    """Integer degrees reachable by at most two products from the support.
+    """The default d-quantification set of a twist on `algebra`.
 
-    This is the default d-quantification set over ℤ: twisted algebras
+    Over a finite group it is every element. Over ℤ it is the degrees
+    reachable by at most two products from the support: twisted algebras
     index tau by support degrees, twisted (shifted) modules by sums of
     two of them.
     """
+    if not isinstance(algebra.group, IntegerWindow):
+        return list(algebra.group.elements())
     supp = algebra.support()
     if not supp:
         return [0]
@@ -378,8 +392,6 @@ def compose_twists(t: TwistingSystem, s: TwistingSystem) -> TwistingSystem:
     if t.kind == COCYCLE and s.kind == COCYCLE:
         field = a.field
         shared = set(t.alpha) & set(s.alpha)
-        if not isinstance(a.group, IntegerWindow):
-            shared = set(t.alpha)
         alpha = {k: field.mul(t.alpha[k], s.alpha[k]) for k in shared}
         return TwistingSystem(a, COCYCLE, alpha=alpha)
     if t.kind == AUTOMORPHISM and s.kind == AUTOMORPHISM:
@@ -395,16 +407,12 @@ def compose_twists(t: TwistingSystem, s: TwistingSystem) -> TwistingSystem:
             }
             sigma = GradedMorphism(a.space, a.space, comps, a.field)
             return TwistingSystem(a, AUTOMORPHISM, sigma=sigma, order=t.order)
-    if isinstance(a.group, IntegerWindow):
-        dees = set(support_closure(a))
-        for system in (t, s):
-            if system._d_window is not None:
-                dees &= set(system._d_window)
-        dees = sorted(dees)
-    else:
-        dees = list(a.group.elements())
+    dees = set(support_closure(a))
+    for system in (t, s):
+        if system._d_window is not None:
+            dees &= set(system._d_window)
     maps = {}
-    for d in dees:
+    for d in sorted(dees):
         for g in a.support():
             if t.has_tau(d, g) and s.has_tau(d, g):
                 maps[(d, g)] = t.tau(d, g) @ s.tau(d, g)
@@ -446,24 +454,14 @@ class PhiFamily:
         self.source = source
         self.target = target
         self.maps = dict(maps)
-        _refuse_keys_outside(source.group, self.maps, "phi")
-        for (d, g), m in self.maps.items():
-            want = (target.dim(g), source.dim(g))
-            if (m.rows, m.cols) != want:
-                raise ValueError(f"phi[{(d, g)}] must be {want[0]}x{want[1]}, got {m.rows}x{m.cols}")
-        if isinstance(source.group, IntegerWindow):
-            self._d_window = sorted({d for (d, _g) in self.maps})
-        else:
-            for d in source.group.elements():
-                for g in source.support():
-                    if (d, g) not in self.maps:
-                        raise ValueError(f"missing phi for ({d!r},{g!r})")
-            self._d_window = None
+        self._d_window = _table_window(
+            source.group, self.maps, lambda g: (target.dim(g), source.dim(g)), source.support(), "phi"
+        )
 
     def d_degrees(self):
         if self._d_window is not None:
             return list(self._d_window)
-        return list(self.source.group.elements())
+        return support_closure(self.source)
 
     def has(self, d, g):
         return self.source.dim(g) == 0 or (d, g) in self.maps
@@ -477,7 +475,7 @@ class PhiFamily:
             raise ValueError(f"phi not stored for ({d!r},{g!r})") from None
 
     def window_limited(self):
-        return isinstance(self.source.group, IntegerWindow)
+        return self._d_window is not None
 
 
 def check_phi_family(p: PhiFamily) -> Report:

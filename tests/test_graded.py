@@ -57,16 +57,39 @@ class TestCheckAlgebra:
         assert r.witness == ("associativity", (1, 1, 2))
 
     def test_broken_unit_fails(self):
+        # both units fail at degree 0: the left one is reported
         a = group_algebra(Z2)
         b = GradedAlgebra(a.space, a.mult, Matrix.column([2], QQ), QQ)
+        assert check_module(regular_module(b)).witness == ("unit-action", 0)
         r = check_algebra(b)
         assert not r.passed
-        assert r.witness[0] in ("left-unit", "right-unit")
+        assert r.witness == ("left-unit", 0)
 
     def test_zero_algebra_passes(self):
         space = GradedVectorSpace(Z2, {})
         a = GradedAlgebra(space, {}, Matrix.zeros(0, 1, QQ), QQ)
         assert check_algebra(a).passed
+
+    @pytest.mark.parametrize("left_identities, witness", [
+        (True, ("right-unit", 0)),
+        (False, ("left-unit", 0)),
+    ])
+    def test_unit_failures_at_different_degrees_report_the_lower_degree(self, left_identities, witness):
+        # A_0 = span(a, b) with xy = y (every element a left identity) or
+        # xy = x (a right identity), A_1 = span(c) killed by A_0 on the
+        # other side; associative, with the unit a failing one side in
+        # degree 0 and the other side in degree 1
+        rows = [[1, 0, 1, 0], [0, 1, 0, 1]] if left_identities else [[1, 1, 0, 0], [0, 0, 1, 1]]
+        acts, killed = Matrix.from_rows([[1, 1]], QQ), Matrix.zeros(1, 2, QQ)
+        mult = {
+            (0, 0): Matrix.from_rows(rows, QQ),
+            (0, 1): killed if left_identities else acts,
+            (1, 0): acts if left_identities else killed,
+        }
+        a = GradedAlgebra(GradedVectorSpace(IntegerWindow(0, 1), {0: 2, 1: 1}), mult, Matrix.column([1, 0], QQ), QQ)
+        regular = check_module(regular_module(a))
+        assert regular.witness == ("unit-action", 0 if left_identities else 1)
+        assert check_algebra(a).witness == witness
 
 
 class TestCheckModule:

@@ -14,6 +14,7 @@ from gradedtwist.fixtures import (
     broken_algebra,
     quantum_plane,
     random_cocycle_twist,
+    s3_group_algebra,
     sign_twist,
     z2_group_algebra,
     z3_group_algebra,
@@ -472,6 +473,49 @@ class TestTauTable:
 def test_support_closure_of_the_quantum_plane():
     a, _t = quantum_plane()
     assert support_closure(a) == list(range(7))
+
+
+def test_support_closure_of_a_finite_group_is_every_element():
+    for a in (z3_group_algebra(), s3_group_algebra()):
+        assert support_closure(a) == list(a.group.elements())
+
+
+def test_phi_entries_must_be_matrices():
+    a = z2_group_algebra()
+    maps = {(d, g): Matrix.identity(1, QQ) for d in (0, 1) for g in (0, 1)}
+    with pytest.raises(TypeError, match=r"phi\[\(0, 1\)\] is not a Matrix"):
+        PhiFamily(a, a, {**maps, (0, 1): 1})
+
+
+def _integer_explicit():
+    a, t = quantum_plane(2)
+    return TwistingSystem(a, EXPLICIT, maps={(d, g): t.tau(d, g) for d in a.support() for g in a.support()})
+
+
+def _cyclic_automorphism():
+    a = z3_group_algebra()
+    return TwistingSystem(a, AUTOMORPHISM, sigma=GradedMorphism.identity(a.space, QQ))
+
+
+@pytest.mark.parametrize("build, windowed", [
+    (_integer_explicit, True),
+    (lambda: scalar_explicit(z3_group_algebra(), {(1, 2): 2}), False),
+    (lambda: identity_twist(quantum_plane(2)[0]), True),
+    (lambda: random_cocycle_twist(0)[1], False),
+    (lambda: quantum_plane(2)[1], False),
+    (_cyclic_automorphism, False),
+    (lambda: phi_from_twist(quantum_plane(2)[1]), True),
+    (lambda: phi_from_twist(random_cocycle_twist(0)[1]), False),
+], ids=["explicit-Z", "explicit-Z3", "cocycle-Z", "cocycle-Z3", "automorphism-Z", "automorphism-Z3",
+        "phi-Z", "phi-Z3"])
+def test_a_table_is_window_limited_exactly_when_it_stores_a_window(build, windowed):
+    table = build()
+    algebra = table.source if isinstance(table, PhiFamily) else table.algebra
+    assert table.window_limited() is windowed
+    if windowed:
+        assert table.d_degrees() == sorted({d for d, _g in table.maps})
+    else:
+        assert table.d_degrees() == support_closure(algebra)
 
 
 def test_explicit_constructor_rejects_partial_finite_data():
