@@ -7,15 +7,23 @@ equality of matrices is literal equality of entries.
 
 Storage is dense, but the kernels skip zeros: `mat_mul` multiplies only
 pairs of nonzero entries, `kron` skips zero entries of either factor, and
-`rref` updates a row only where the pivot row is nonzero. `sparse_kernel`
-takes a matrix as `kernel_matrix` does and returns the same kernel, bit
-for bit, by eliminating only the rows of its nonzero-row index. Zero
-tests are by truthiness, which is exact because entries are kept in
-canonical form (`Fraction` over QQ, an int in [0, p) over F_p), and
-`Fraction(0)` and `0` are both falsy. `mat_mul`, `kron` and
-`sparse_kernel` find the nonzero entries of their operands through
-`Matrix.nonzero_rows()`, so a matrix is scanned for zeros at most once
-however many of them read it.
+`rref` updates a row only where the pivot row is nonzero. `mul_kron(x, f,
+g)` is `x @ kron(f, g)`, bit for bit, without the Kronecker product: a
+column i*g.rows + j of x meets row i of f and row j of g directly, which
+is how the axiom checkers and twist builders evaluate composites such as
+rho (rho (x) id). `sparse_kernel` takes a matrix as `kernel_matrix` does
+and returns the same kernel, bit for bit, by eliminating only the rows of
+its nonzero-row index. Zero tests are by truthiness, which is exact
+because entries are kept in canonical form (`Fraction` over QQ, an int
+in [0, p) over F_p), and `Fraction(0)` and `0` are both falsy.
+
+`mat_mul`, `mul_kron`, `kron` and `sparse_kernel` find the nonzero
+entries of their operands through `Matrix.nonzero_rows()`, so a matrix is
+scanned for zeros at most once however many of them read it. `mat_mul`,
+`mul_kron` and `kron` also write that index for their result, so no
+product is ever scanned: the two products store the first term at each
+place of an output row as it is, instead of adding it to zero, add the
+later ones to it, and drop sums that cancel.
 
 Entries from outside (parsed files, user code) are coerced and checked by
 `Matrix(...)`. Results of the kernels here are wrapped by
@@ -225,9 +233,10 @@ class Matrix:
     matrices that already exist, as in the kernels of this package.
 
     `nonzero_rows()` is a per-row index of the nonzero entries. The
-    kernels that know it while they write a result (`kron`,
-    `Matrix.identity`, `Matrix.zeros`) hand it to `_trusted`; any other
-    matrix builds it with one scan of `data` the first time it is read.
+    kernels that know it while they write a result (`mat_mul`, `mul_kron`,
+    `kron`, `Matrix.identity`, `Matrix.zeros`) hand it to `_trusted`; any
+    other matrix builds it with one scan of `data` the first time it is
+    read.
     It is derived from `data` alone and takes no part in equality or
     hashing, and since a matrix never changes it cannot go stale.
     """
@@ -409,23 +418,113 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product. (m x 0) times (0 x n) is the m x n zero matrix.
 
     Makes one field multiplication per pair a[i, k] != 0, b[k, j] != 0,
-    found through the nonzero-row index of each operand.
+    found through the nonzero-row index of each operand. Output rows are
+    accumulated as `_place_row` describes, and the result is handed its
+    nonzero-row index.
     """
     a._check_same_field(b)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     field = a.field
-    add, mul, zero = field.add, field.mul, field.zero
+    add, mul = field.add, field.mul
     n = b.cols
     b_rows = b.nonzero_rows()
-    out = []
+    out = [field.zero] * (a.rows * n)
+    index = []
+    start = 0
     for a_row in a.nonzero_rows():
-        acc = [zero] * n
-        for k, x in a_row:
+        if len(a_row) == 1:
+            # one term per column: nonzero, since a field has no zero divisors
+            (k, x), = a_row
+            row = []
             for j, y in b_rows[k]:
-                acc[j] = add(acc[j], mul(x, y))
-        out += acc
-    return Matrix._trusted(a.rows, n, field, out)
+                value = out[start + j] = mul(x, y)
+                row.append((j, value))
+            row = tuple(row)
+        elif a_row:
+            acc = [None] * n
+            for k, x in a_row:
+                for j, y in b_rows[k]:
+                    old = acc[j]
+                    acc[j] = mul(x, y) if old is None else add(old, mul(x, y))
+            row = _place_row(acc, out, start)
+        else:
+            row = ()
+        index.append(row)
+        start += n
+    return Matrix._trusted(a.rows, n, field, out, tuple(index))
+
+
+def mul_kron(x: Matrix, f: Matrix, g: Matrix) -> Matrix:
+    """x @ kron(f, g), bit for bit, without building kron(f, g).
+
+    Column c = i*g.rows + j of x meets row i of f and row j of g, so
+    out[r, k*g.cols + l] is the sum over c of x[r, c] f[i, k] g[j, l].
+    For each nonzero x[r, c] whose row j of g is not zero, x[r, c] is
+    multiplied once by each nonzero f[i, k], and that product once by
+    each nonzero g[j, l]. Output rows are accumulated as `_place_row`
+    describes, and the result is handed its nonzero-row index.
+    """
+    x._check_same_field(f)
+    f._check_same_field(g)
+    if x.cols != f.rows * g.rows:
+        raise ValueError(
+            f"dimension mismatch: {x.rows}x{x.cols} times kron of {f.rows}x{f.cols} and {g.rows}x{g.cols}"
+        )
+    field = x.field
+    add, mul = field.add, field.mul
+    g_height, width = g.rows, g.cols
+    n = f.cols * width
+    f_rows, g_rows = f.nonzero_rows(), g.nonzero_rows()
+    out = [field.zero] * (x.rows * n)
+    index = []
+    start = 0
+    for x_row in x.nonzero_rows():
+        if len(x_row) == 1:
+            # one term per column, in column order and nonzero, as in mat_mul
+            (c, v), = x_row
+            i, j = divmod(c, g_height)
+            g_row = g_rows[j]
+            row = []
+            if g_row:
+                for k, y in f_rows[i]:
+                    vy, base = mul(v, y), k * width
+                    for l, z in g_row:
+                        value = out[start + base + l] = mul(vy, z)
+                        row.append((base + l, value))
+            row = tuple(row)
+        elif x_row:
+            acc = [None] * n
+            for c, v in x_row:
+                i, j = divmod(c, g_height)
+                g_row = g_rows[j]
+                if not g_row:
+                    continue
+                for k, y in f_rows[i]:
+                    vy, base = mul(v, y), k * width
+                    for l, z in g_row:
+                        old = acc[base + l]
+                        acc[base + l] = mul(vy, z) if old is None else add(old, mul(vy, z))
+            row = _place_row(acc, out, start)
+        else:
+            row = ()
+        index.append(row)
+        start += n
+    return Matrix._trusted(x.rows, n, field, out, tuple(index))
+
+
+def _place_row(acc: list, out: list, start: int) -> tuple:
+    """The nonzero-row index entry of an output row accumulated in `acc`,
+    whose entries are also written to `out` from `start` on.
+
+    `acc[j]` is None until a product lands in column j; the first product
+    is stored as it is, not added to zero, and later ones are added to it.
+    Sums that cancel, like columns no product reached, are dropped here.
+    """
+    row = tuple([(j, value) for j, value in enumerate(acc) if value])
+    for j, value in row:
+        out[start + j] = value
+    return row
 
 
 def kron(f: Matrix, g: Matrix) -> Matrix:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import comb
 from itertools import combinations_with_replacement
 
-from .exactmath import QQ, Matrix, hstack, kron
+from .exactmath import QQ, Matrix, hstack, kron, mul_kron
 from .groups import FiniteGroup, IntegerWindow, same_group
 from .report import Report
 
@@ -241,7 +241,7 @@ def check_algebra(a: GradedAlgebra) -> Report:
     e = a.group.identity
     for g in a.support():
         ident = Matrix.identity(a.dim(g), a.field)
-        if a.mult_map(e, g) @ kron(a.unit, ident) != ident:
+        if mul_kron(a.mult_map(e, g), a.unit, ident) != ident:
             return Report("check_algebra", False, witness=("left-unit", g))
         if g == right_fails_at:
             return Report("check_algebra", False, witness=("right-unit", g))
@@ -251,20 +251,22 @@ def check_algebra(a: GradedAlgebra) -> Report:
 def check_module(m: GradedModule) -> Report:
     """Action associativity against the algebra, and unit action = id."""
     group = m.group
+    mul = group.mul_unchecked  # every degree below is a support element or a product of them
     a = m.algebra
+    ident_m = {g: Matrix.identity(m.dim(g), m.field) for g in m.support()}
+    ident_a = {k: Matrix.identity(a.dim(k), m.field) for k in a.support()}
     for g in m.support():
         for h in a.support():
+            gh = mul(g, h)
+            rho = m.action_map(g, h)
             for k in a.support():
-                gh = group.mul(g, h)
-                lhs = m.action_map(gh, k) @ kron(m.action_map(g, h), Matrix.identity(a.dim(k), m.field))
-                hk = group.mul(h, k)
-                rhs = m.action_map(g, hk) @ kron(Matrix.identity(m.dim(g), m.field), a.mult_map(h, k))
+                lhs = mul_kron(m.action_map(gh, k), rho, ident_a[k])
+                rhs = mul_kron(m.action_map(g, mul(h, k)), ident_m[g], a.mult_map(h, k))
                 if lhs != rhs:
                     return Report("check_module", False, witness=("associativity", (g, h, k)))
     e = group.identity
     for g in m.support():
-        ident = Matrix.identity(m.dim(g), m.field)
-        if m.action_map(g, e) @ kron(ident, a.unit) != ident:
+        if mul_kron(m.action_map(g, e), ident_m[g], a.unit) != ident_m[g]:
             return Report("check_module", False, witness=("unit-action", g))
     return Report("check_module", True)
 
@@ -276,7 +278,7 @@ def check_algebra_morphism(f: GradedMorphism, a: GradedAlgebra, b: GradedAlgebra
     for g in a.support():
         for h in a.support():
             gh = group.mul(g, h)
-            lhs = b.mult_map(g, h) @ kron(f.component(g), f.component(h))
+            lhs = mul_kron(b.mult_map(g, h), f.component(g), f.component(h))
             rhs = f.component(gh) @ a.mult_map(g, h)
             if lhs != rhs:
                 return Report("check_algebra_morphism", False, witness=("multiplicativity", (g, h)))
@@ -293,10 +295,11 @@ def check_module_morphism(f: GradedMorphism, m: GradedModule, n: GradedModule) -
         raise ValueError("morphism endpoints do not match the given modules")
     group = m.group
     a = m.algebra
+    ident_a = {h: Matrix.identity(a.dim(h), a.field) for h in a.support()}
     for g in m.support():
         for h in a.support():
             gh = group.mul(g, h)
-            lhs = n.action_map(g, h) @ kron(f.component(g), Matrix.identity(a.dim(h), a.field))
+            lhs = mul_kron(n.action_map(g, h), f.component(g), ident_a[h])
             rhs = f.component(gh) @ m.action_map(g, h)
             if lhs != rhs:
                 return Report("check_module_morphism", False, witness=("intertwining", (g, h)))

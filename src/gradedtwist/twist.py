@@ -31,7 +31,7 @@ and raise.
 
 from __future__ import annotations
 
-from .exactmath import Matrix, inverse, kron, try_inverse
+from .exactmath import Matrix, inverse, mul_kron, try_inverse
 from .graded import (
     GradedAlgebra,
     GradedModule,
@@ -269,7 +269,7 @@ def check_twist_condition(t: TwistingSystem) -> Report:
             if t.has_tau(d, g) and try_inverse(t.tau(d, g)) is None:
                 return Report("check_twist_condition", False, witness=("non-invertible", (d, g)), notes=notes)
     group = a.group
-    field = a.field
+    ident = {g: Matrix.identity(a.dim(g), a.field) for g in support}
     for d in dees:
         for g1 in support:
             for g2 in support:
@@ -278,10 +278,8 @@ def check_twist_condition(t: TwistingSystem) -> Report:
                 if not all(t.has_tau(*k) for k in needed):
                     continue
                 m = a.mult_map(g1, g2)
-                lhs = m @ kron(t.tau(d, g1), t.tau(dg1, g2))
-                rhs = t.tau(d, group.mul(g1, g2)) @ m @ kron(
-                    Matrix.identity(a.dim(g1), field), t.tau(g1, g2)
-                )
+                lhs = mul_kron(m, t.tau(d, g1), t.tau(dg1, g2))
+                rhs = mul_kron(t.tau(d, group.mul(g1, g2)) @ m, ident[g1], t.tau(g1, g2))
                 if lhs != rhs:
                     return Report(
                         "check_twist_condition", False, witness=("twist-condition", (d, g1, g2)), notes=notes
@@ -319,9 +317,10 @@ def twist_algebra(a: GradedAlgebra, t: TwistingSystem, run_checks: bool = True) 
         raise ValueError("twisting system belongs to a different algebra")
     group = a.group
     field = a.field
+    ident = {g: Matrix.identity(d, field) for g, d in a.space.dims.items()}
     mult = {}
     for (g, h), m in a.mult.items():
-        mult[(g, h)] = m @ kron(Matrix.identity(a.dim(g), field), t.tau(g, h))
+        mult[(g, h)] = mul_kron(m, ident[g], t.tau(g, h))
     tau_ee = t.tau(group.identity, group.identity)
     if try_inverse(tau_ee) is None:
         raise ValueError("tau_e(e) is singular; not a twisting system")
@@ -345,9 +344,10 @@ def twist_module(m: GradedModule, t: TwistingSystem, algebra_tw: GradedAlgebra |
     if algebra_tw is None:
         algebra_tw = twist_algebra(m.algebra, t, run_checks=False)
     field = m.field
+    ident = {g: Matrix.identity(d, field) for g, d in m.space.dims.items()}
     action = {}
     for (g, h), rho in m.action.items():
-        action[(g, h)] = rho @ kron(Matrix.identity(m.dim(g), field), t.tau(g, h))
+        action[(g, h)] = mul_kron(rho, ident[g], t.tau(g, h))
     result = GradedModule(m.space, algebra_tw, action)
     if run_checks:
         r = check_module(result)
@@ -500,7 +500,7 @@ def check_phi_family(p: PhiFamily) -> Report:
                 g1g2 = group.mul(g1, g2)
                 if not (p.has(d, g1) and p.has(dg1, g2) and p.has(d, g1g2)):
                     continue
-                lhs = a.mult_map(g1, g2) @ kron(p.map(d, g1), p.map(dg1, g2))
+                lhs = mul_kron(a.mult_map(g1, g2), p.map(d, g1), p.map(dg1, g2))
                 rhs = p.map(d, g1g2) @ b.mult_map(g1, g2)
                 if lhs != rhs:
                     return Report("check_phi_family", False, witness=("multiplicativity", (d, g1, g2)), notes=notes)

@@ -9,10 +9,18 @@ side on the layouts `build_RS` returns.
 A Hom family is a column on its space's layout. `column_blocks` slices
 one into a Matrix per block, and `block_composites` and `pull_push`
 compose such blocks with `@` and lay the products out again: the
-references for `compose_homs` and for the transport of `gamma_twist_phi`."""
+references for `compose_homs` and for the transport of `gamma_twist_phi`.
+
+The `reference_*` functions are the structure-map checkers and twist
+builders of `graded` and `twist` written with `mat_mul(x, kron(f, g))`,
+the form the library computes with the fused `mul_kron`. Each checker
+returns (passed, witness) and visits the degrees in the library's order,
+so a failure must name the same witness."""
 
 from gradedtwist.enriched import evaluation, sharp
-from gradedtwist.exactmath import Matrix, block_matrix, hstack, kron
+from gradedtwist.exactmath import Matrix, block_matrix, hstack, inverse, kron, mat_mul, try_inverse
+from gradedtwist.graded import GradedAlgebra, GradedModule, regular_module
+from gradedtwist.twist import AUTOMORPHISM
 
 
 def r_composite(m, n, q, p, h):
@@ -93,3 +101,124 @@ def pull_push(space, columns, u, v) -> Matrix:
                    for x in (v[p] @ blocks[p] @ u[group.mul(ginv, p)]).data]
         images.append(Matrix.column(entries, space.source.field))
     return hstack(images)
+
+
+def reference_check_module(m):
+    group, a, field = m.group, m.algebra, m.field
+    for g in m.support():
+        for h in a.support():
+            for k in a.support():
+                gh, hk = group.mul(g, h), group.mul(h, k)
+                lhs = mat_mul(m.action_map(gh, k), kron(m.action_map(g, h), Matrix.identity(a.dim(k), field)))
+                rhs = mat_mul(m.action_map(g, hk), kron(Matrix.identity(m.dim(g), field), a.mult_map(h, k)))
+                if lhs != rhs:
+                    return False, ("associativity", (g, h, k))
+    for g in m.support():
+        ident = Matrix.identity(m.dim(g), field)
+        if mat_mul(m.action_map(g, group.identity), kron(ident, a.unit)) != ident:
+            return False, ("unit-action", g)
+    return True, None
+
+
+def reference_check_algebra(a):
+    """Associativity is the regular module's; then each degree's left
+    unit before its right one."""
+    passed, witness = reference_check_module(regular_module(a))
+    if not passed and witness[0] == "associativity":
+        return passed, witness
+    e = a.group.identity
+    for g in a.support():
+        ident = Matrix.identity(a.dim(g), a.field)
+        if mat_mul(a.mult_map(e, g), kron(a.unit, ident)) != ident:
+            return False, ("left-unit", g)
+        if mat_mul(a.mult_map(g, e), kron(ident, a.unit)) != ident:
+            return False, ("right-unit", g)
+    return True, None
+
+
+def reference_check_algebra_morphism(f, a, b):
+    group = a.group
+    for g in a.support():
+        for h in a.support():
+            lhs = mat_mul(b.mult_map(g, h), kron(f.component(g), f.component(h)))
+            if lhs != f.component(group.mul(g, h)) @ a.mult_map(g, h):
+                return False, ("multiplicativity", (g, h))
+    if f.component(group.identity) @ a.unit != b.unit:
+        return False, ("unit", group.identity)
+    return True, None
+
+
+def reference_check_module_morphism(f, m, n):
+    group, a = m.group, m.algebra
+    for g in m.support():
+        for h in a.support():
+            lhs = mat_mul(n.action_map(g, h), kron(f.component(g), Matrix.identity(a.dim(h), a.field)))
+            if lhs != f.component(group.mul(g, h)) @ m.action_map(g, h):
+                return False, ("intertwining", (g, h))
+    return True, None
+
+
+def reference_check_twist_condition(t):
+    """The explicit and cocycle criterion; an automorphism twist is checked
+    by check_algebra_morphism on sigma instead."""
+    assert t.kind != AUTOMORPHISM
+    a = t.algebra
+    passed, witness = reference_check_algebra(a)
+    if not passed:
+        return False, {"algebra": witness}
+    group, support = a.group, a.support()
+    for d in t.d_degrees():
+        for g in support:
+            if t.has_tau(d, g) and try_inverse(t.tau(d, g)) is None:
+                return False, ("non-invertible", (d, g))
+    for d in t.d_degrees():
+        for g1 in support:
+            for g2 in support:
+                dg1, g1g2 = group.mul(d, g1), group.mul(g1, g2)
+                if not all(t.has_tau(*k) for k in [(d, g1), (dg1, g2), (d, g1g2), (g1, g2)]):
+                    continue
+                m = a.mult_map(g1, g2)
+                lhs = mat_mul(m, kron(t.tau(d, g1), t.tau(dg1, g2)))
+                rhs = mat_mul(t.tau(d, g1g2) @ m, kron(Matrix.identity(a.dim(g1), a.field), t.tau(g1, g2)))
+                if lhs != rhs:
+                    return False, ("twist-condition", (d, g1, g2))
+    return True, None
+
+
+def reference_check_phi_family(p):
+    a, b = p.target, p.source
+    if a.space.dims != b.space.dims:
+        return False, ("dims-mismatch",)
+    group = a.group
+    for d in p.d_degrees():
+        for g in b.support():
+            if p.has(d, g) and try_inverse(p.map(d, g)) is None:
+                return False, ("non-invertible", (d, g))
+    for d in p.d_degrees():
+        for g1 in b.support():
+            for g2 in b.support():
+                dg1, g1g2 = group.mul(d, g1), group.mul(g1, g2)
+                if not (p.has(d, g1) and p.has(dg1, g2) and p.has(d, g1g2)):
+                    continue
+                lhs = mat_mul(a.mult_map(g1, g2), kron(p.map(d, g1), p.map(dg1, g2)))
+                if lhs != p.map(d, g1g2) @ b.mult_map(g1, g2):
+                    return False, ("multiplicativity", (d, g1, g2))
+    e = group.identity
+    if p.has(e, e) and p.map(e, e) @ b.unit != a.unit:
+        return False, ("unit", e)
+    return True, None
+
+
+def reference_twist_algebra(a, t):
+    """A^tau with m^tau_{g,h} = m_{g,h} (id (x) tau_g(h)), unchecked."""
+    mult = {(g, h): mat_mul(m, kron(Matrix.identity(a.dim(g), a.field), t.tau(g, h)))
+            for (g, h), m in a.mult.items()}
+    e = a.group.identity
+    return GradedAlgebra(a.space, mult, inverse(t.tau(e, e)) @ a.unit, a.field)
+
+
+def reference_twist_module(m, t, algebra_tw):
+    """M^tau with rho^tau_{g,h} = rho_{g,h} (id (x) tau_g(h)), unchecked."""
+    action = {(g, h): mat_mul(rho, kron(Matrix.identity(m.dim(g), m.field), t.tau(g, h)))
+              for (g, h), rho in m.action.items()}
+    return GradedModule(m.space, algebra_tw, action)

@@ -20,6 +20,7 @@ from gradedtwist.exactmath import (
     kernel_matrix,
     kron,
     mat_mul,
+    mul_kron,
     rank,
     rref,
     solve,
@@ -483,6 +484,49 @@ def test_sparse_kernel_is_the_dense_kernel(field, data):
     assert pivots == tuple(next(i for i, x in enumerate(dense.col(j)) if x) for j in range(dense.cols))
 
 
+def half_zero_matrix(field, rows, cols):
+    cells = st.lists(st.one_of(st.just(0), nonzero_scalars(field)), min_size=rows * cols, max_size=rows * cols)
+    return cells.map(lambda entries: Matrix(rows, cols, field, entries))
+
+
+def kron_operands(field, data):
+    """(x, f, g) with x of width f.rows * g.rows. Entries are zero half of
+    the time, so a row of x holds one term or several; f or g may be an
+    identity or sparse, any dimension may be 0, and x may be widened to
+    [x, w - x] against the doubled factor [f; f], so that its products
+    cancel wherever w is zero."""
+    dims = st.sampled_from([2, 3, 1, 2, 3, 1, 0])  # a 0 now and then, not in most examples
+    f, g = (data.draw(st.one_of(st.tuples(dims, dims).flatmap(lambda rc: half_zero_matrix(field, *rc)),
+                                sparse_matrices(field, max_dim=3),
+                                dims.map(lambda n: Matrix.identity(n, field))))
+            for _ in range(2))
+    x = data.draw(half_zero_matrix(field, data.draw(dims), f.rows * g.rows))
+    if data.draw(st.booleans()):
+        w = data.draw(half_zero_matrix(field, x.rows, x.cols))
+        x, f = hstack([x, w - x]), vstack([f, f])
+    return x, f, g
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mul_kron_is_the_product_with_kron(field, data):
+    x, f, g = kron_operands(field, data)
+    fused = mul_kron(x, f, g)
+    assert fused == mat_mul(x, kron(f, g))
+    assert_canonical(fused)
+    index = fused.nonzero_rows()
+    assert index == scanned_rows(fused)
+    assert all(v is fused.data[i * fused.cols + j] for i, row in enumerate(index) for j, v in row)
+
+
+def test_mul_kron_refuses_mismatched_operands():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mul_kron(Matrix.identity(5, QQ), Matrix.identity(2, QQ), Matrix.identity(2, QQ))
+    with pytest.raises(ValueError, match="field mismatch"):
+        mul_kron(Matrix.identity(4, QQ), Matrix.identity(2, QQ), Matrix.identity(2, F7))
+
+
 def scanned_rows(m):
     """The nonzero-row index straight from the dense entries."""
     return tuple(tuple((j, x) for j, x in enumerate(m.row(i)) if x) for i in range(m.rows))
@@ -496,7 +540,12 @@ def test_every_kernel_result_indexes_its_own_nonzeros(field, data):
     c = data.draw(sparse_matrix(field, a.rows, a.cols))
     g = data.draw(sparse_matrices(field, max_dim=3))
     square = data.draw(sparse_matrix(field, a.rows, a.rows))
-    results = [a, b, mat_mul(a, b), kron(a, g), kron(g, b), kron(Matrix.identity(2, field), a),
+    w = data.draw(sparse_matrix(field, b.rows, b.cols))
+    x = data.draw(sparse_matrix(field, 3, a.rows * g.rows))
+    # [a, a] @ [b; w - b] = a @ w: the sums cancel wherever w is zero
+    cancelling = mat_mul(hstack([a, a]), vstack([b, w - b]))
+    results = [a, b, mat_mul(a, b), cancelling, mul_kron(x, a, g), kron(a, g), kron(g, b),
+               kron(Matrix.identity(2, field), a),
                Matrix.identity(a.rows, field), Matrix.zeros(a.rows, b.cols, field), Matrix.zeros(0, a.cols, field),
                a + c, a - c, -a, a.scale(3), a.transpose(), rref(a)[0], column_echelon(a), kernel_matrix(a),
                hstack([a, c]), vstack([b, b]),
@@ -537,12 +586,11 @@ def test_kron_and_identity_hand_their_index_over(monkeypatch):
             assert m.nonzero_rows() == scanned_rows(m)
             mat_mul(m, Matrix.identity(m.cols, field))
         assert scans == []
-        # a product is indexed by one scan, the first time it is read
-        product = mat_mul(f, Matrix.identity(4, field))
-        product.nonzero_rows()
-        product.nonzero_rows()
-        assert scans == [product]
-        scans.clear()
+        # a product writes its own index, so it is never scanned
+        identity = Matrix.identity(2, field)
+        for product in (mat_mul(f, Matrix.identity(4, field)), mul_kron(f, identity, identity)):
+            assert product.nonzero_rows() == scanned_rows(product)
+        assert scans == []
 
 
 rationals = st.fractions(max_denominator=10**6)
@@ -616,6 +664,31 @@ class TestWorkCounts:
         field.muls = 0
         kron(identity, Matrix.zeros(3, 3, field))
         assert field.muls == 0
+
+    def test_mul_kron_reuses_each_x_times_f_product_and_builds_no_kron(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mul_kron built a Kronecker product")
+
+        monkeypatch.setattr(exactmath, "kron", refuse)
+        rng = random.Random(6)
+        field = CountingField(7)
+        for rows, shape_f, shape_g in [(5, (3, 4), (4, 2)), (1, (6, 6), (1, 1)), (4, (2, 0), (3, 3)),
+                                       (0, (2, 2), (2, 2)), (12, (5, 5), (5, 5))]:
+            f = self.random_sparse(rng, *shape_f, field)
+            g = self.random_sparse(rng, *shape_g, field)
+            x = self.random_sparse(rng, rows, f.rows * g.rows, field)
+            # x[r, c] f[i, k] is made once per nonzero pair and multiplied by each
+            # nonzero g[j, l]; a column whose row j of g is zero costs nothing
+            expected = 0
+            for r in range(rows):
+                for c, v in enumerate(x.row(r)):
+                    i, j = divmod(c, g.rows)
+                    if v and nonzero_count(g.row(j)):
+                        expected += nonzero_count(f.row(i)) * (1 + nonzero_count(g.row(j)))
+            field.muls = 0
+            product = mul_kron(x, f, g)
+            assert field.muls == expected
+            assert product == naive_mat_mul(x, index_kron(f, g))
 
 
 class TestPublicConstructor:
