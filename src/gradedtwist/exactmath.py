@@ -434,7 +434,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     start = 0
     for a_row in a.nonzero_rows():
         if len(a_row) == 1:
-            # one term per column: nonzero, since a field has no zero divisors
+            # one term per column: nonzero, since a field has no zero divisors.
+            # Most rows of the structure-map products are such, and skipping
+            # the accumulation list for them is the common, faster path.
             (k, x), = a_row
             row = []
             for j, y in b_rows[k]:
