@@ -20,9 +20,23 @@ entries by the formulas in its docstring, and tests/test_enriched.py
 test_s_blocks_are_the_curried_action_composites) checks D bit for bit
 against the composites. The Hom space itself is ker(D) with its
 canonical (column-echelon) basis, so equal subspaces always have
-bit-identical bases. Every row of D has few nonzeros (at most two over a
-group algebra), so the basis comes from those rows alone by the sparse
-elimination `exactmath.sparse_kernel`. The dense `kernel_matrix` stays
+bit-identical bases.
+
+A module map need only commute with a generating set: when M and N are
+unital modules and the blocks A_h, h in H, generate A, the a with
+f(ma) = f(m)a for all m form a subspace closed under products that holds
+1 and A_H, so it is all of A (graded's module docstring). D may then keep
+only its target blocks (p, h) with h in H: its kernel is the same
+subspace, so the canonical basis is the same, bit for bit. `build_RS`
+does this only when handed such an H. `gamma_algebra` hands it one after
+`check_algebra` has proved A an algebra (so the regular module a module)
+and certified H with `graded.generating_degrees`. Otherwise, and for
+every other caller, D quantifies over all of supp A, as the oracle
+`direct_intertwiner_basis` always does.
+
+Every row of D has few nonzeros (at most two over a group algebra), so
+the basis comes from those rows alone by the sparse elimination
+`exactmath.sparse_kernel`. The dense `kernel_matrix` stays
 for `direct_intertwiner_basis`, the independent oracle the tests compare
 with. That basis is all a space keeps: its pivot rows hold an identity
 block, so the coordinates of a vector V are V's entries at the pivot
@@ -56,6 +70,7 @@ from .graded import (
     GradedModule,
     GradedMorphism,
     GradedVectorSpace,
+    _check_algebra,
     check_algebra_morphism,
     regular_module,
     shift_module,
@@ -129,13 +144,20 @@ def _source_blocks(m: GradedModule, n: GradedModule, g) -> list:
     return blocks
 
 
-def build_RS(m: GradedModule, n: GradedModule, g):
+def build_RS(m: GradedModule, n: GradedModule, g, generators=None):
     """D = R - S, whose kernel is the degree-g Hom space.
 
     Returns (D, source_layout, target_layout); the layouts are lists of
-    (label, offset, size). With q = g^-1 p and K = dim M_q dim A_h, each
-    nonzero action-map entry goes straight to its (row, column) in target
-    block (p, h) and source block ph (for R) or p (for S):
+    (label, offset, size). The target blocks (p, h) run over every h in
+    supp A, or only over the degrees in `generators`. Pass those only
+    when they are proved to generate A and M and N are proved to be
+    unital modules, as gamma_algebra does. Then f(ma) = f(m)a for a in
+    A_H gives it for all a, since such a form a unital subalgebra, so
+    the kernel is the same subspace.
+
+    With q = g^-1 p and K = dim M_q dim A_h, each nonzero action-map
+    entry goes straight to its (row, column) in target block (p, h) and
+    source block ph (for R) or p (for S):
 
       R:  (r K + c, r dim M_qh + s)                      = rho^M_{q,h}[s, c]
       S:  ((r dim M_q + l) dim A_h + j, k dim M_q + l)  = rho^N_{p,h}[r, k dim A_h + j]
@@ -157,10 +179,11 @@ def build_RS(m: GradedModule, n: GradedModule, g):
     src_offset = {p: off for p, off, _size in source}
     width = sum(size for _p, _off, size in source)
     # the target layout: nonzero blocks (p, h), p = g q, in ascending order
+    middles = a_dims.items() if generators is None else [(h, a_dims.get(h, 0)) for h in generators]
     pairs = []
     for q, dim_q in m_dims.items():
         p = mul(g, q)
-        pairs += [((p, h), n_dims.get(mul(p, h), 0) * dim_q * dim_h) for h, dim_h in a_dims.items()]
+        pairs += [((p, h), n_dims.get(mul(p, h), 0) * dim_q * dim_h) for h, dim_h in middles]
     target, height = [], 0
     for key, size in sorted(pairs):
         if size:
@@ -244,8 +267,9 @@ class ModuleHomSpace:
         return f"ModuleHomSpace(degree={self.degree!r}, dim={self.dim})"
 
 
-def module_hom_space(m: GradedModule, n: GradedModule, g) -> ModuleHomSpace:
-    difference, source, _target = build_RS(m, n, g)
+def module_hom_space(m: GradedModule, n: GradedModule, g, generators=None) -> ModuleHomSpace:
+    """[[M, N]]_g; `generators` as for build_RS."""
+    difference, source, _target = build_RS(m, n, g, generators)
     return ModuleHomSpace(m, n, g, difference, source)
 
 
@@ -304,10 +328,12 @@ def identity_hom(m: GradedModule) -> Matrix:
     return Matrix._trusted(len(entries), 1, m.field, entries)
 
 
-def compose_homs(left: ModuleHomSpace, fs: Matrix, right: ModuleHomSpace, gs: Matrix) -> Matrix:
+def compose_homs(left: ModuleHomSpace, fs: Matrix, right: ModuleHomSpace, gs: Matrix, layout=None) -> Matrix:
     """The composites f o f' of the columns fs on left = [[N, P]]_g with the
     columns gs on right = [[M, N]]_h, as one matrix on the layout of
-    [[M, P]]_gh: column a * gs.cols + b is fs[:, a] o gs[:, b].
+    [[M, P]]_gh: column a * gs.cols + b is fs[:, a] o gs[:, b]. That
+    layout is built here unless the caller passes the one it holds, the
+    source_layout of a space [[M, P]]_gh.
 
     Block p of f o f' is f_p o f'_{g^-1 p}; its entries are summed from the
     nonzero entries of the two slices, read through the nonzero-row
@@ -319,8 +345,10 @@ def compose_homs(left: ModuleHomSpace, fs: Matrix, right: ModuleHomSpace, gs: Ma
     if (fs.rows, gs.rows, fs.field, gs.field) != (left.total, right.total, field, field):
         raise ValueError(f"columns must have {left.total} and {right.total} rows over {field!r}")
     group, add, mul = m.group, field.add, field.mul
+    n_dims, p_dims = n.space.dims, target.space.dims
     ginv = group.inv(left.degree)
-    layout = _source_blocks(m, target, group.mul(left.degree, right.degree))
+    if layout is None:
+        layout = _source_blocks(m, target, group.mul(left.degree, right.degree))
     f_at = {p: off for p, off, _size in left.source_layout}
     g_at = {q: off for q, off, _size in right.source_layout}
     f_rows, g_rows = fs.nonzero_rows(), gs.nonzero_rows()
@@ -331,7 +359,7 @@ def compose_homs(left: ModuleHomSpace, fs: Matrix, right: ModuleHomSpace, gs: Ma
         if p not in f_at:
             continue  # N_q = 0: the composite's block is zero
         # f_p is dim P_p x dim N_q, f'_q is dim N_q x dim M_{(gh)^-1 p}
-        f0, g0, dim_q, dim_p = f_at[p], g_at[q], n.dim(q), target.dim(p)
+        f0, g0, dim_q, dim_p = f_at[p], g_at[q], n_dims[q], p_dims[p]
         dim_m = size // dim_p
         for i in range(dim_p):
             for k in range(dim_q):
@@ -375,11 +403,21 @@ class GammaAlgebra:
 
 
 def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
+    """Gamma(A) = [[A, A]] of the regular module, on canonical bases.
+
+    check_algebra runs on A first. When it proves A an algebra with
+    certified generating degrees H, each Hom space is the equalizer of
+    the target blocks (p, h) with h in H alone (module docstring); the
+    bases are those of the full equalizer. Otherwise every space
+    quantifies over all of supp A, and a non-algebra gives what the full
+    equalizer gives.
+    """
     group = a.group
     field = a.field
     degrees = a.support() if isinstance(group, IntegerWindow) else list(group.elements())
     reg = regular_module(a)
-    spaces = {g: module_hom_space(reg, reg, g) for g in degrees}
+    generators = _check_algebra(a, reg)[1]
+    spaces = {g: module_hom_space(reg, reg, g, generators) for g in degrees}
     dims = {g: spaces[g].dim for g in degrees if spaces[g].dim}
     space = GradedVectorSpace(group, dims)
     mult = {}
@@ -388,7 +426,8 @@ def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
             target = spaces.get(group.mul(g, h))
             if not (spaces[g].dim and spaces[h].dim) or target is None or not target.dim:
                 continue
-            composites = compose_homs(spaces[g], spaces[g].kernel, spaces[h], spaces[h].kernel)
+            composites = compose_homs(spaces[g], spaces[g].kernel, spaces[h], spaces[h].kernel,
+                                      target.source_layout)
             try:
                 mult[(g, h)] = target.coords(composites)
             except ValueError:

@@ -23,7 +23,8 @@ scanned for zeros at most once however many of them read it. `mat_mul`,
 `mul_kron` and `kron` also write that index for their result, so no
 product is ever scanned: the two products store the first term at each
 place of an output row as it is, instead of adding it to zero, add the
-later ones to it, and drop sums that cancel.
+later ones to it, and drop sums that cancel. `block_matrix` shifts its
+blocks' indexes into place.
 
 Entries from outside (parsed files, user code) are coerced and checked by
 `Matrix(...)`. Results of the kernels here are wrapped by
@@ -234,9 +235,9 @@ class Matrix:
 
     `nonzero_rows()` is a per-row index of the nonzero entries. The
     kernels that know it while they write a result (`mat_mul`, `mul_kron`,
-    `kron`, `Matrix.identity`, `Matrix.zeros`) hand it to `_trusted`; any
-    other matrix builds it with one scan of `data` the first time it is
-    read.
+    `kron`, `block_matrix`, `Matrix.identity`, `Matrix.zeros`) hand it to
+    `_trusted`; any other matrix builds it with one scan of `data` the
+    first time it is read.
     It is derived from `data` alone and takes no part in equality or
     hashing, and since a matrix never changes it cannot go stale.
     """
@@ -768,7 +769,9 @@ def block_matrix(row_dims, col_dims, blocks, field) -> Matrix:
     """Assemble a block matrix from a {(i, j): Matrix} dict.
 
     row_dims and col_dims give the heights and widths of the block grid;
-    omitted blocks are zero. Shapes of provided blocks are checked.
+    omitted blocks are zero. Shapes of provided blocks are checked. The
+    result's nonzero-row index is the blocks' own, shifted by their
+    offsets.
     """
     row_offsets = _offsets(row_dims)
     col_offsets = _offsets(col_dims)
@@ -788,7 +791,12 @@ def block_matrix(row_dims, col_dims, blocks, field) -> Matrix:
             base = (r0 + i) * total_cols + c0
             row = block.row(i)
             out[base : base + block.cols] = row
-    return Matrix._trusted(total_rows, total_cols, field, out)
+    index = [[] for _ in range(total_rows)]
+    for (bi, bj), block in sorted(blocks.items(), key=lambda item: item[0][1]):  # left to right
+        r0, c0 = row_offsets[bi], col_offsets[bj]
+        for i, entries in enumerate(block.nonzero_rows()):
+            index[r0 + i] += [(c0 + j, x) for j, x in entries]
+    return Matrix._trusted(total_rows, total_cols, field, out, tuple(map(tuple, index)))
 
 
 def _offsets(dims):

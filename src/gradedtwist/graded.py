@@ -3,8 +3,27 @@
 A graded structure is a family of finite-dimensional components indexed
 by group degrees, with structure maps stored as matrices in the global
 Kronecker convention of exactmath. Nothing is assumed: associativity,
-unitality, and morphism identities are verified exhaustively over the
-supported degrees by the check_* functions.
+unitality, and morphism identities are verified by the check_* functions,
+over every supported degree or over a set of degrees proved to be enough.
+
+Three lemmas, each proved by closure, let a check quantify over a
+generating set H of degrees (the blocks A_h, h in H, generate A):
+
+- Algebra associativity (Light's test; Clifford and Preston, The
+  Algebraic Theory of Semigroups I, 1961, section 1.2). The y with
+  (xy)z = x(yz) for all x, z form a subspace closed under products,
+  which holds 1 when the unit laws hold. So with the unit laws checked
+  on every degree, the triples (g, h, k) with h in H suffice.
+- Module associativity, given A associative: the a with (ma)b = m(ab)
+  for all m, b are closed under products, so the middle degree may run
+  over H.
+- Module maps, given M and N unital modules: f(ma) = f(m)a for all a in
+  A_H implies it for all a. `enriched.build_RS` uses this one.
+
+`generating_degrees` is the certificate: it picks H and proves, by an
+exact span computation, that H generates A, or returns None.
+`check_algebra` uses the first lemma and the certificate, and falls back
+to the full loop whenever either does not apply.
 
 Storage rule, enforced for mult and action alike by `_structure_maps`:
 a key (g, h) must be present exactly when all three of dims(g), dims(h),
@@ -19,7 +38,7 @@ from __future__ import annotations
 from math import comb
 from itertools import combinations_with_replacement
 
-from .exactmath import QQ, Matrix, hstack, kron, mul_kron
+from .exactmath import QQ, Matrix, column_echelon, hstack, kron, mul_kron
 from .groups import FiniteGroup, IntegerWindow, same_group
 from .report import Report
 
@@ -228,47 +247,141 @@ class GradedMorphism:
 
 
 def check_algebra(a: GradedAlgebra) -> Report:
-    """Associativity and unitality over all supported degree triples.
+    """Associativity and unitality of a graded algebra.
 
-    Associativity is the regular module's, and so is the right unit:
-    check_module's first "unit-action" degree. Each degree still checks
-    its left unit before its right one.
+    The unit laws are checked on every degree, then associativity on the
+    triples (g, h, k) whose middle degree h is one of the
+    `generating_degrees` H. By Light's test that proves it everywhere:
+    the y with (xy)z = x(yz) for all x, z are closed under products and
+    hold 1 once the unit laws hold, and the certificate shows that A_H
+    and 1 generate A. A passing report notes the degrees it quantified
+    over.
+
+    When the certificate is None or the reduced check fails anywhere, the
+    full loop runs instead, in its own order, so verdicts and witnesses
+    do not depend on the reduction: associativity over every triple is
+    the regular module's, and so is the right unit (check_module's first
+    "unit-action" degree), and each degree checks its left unit before
+    its right one.
     """
-    regular = check_module(regular_module(a))
+    return _check_algebra(a, regular_module(a))[0]
+
+
+def _check_algebra(a: GradedAlgebra, reg: GradedModule):
+    """check_algebra's report on A, whose regular module is `reg`, and the
+    generating degrees it quantified over (None after the full loop)."""
+    generators = generating_degrees(a) if _unit_laws_hold(a) else None
+    if generators is not None and _associativity_failure(reg, generators) is None:
+        note = f"associativity over generating degrees {generators}"
+        return Report("check_algebra", True, notes=(note,)), generators
+    regular = check_module(reg)
     if not regular.passed and regular.witness[0] == "associativity":
-        return Report("check_algebra", False, witness=regular.witness)
+        return Report("check_algebra", False, witness=regular.witness), None
     right_fails_at = None if regular.passed else regular.witness[1]
     e = a.group.identity
     for g in a.support():
         ident = Matrix.identity(a.dim(g), a.field)
         if mul_kron(a.mult_map(e, g), a.unit, ident) != ident:
-            return Report("check_algebra", False, witness=("left-unit", g))
+            return Report("check_algebra", False, witness=("left-unit", g)), None
         if g == right_fails_at:
-            return Report("check_algebra", False, witness=("right-unit", g))
-    return Report("check_algebra", True)
+            return Report("check_algebra", False, witness=("right-unit", g)), None
+    return Report("check_algebra", True, notes=("associativity over the full support",)), None
+
+
+def _unit_laws_hold(a: GradedAlgebra) -> bool:
+    e = a.group.identity
+    for g in a.support():
+        ident = Matrix.identity(a.dim(g), a.field)
+        if mul_kron(a.mult_map(e, g), a.unit, ident) != ident:
+            return False
+        if mul_kron(a.mult_map(g, e), ident, a.unit) != ident:
+            return False
+    return True
+
+
+def generating_degrees(a: GradedAlgebra):
+    """Degrees H whose components provably generate A, or None.
+
+    H is picked greedily by ascending degree: g joins H when the span V
+    of the left-normed products u s_1 ... s_k (u the unit, each s_i in
+    some A_h with h in H) falls short of A_g. V is computed exactly,
+    degree by degree until a fixed point: V_e starts as the span of u,
+    and V_g A_h, the columns of mul_kron(m_{g,h}, V_g, id_h), is added
+    to V_gh for each h in H. V only grows with H, so when every A_g is
+    reached, V is all of A, which proves that H generates A. Returns None
+    when dim A_e = 0, or when A_g is not reached even with g in H (as
+    when the unit does not act as one on the left).
+    """
+    if not a.dim(a.group.identity):
+        return None
+    generators = []
+    span = _left_normed_span(a, generators)
+    for g in a.support():
+        if g in span and span[g].cols == a.dim(g):
+            continue
+        generators.append(g)
+        span = _left_normed_span(a, generators)
+        if g not in span or span[g].cols < a.dim(g):
+            return None
+    return generators
+
+
+def _left_normed_span(a: GradedAlgebra, generators) -> dict:
+    """{g: V_g} for the nonzero V_g of generating_degrees, each in column
+    echelon form."""
+    mul, field = a.group.mul_unchecked, a.field
+    ident = {h: Matrix.identity(a.dim(h), field) for h in generators}
+    start = column_echelon(a.unit)
+    span = {a.group.identity: start} if start.cols else {}
+    work = list(span)
+    while work:
+        g = work.pop()
+        for h in generators:
+            m = a.mult.get((g, h))
+            if m is None:
+                continue
+            gh = mul(g, h)
+            products = mul_kron(m, span[g], ident[h])
+            old = span.get(gh)
+            grown = column_echelon(products if old is None else hstack([old, products]))
+            if grown.cols > (0 if old is None else old.cols):
+                span[gh] = grown
+                work.append(gh)
+    return span
 
 
 def check_module(m: GradedModule) -> Report:
     """Action associativity against the algebra, and unit action = id."""
-    group = m.group
-    mul = group.mul_unchecked  # every degree below is a support element or a product of them
+    a = m.algebra
+    bad = _associativity_failure(m, a.support())
+    if bad is not None:
+        return Report("check_module", False, witness=("associativity", bad))
+    e = m.group.identity
+    for g in m.support():
+        ident = Matrix.identity(m.dim(g), m.field)
+        if mul_kron(m.action_map(g, e), ident, a.unit) != ident:
+            return Report("check_module", False, witness=("unit-action", g))
+    return Report("check_module", True)
+
+
+def _associativity_failure(m: GradedModule, middles):
+    """The first (g, h, k), with g over supp M, h over `middles` and k
+    over supp A in that nesting, at which rho_{gh,k} (rho_{g,h} (x) id)
+    and rho_{g,hk} (id (x) m_{h,k}) differ; None if there is none."""
+    mul = m.group.mul_unchecked  # every degree below is a support element or a product of them
     a = m.algebra
     ident_m = {g: Matrix.identity(m.dim(g), m.field) for g in m.support()}
     ident_a = {k: Matrix.identity(a.dim(k), m.field) for k in a.support()}
     for g in m.support():
-        for h in a.support():
+        for h in middles:
             gh = mul(g, h)
             rho = m.action_map(g, h)
             for k in a.support():
                 lhs = mul_kron(m.action_map(gh, k), rho, ident_a[k])
                 rhs = mul_kron(m.action_map(g, mul(h, k)), ident_m[g], a.mult_map(h, k))
                 if lhs != rhs:
-                    return Report("check_module", False, witness=("associativity", (g, h, k)))
-    e = group.identity
-    for g in m.support():
-        if mul_kron(m.action_map(g, e), ident_m[g], a.unit) != ident_m[g]:
-            return Report("check_module", False, witness=("unit-action", g))
-    return Report("check_module", True)
+                    return (g, h, k)
+    return None
 
 
 def check_algebra_morphism(f: GradedMorphism, a: GradedAlgebra, b: GradedAlgebra) -> Report:
@@ -467,6 +580,7 @@ __all__ = [
     "GradedModule",
     "GradedMorphism",
     "check_algebra",
+    "generating_degrees",
     "check_module",
     "check_algebra_morphism",
     "check_module_morphism",

@@ -1,11 +1,15 @@
 """The checkers and twist builders that compute with the fused `mul_kron`
 give the verdicts, witnesses and structures of their `mat_mul(x, kron(f, g))`
 references in `composites`, on seeded one-entry perturbations; and the
-independent oracles never call `mul_kron`."""
+independent oracles never call `mul_kron`. check_algebra, which quantifies
+associativity over certified generating degrees, also gives the verdict and
+witness of its full-loop reference on drawn perturbations."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from composites import (
     reference_check_algebra,
@@ -304,6 +308,29 @@ def test_the_cases_reach_every_witness():
         ("check_twist_condition", "non-invertible"), ("check_twist_condition", "twist-condition"),
         ("check_phi_family", "non-invertible"), ("check_phi_family", "multiplicativity"),
     }
+
+
+PERTURBED_BASES = {label: a for label, a in ALGEBRAS if label in ("qp3", "qp3-twisted", "s3-f7", "sign-f7")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       kind=st.sampled_from(["broken", "bump", "set", "unit"]),
+       base=st.sampled_from(sorted(PERTURBED_BASES)))
+def test_check_algebra_matches_its_full_loop_reference_on_drawn_perturbations(seed, kind, base):
+    """A `broken_algebra` seed, or one structure-map entry bumped by one or
+    set to a drawn value, or a drawn unit."""
+    rng = random.Random(seed)
+    a = PERTURBED_BASES[base]
+    if kind == "broken":
+        a = broken_algebra(seed)
+    elif kind == "bump":
+        a = GradedAlgebra(a.space, bump_one(a.mult, rng), a.unit, a.field)
+    elif kind == "set":
+        a = GradedAlgebra(a.space, bump_one(a.mult, rng, rng.randrange(5)), a.unit, a.field)
+    else:
+        a = with_unit(a, rng.randrange(5))
+    assert verdict(check_algebra(a)) == reference_check_algebra(a)
 
 
 # ---------------------------------------------------------------------------

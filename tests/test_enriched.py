@@ -9,8 +9,15 @@ from hypothesis import strategies as st
 
 from composites import assemble, block_composites, r_composite, s_composite
 from gradedtwist import enriched, exactmath
-from gradedtwist.exactmath import QQ, Matrix, PrimeField, hstack, kron
-from gradedtwist.fixtures import F7, quantum_plane, s3_group_algebra, z3_group_algebra
+from gradedtwist.exactmath import QQ, Matrix, PrimeField, hstack, kron, sparse_kernel
+from gradedtwist.fixtures import (
+    F7,
+    broken_algebra,
+    quantum_plane,
+    random_cocycle_twist,
+    s3_group_algebra,
+    z3_group_algebra,
+)
 from gradedtwist.enriched import (
     GammaAlgebra,
     block_permutation,
@@ -35,11 +42,13 @@ from gradedtwist.graded import (
     GradedVectorSpace,
     check_algebra,
     check_module,
+    generating_degrees,
+    group_algebra,
     regular_module,
     shift_module,
     zero_module,
 )
-from gradedtwist.groups import cyclic_group
+from gradedtwist.groups import IntegerWindow, cyclic_group, symmetric_group
 from gradedtwist.twist import twist_algebra
 
 F5 = PrimeField(5)
@@ -468,6 +477,87 @@ class TestGamma:
         for a in (s3_group_algebra(), quantum_plane()[0]):
             gamma = gamma_algebra(a)
             assert check_algebra(gamma.graded).passed
+
+
+def _twisted_quantum_plane(maxdeg):
+    a, t = quantum_plane(maxdeg=maxdeg)
+    return twist_algebra(a, t)
+
+
+REDUCTION_CASES = {
+    **{f"qp{n}": (lambda n=n: quantum_plane(maxdeg=n)[0]) for n in range(3, 7)},
+    **{f"qp{n}-twisted": (lambda n=n: _twisted_quantum_plane(n)) for n in range(3, 7)},
+    "s4-f7": lambda: group_algebra(symmetric_group(4), F7),
+    "s4-qq": lambda: group_algebra(symmetric_group(4), QQ),
+    **{f"cocycle-{seed}": (lambda seed=seed: twist_algebra(*random_cocycle_twist(seed))) for seed in range(4)},
+}
+
+
+class TestGeneratorOnlyEqualizers:
+    @pytest.mark.parametrize("name", sorted(REDUCTION_CASES))
+    def test_kernels_and_pivots_equal_the_full_equalizers(self, name):
+        a = REDUCTION_CASES[name]()
+        assert check_algebra(a).passed
+        generators = generating_degrees(a)
+        assert len(generators) < len(a.support())
+        reg = regular_module(a)
+        if isinstance(a.group, IntegerWindow):
+            reach = max(a.support()) + 1
+            degrees = range(-reach, reach + 1)
+        else:
+            degrees = a.group.elements()
+        fewer_rows = False
+        for target in (reg, shift_module(reg, 1)):
+            for g in degrees:
+                full_d, source, _ = build_RS(reg, target, g)
+                reduced_d, reduced_source, _ = build_RS(reg, target, g, generators)
+                assert reduced_source == source
+                fewer_rows |= reduced_d.rows < full_d.rows
+                assert sparse_kernel(reduced_d) == sparse_kernel(full_d), (name, target, g)
+        assert fewer_rows
+
+    def test_gamma_holds_the_full_kernels_and_names_its_generators(self, monkeypatch):
+        a = s3_group_algebra(F7)
+        reg = regular_module(a)
+        seen = record_build_rs(monkeypatch)
+        gamma = gamma_algebra(a)
+        assert seen == [[1, 2]] * 6
+        for g in gamma.degrees:
+            full = enriched.module_hom_space(reg, reg, g)
+            assert (gamma.spaces[g].kernel, gamma.spaces[g].pivots) == (full.kernel, full.pivots)
+
+    def test_a_non_algebra_never_reaches_the_reduced_equalizer(self, monkeypatch):
+        seen = record_build_rs(monkeypatch)
+        witnesses = set()
+        for seed in range(12):
+            a = broken_algebra(seed)
+            witnesses.add(check_algebra(a).witness[0])
+            try:
+                gamma_algebra(a)
+            except ValueError:
+                pass
+        assert "associativity" in witnesses
+        assert seen and all(generators is None for generators in seen)
+
+    def test_compose_homs_takes_the_layout_it_would_build(self):
+        a = quantum_plane(3)[0]
+        reg = regular_module(a)
+        s1, s2, s3 = (module_hom_space(reg, reg, g) for g in (1, 2, 3))
+        built = compose_homs(s1, s1.kernel, s2, s2.kernel)
+        assert compose_homs(s1, s1.kernel, s2, s2.kernel, s3.source_layout) == built
+
+
+def record_build_rs(monkeypatch) -> list:
+    """Rebind enriched.build_RS to record the generators of each call."""
+    seen = []
+    real = enriched.build_RS
+
+    def recorded(m, n, g, generators=None):
+        seen.append(generators)
+        return real(m, n, g, generators)
+
+    monkeypatch.setattr(enriched, "build_RS", recorded)
+    return seen
 
 
 class TestEndoIso:

@@ -362,13 +362,13 @@ def nonzero_scalars(field):
 
 
 def sparse_matrix(field, rows, cols):
-    """Mostly zero: each entry is nonzero with probability 1/4, and a drawn
-    set of whole rows and columns is zero."""
-    zero = st.just(0)
-    cell = st.one_of(zero, zero, zero, nonzero_scalars(field))
+    """Sparse, yet rarely all zero: each entry is zero about half the time,
+    and a drawn set of fewer than half of the rows, and of the columns, is
+    zero."""
+    cell = st.one_of(nonzero_scalars(field), st.just(0))
 
     def blank(n):
-        return st.sets(st.integers(0, n - 1)) if n else st.just(frozenset())
+        return st.sets(st.integers(0, n - 1), max_size=(n - 1) // 2) if n else st.just(frozenset())
 
     def build(drawn):
         entries, blank_rows, blank_cols = drawn
@@ -382,14 +382,20 @@ def sparse_matrix(field, rows, cols):
     ).map(build)
 
 
+def sparse_dims(max_dim):
+    """A dimension in 1..max_dim, or 0 about one time in 3 * max_dim + 1,
+    so that most products of drawn matrices have a nonzero entry."""
+    return st.sampled_from((*range(1, max_dim + 1),) * 3 + (0,))
+
+
 def sparse_matrices(field, max_dim=6):
-    dims = st.integers(min_value=0, max_value=max_dim)
+    dims = sparse_dims(max_dim)
     return st.tuples(dims, dims).flatmap(lambda rc: sparse_matrix(field, *rc))
 
 
 def sparse_pairs(field, max_dim=6):
     """(a, b) with a: m x k and b: k x n; any of m, k, n may be 0."""
-    dims = st.integers(min_value=0, max_value=max_dim)
+    dims = sparse_dims(max_dim)
     return st.tuples(dims, dims, dims).flatmap(
         lambda mkn: st.tuples(sparse_matrix(field, mkn[0], mkn[1]), sparse_matrix(field, mkn[1], mkn[2]))
     )
@@ -549,7 +555,11 @@ def test_every_kernel_result_indexes_its_own_nonzeros(field, data):
                Matrix.identity(a.rows, field), Matrix.zeros(a.rows, b.cols, field), Matrix.zeros(0, a.cols, field),
                a + c, a - c, -a, a.scale(3), a.transpose(), rref(a)[0], column_echelon(a), kernel_matrix(a),
                hstack([a, c]), vstack([b, b]),
-               block_matrix([a.rows, b.rows], [a.cols, b.cols], {(0, 0): a, (1, 1): b}, field)]
+               block_matrix([a.rows, b.rows], [a.cols, b.cols], {(0, 0): a, (1, 1): b}, field),
+               # blocks given right to left, a zero block, and an absent block row and column
+               block_matrix([a.rows, b.rows, 2], [b.cols, a.cols, 1, c.cols],
+                            {(0, 3): c, (1, 0): b, (0, 1): a, (0, 0): Matrix.zeros(a.rows, b.cols, field)},
+                            field)]
     inv = try_inverse(square)
     if inv is not None:
         results.append(inv)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from composites import reference_check_algebra
 from gradedtwist.exactmath import QQ, Matrix, PrimeField
 from gradedtwist.graded import (
     GradedAlgebra,
@@ -15,12 +16,14 @@ from gradedtwist.graded import (
     check_algebra_morphism,
     check_module,
     check_module_morphism,
+    generating_degrees,
     group_algebra,
     regular_module,
     shift_module,
     truncated_polynomial,
     zero_module,
 )
+from gradedtwist.fixtures import quantum_plane
 from gradedtwist.groups import IntegerWindow, cyclic_group, symmetric_group
 
 F7 = PrimeField(7)
@@ -90,6 +93,82 @@ class TestCheckAlgebra:
         regular = check_module(regular_module(a))
         assert regular.witness == ("unit-action", 0 if left_identities else 1)
         assert check_algebra(a).witness == witness
+
+
+def truncated_free_xz(maxdeg, field=QQ):
+    """k<x, z> with deg x = 1 and deg z = 2, modulo the words of degree
+    above maxdeg. Degree 1 does not generate it: z is no product of x's."""
+    words = {0: [()], 1: [("x",)]}
+    for d in range(2, maxdeg + 1):
+        words[d] = sorted([w + ("x",) for w in words[d - 1]] + [w + ("z",) for w in words[d - 2]])
+    index = {d: {w: i for i, w in enumerate(ws)} for d, ws in words.items()}
+    mult = {}
+    for d1, left in words.items():
+        for d2, right in words.items():
+            if d1 + d2 > maxdeg:
+                continue
+            rows = [[0] * (len(left) * len(right)) for _ in words[d1 + d2]]
+            for i, u in enumerate(left):
+                for j, v in enumerate(right):
+                    rows[index[d1 + d2][u + v]][i * len(right) + j] = 1
+            mult[(d1, d2)] = Matrix.from_rows(rows, field)
+    space = GradedVectorSpace(IntegerWindow(0, maxdeg), {d: len(ws) for d, ws in words.items()})
+    return GradedAlgebra(space, mult, Matrix.column([1], field), field)
+
+
+def dual_numbers_in_degree_zero():
+    """k[t]/(t^2), all in degree 0: the unit alone spans no more than k."""
+    mult = {(0, 0): Matrix.from_rows([[1, 0, 0, 0], [0, 1, 1, 0]], QQ)}
+    return GradedAlgebra(GradedVectorSpace(IntegerWindow(0, 0), {0: 2}), mult, Matrix.column([1, 0], QQ), QQ)
+
+
+class TestGeneratingDegrees:
+    @pytest.mark.parametrize("build, degrees", [
+        (lambda: group_algebra(S3, F7), [1, 2]),
+        (lambda: group_algebra(symmetric_group(4), F7), [1, 2, 6]),
+        (lambda: group_algebra(Z3), [1]),
+        (lambda: quantum_plane(maxdeg=4)[0], [1]),
+        (lambda: truncated_polynomial(3, 3), [1]),
+        (lambda: truncated_free_xz(4), [1, 2]),
+        (dual_numbers_in_degree_zero, [0]),
+    ], ids=["s3-f7", "s4-f7", "z3", "qp4", "poly3", "free-xz", "dual-numbers"])
+    def test_the_greedy_choice_and_the_note_that_names_it(self, build, degrees):
+        a = build()
+        assert generating_degrees(a) == degrees
+        report = check_algebra(a)
+        assert report.passed
+        assert report.notes == (f"associativity over generating degrees {degrees}",)
+
+    def test_a_generator_that_degree_one_does_not_reach_joins(self):
+        a = truncated_free_xz(4)
+        assert [a.dim(d) for d in range(5)] == [1, 1, 2, 3, 5]
+        assert 2 in generating_degrees(a)
+        # z times x is not x times z: the algebra is not the polynomial ring
+        assert a.mult[(2, 1)] != a.mult[(1, 2)]
+
+    def test_a_broken_left_unit_makes_the_certificate_fall_short(self):
+        # 1 * x = 0: x is no left-normed product, though x * x = x^2 holds
+        a = truncated_polynomial(1, 2)
+        broken = GradedAlgebra(a.space, {**a.mult, (0, 1): Matrix.zeros(1, 1, QQ)}, a.unit, QQ)
+        assert generating_degrees(broken) is None
+        report = check_algebra(broken)
+        assert (report.passed, report.witness) == reference_check_algebra(broken)
+        assert report.witness == ("associativity", (0, 1, 1))
+
+    def test_no_unit_component_gives_no_certificate(self):
+        a = GradedAlgebra(GradedVectorSpace(Z2, {}), {}, Matrix.zeros(0, 1, QQ), QQ)
+        assert generating_degrees(a) is None
+        assert check_algebra(a).notes == ("associativity over the full support",)
+        shifted = GradedAlgebra(GradedVectorSpace(Z2, {1: 1}), {}, Matrix.zeros(0, 1, QQ), QQ)
+        assert generating_degrees(shifted) is None
+        assert check_algebra(shifted).witness == ("left-unit", 1)
+
+    def test_failing_reports_carry_no_note(self):
+        a = scaled_group_algebra(Z3, {(1, 1): 0})
+        assert generating_degrees(a) == [1, 2]
+        report = check_algebra(a)
+        assert report.witness == ("associativity", (1, 1, 2))
+        assert report.notes == ()
 
 
 class TestCheckModule:
