@@ -19,11 +19,11 @@ from pathlib import Path
 
 import click
 
-from .enriched import check_shift_props, gamma_algebra, endo_iso, module_hom_space
+from .enriched import _gamma_algebra, check_shift_props, endo_iso, module_hom_space
 from .equivalence import backward as backward_op
 from .equivalence import check_equivalence, equivalence_from_twist, gamma_twist_phi
 from .exactmath import Matrix
-from .graded import check_algebra, check_module
+from .graded import _check_algebra, check_algebra, check_module, regular_module
 from .groups import check_group
 from .report import Report
 from .serialize import (
@@ -272,6 +272,19 @@ def cmd_hom_space(source_module, target_module, degree, output, fmt):
     _finish(report, fmt, time.perf_counter() - t0)
 
 
+def _checked_gamma(algebra):
+    """check_algebra's report on `algebra`, and its Gamma when the check
+    passes (else None), built on the generating degrees of that one check."""
+    reg = regular_module(algebra)
+    report, generators = _check_algebra(algebra, reg)
+    if not report.passed:
+        return report, None
+    try:
+        return report, _gamma_algebra(algebra, reg, generators)
+    except ValueError as exc:
+        _fail_input(str(exc))
+
+
 @main.command("gamma")
 @click.argument("algebra_file", type=click.Path())
 @click.option("-o", "--output", type=click.Path(), required=True,
@@ -282,12 +295,8 @@ def cmd_gamma(algebra_file, output, fmt):
     (after checking the algebra)."""
     algebra = _load(algebra_file, parse_algebra)
     t0 = time.perf_counter()
-    report = check_algebra(algebra)
+    report, gamma = _checked_gamma(algebra)
     if report.passed:
-        try:
-            gamma = gamma_algebra(algebra)
-        except ValueError as exc:
-            _fail_input(str(exc))
         write_json(output, emit_algebra(gamma.graded))
         dims = {g: gamma.dim(g) for g in gamma.degrees if gamma.dim(g)}
         report = Report("gamma_algebra", True, notes=(f"dimensions {dims}",))
@@ -302,12 +311,8 @@ def cmd_verify_endo(algebra_file, fmt):
     algebra (after checking the algebra)."""
     algebra = _load(algebra_file, parse_algebra)
     t0 = time.perf_counter()
-    report = check_algebra(algebra)
+    report, gamma = _checked_gamma(algebra)
     if report.passed:
-        try:
-            gamma = gamma_algebra(algebra)
-        except ValueError as exc:
-            _fail_input(str(exc))
         _phi, _psi, report = endo_iso(gamma)
     _finish(report, fmt, time.perf_counter() - t0)
 

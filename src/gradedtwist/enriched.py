@@ -412,11 +412,17 @@ def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
     quantifies over all of supp A, and a non-algebra gives what the full
     equalizer gives.
     """
+    reg = regular_module(a)
+    return _gamma_algebra(a, reg, _check_algebra(a, reg)[1])
+
+
+def _gamma_algebra(a: GradedAlgebra, reg: GradedModule, generators) -> GammaAlgebra:
+    """Gamma(A) from A's regular module `reg` and the generating degrees
+    that `graded._check_algebra(a, reg)` returned (None after its full
+    loop), for a caller that has already run that check."""
     group = a.group
     field = a.field
     degrees = a.support() if isinstance(group, IntegerWindow) else list(group.elements())
-    reg = regular_module(a)
-    generators = _check_algebra(a, reg)[1]
     spaces = {g: module_hom_space(reg, reg, g, generators) for g in degrees}
     dims = {g: spaces[g].dim for g in degrees if spaces[g].dim}
     space = GradedVectorSpace(group, dims)

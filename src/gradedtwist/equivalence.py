@@ -22,7 +22,8 @@ forward along t_d^-1, exchange the base ring, and shift back by d^-1,
 with the blocks of t taken from tau. The shifts by d and d^-1 only
 relabel blocks and cancel, so the composite is block-diagonal on the
 layout Gamma(B)_g already has: block p is the pull-back
-[tau_{dg}(g^-1 p)^-1, 1] followed by the push-forward [1, tau_d(p)].
+[tau_{dg}(q)^-1, 1] (q = g^-1 p) followed by the push-forward
+[1, tau_d(p)], which send a block X to tau_d(p) X tau_{dg}(q)^-1.
 The base-ring exchange is a comparison of the two layouts plus a
 membership check in Gamma(A)_g.
 
@@ -40,7 +41,7 @@ bit-exact.
 
 from __future__ import annotations
 
-from .exactmath import block_matrix, inverse, kron, try_inverse
+from .exactmath import Matrix, inverse, mul_kron, try_inverse
 from .enriched import endo_iso, gamma_algebra
 from .graded import (
     GradedMorphism,
@@ -150,16 +151,20 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
     The shifts by d and d^-1 relabel blocks and cancel, so the map is
     block-diagonal on the layout of Gamma(B)_g: block p is pull-back
     along t_{dg} (precompose with tau_{dg}(q)^-1, q = g^-1 p), then
-    push-forward along t_d^-1 (postcompose with tau_d(p)). By the
-    mixed-product property the two are the single Kronecker product
-    kron(tau_d(p), (tau_{dg}(q)^-1)^T).
+    push-forward along t_d^-1 (postcompose with tau_d(p)): a block read
+    row-major as a dim A_p x dim A_q matrix X goes to
+    tau_d(p) X tau_{dg}(q)^-1. The k basis columns' rows of block p,
+    read as one dim A_p x (dim A_q k) matrix X_p, go together to
+    mul_kron(tau_d(p) @ X_p, tau_{dg}(q)^-1, I_k), in the same row-major
+    order, so no Kronecker product or block matrix is formed.
 
     Returns (family, report). The report records the base-ring exchange:
-    Gamma(A)_g must have the same block layout as Gamma(B)_g (witness
-    ("layout", (d, g)) otherwise), and each transported basis vector must
-    land in ker(R - S) computed over A (witness ("level-exchange",
-    (d, g)) otherwise), a fact the construction predicts and this
-    function verifies. On a failed check the family is None.
+    Gamma(A)_g must have the block layout of Gamma(B)_g, block p of size
+    dim A_p dim A_q (witness ("layout", (d, g)) otherwise), and each
+    transported basis vector must land in ker(R - S) computed over A
+    (witness ("level-exchange", (d, g)) otherwise), a fact the
+    construction predicts and this function verifies. On a failed check
+    the family is None.
     """
     a = data.algebra
     b = data.twisted
@@ -178,28 +183,29 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
         space_a = gamma_a.spaces.get(g)
         if space_a is None or space_b.dim == 0:
             continue
-        layout = space_b.source_layout
-        same_layout = [(p, size) for p, _off, size in layout] == [
-            (p, size) for p, _off, size in space_a.source_layout
-        ]
-        sizes = [size for _p, _off, size in layout]
         ginv = group.inv(g)
+        layout = [(p, group.mul(ginv, p), off, size) for p, off, size in space_b.source_layout]
+        # block p of both spaces must be Hom(A_q, A_p), q = g^-1 p
+        same_layout = [(p, size) for p, _q, _off, size in layout] == [
+            (p, size) for p, _off, size in space_a.source_layout
+        ] and all(size == a.dim(p) * a.dim(q) for p, q, _off, size in layout)
+        k = space_b.dim
+        kernel = space_b.kernel.data
+        ident = Matrix.identity(k, field)
+        # the kernel rows of block p, read as one dim A_p x (dim A_q k) matrix
+        blocks = [(p, q, Matrix._trusted(a.dim(p), a.dim(q) * k, field, kernel[off * k:(off + size) * k]))
+                  for p, q, off, size in layout] if same_layout else []
         for d in t.d_degrees():
             dg = group.mul(d, g)
-            needed = []
-            for p, _off, _size in layout:
-                needed.append((dg, group.mul(ginv, p)))
-                needed.append((d, p))
-            if not all(t.has_tau(*key) for key in needed):
+            if not all(t.has_tau(dg, q) and t.has_tau(d, p) for p, q, _off, _size in layout):
                 continue
             if not same_layout:
                 failures.append(Report("gamma_twist_phi", False, witness=("layout", (d, g))))
                 continue
-            blocks = {
-                (i, i): kron(t.tau(d, p), inverse(t.tau(dg, group.mul(ginv, p))).transpose())
-                for i, (p, _off, _size) in enumerate(layout)
-            }
-            transported = block_matrix(sizes, sizes, blocks, field) @ space_b.kernel
+            data = []
+            for p, q, x in blocks:
+                data += mul_kron(t.tau(d, p) @ x, inverse(t.tau(dg, q)), ident).data
+            transported = Matrix._trusted(space_b.total, k, field, data)
             try:
                 maps[(d, g)] = space_a.coords(transported)
             except ValueError:

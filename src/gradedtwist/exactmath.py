@@ -13,15 +13,16 @@ column i*g.rows + j of x meets row i of f and row j of g directly, which
 is how the axiom checkers and twist builders evaluate composites such as
 rho (rho (x) id). `sparse_kernel` takes a matrix as `kernel_matrix` does
 and returns the same kernel, bit for bit, by eliminating only the rows of
-its nonzero-row index. Zero tests are by truthiness, which is exact
-because entries are kept in canonical form (`Fraction` over QQ, an int
-in [0, p) over F_p), and `Fraction(0)` and `0` are both falsy.
+its nonzero-row index. `inverse` runs the same elimination on [m | I],
+once per matrix (see `Matrix`). Zero tests are by truthiness, which is
+exact because entries are kept in canonical form (`Fraction` over QQ, an
+int in [0, p) over F_p), and `Fraction(0)` and `0` are both falsy.
 
-`mat_mul`, `mul_kron`, `kron` and `sparse_kernel` find the nonzero
-entries of their operands through `Matrix.nonzero_rows()`, so a matrix is
-scanned for zeros at most once however many of them read it. `mat_mul`,
-`mul_kron` and `kron` also write that index for their result, so no
-product is ever scanned: the two products store the first term at each
+`mat_mul`, `mul_kron`, `kron`, `sparse_kernel` and `inverse` find the
+nonzero entries of their operands through `Matrix.nonzero_rows()`, so a
+matrix is scanned for zeros at most once however many of them read it.
+All but `sparse_kernel` also write that index for their result, so
+their results are never scanned: the two products store the first term at each
 place of an output row as it is, instead of adding it to zero, add the
 later ones to it, and drop sums that cancel. `block_matrix` shifts its
 blocks' indexes into place.
@@ -235,14 +236,17 @@ class Matrix:
 
     `nonzero_rows()` is a per-row index of the nonzero entries. The
     kernels that know it while they write a result (`mat_mul`, `mul_kron`,
-    `kron`, `block_matrix`, `Matrix.identity`, `Matrix.zeros`) hand it to
-    `_trusted`; any other matrix builds it with one scan of `data` the
-    first time it is read.
-    It is derived from `data` alone and takes no part in equality or
-    hashing, and since a matrix never changes it cannot go stale.
+    `kron`, `inverse`, `block_matrix`, `Matrix.identity`, `Matrix.zeros`)
+    hand it to `_trusted`; any other matrix builds it with one scan of
+    `data` the first time it is read. `inverse` stores its outcome, the
+    inverse or the rank of a singular matrix, in a slot left unset until
+    then, so every later call on the same object is a lookup; the
+    inverse holds no link back. Both are derived from `data` alone and
+    take no part in equality or hashing, and since a matrix never
+    changes they cannot go stale.
     """
 
-    __slots__ = ("rows", "cols", "field", "data", "_nonzero")
+    __slots__ = ("rows", "cols", "field", "data", "_nonzero", "_inverse")
 
     def __init__(self, rows: int, cols: int, field, entries):
         if rows < 0 or cols < 0:
@@ -695,17 +699,42 @@ def _sparse_rref(rows, field) -> dict:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrixError when none exists."""
+    """Exact inverse; raises SingularMatrixError when none exists.
+
+    The first call on m runs `_sparse_rref` on the nonzero rows of
+    [m | I]. m is invertible exactly when each of its columns holds a
+    pivot, and the right half of the reduced rows is then the inverse;
+    otherwise the pivots left of column n number m's rank. That outcome
+    is stored on m for every later call.
+    """
     if m.rows != m.cols:
         raise ValueError(f"inverse of a non-square {m.rows}x{m.cols} matrix")
-    n = m.rows
-    aug = hstack([m, Matrix.identity(n, m.field)])
-    r, pivots = rref(aug)
-    if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
-        # the pivots left of column n are those of rref(m)
-        rank_m = sum(1 for p in pivots if p < n)
-        raise SingularMatrixError(f"matrix of rank {rank_m} is singular at size {n}")
-    return Matrix._trusted(n, n, m.field, [x for i in range(n) for x in r.row(i)[n:]])
+    found = getattr(m, "_inverse", None)
+    if found is None:
+        found = _invert(m)
+        object.__setattr__(m, "_inverse", found)
+    if type(found) is int:
+        raise SingularMatrixError(f"matrix of rank {found} is singular at size {m.rows}")
+    return found
+
+
+def _invert(m: Matrix):
+    """The inverse of the square matrix m, or its rank when it is singular."""
+    field, n = m.field, m.rows
+    one = field.one
+    reduced = _sparse_rref((dict([*row, (n + i, one)]) for i, row in enumerate(m.nonzero_rows())), field)
+    rank = sum(1 for p in reduced if p < n)
+    if rank < n:
+        return rank
+    data = [field.zero] * (n * n)
+    index = []
+    for i in range(n):
+        # row i of the reduced [m | I] is [e_i | row i of the inverse]
+        row = tuple(sorted([(j - n, x) for j, x in reduced[i].items()]))
+        for j, x in row:
+            data[i * n + j] = x
+        index.append(row)
+    return Matrix._trusted(n, n, field, data, tuple(index))
 
 
 def try_inverse(m: Matrix):

@@ -15,10 +15,23 @@ The `reference_*` functions are the structure-map checkers and twist
 builders of `graded` and `twist` written with `mat_mul(x, kron(f, g))`,
 the form the library computes with the fused `mul_kron`. Each checker
 returns (passed, witness) and visits the degrees in the library's order,
-so a failure must name the same witness."""
+so a failure must name the same witness.
+
+`reference_inverse` is the dense inverse, a `rref` of [m | I], that
+`exactmath.inverse` computes by sparse elimination."""
 
 from gradedtwist.enriched import evaluation, sharp
-from gradedtwist.exactmath import Matrix, block_matrix, hstack, inverse, kron, mat_mul, try_inverse
+from gradedtwist.exactmath import (
+    Matrix,
+    SingularMatrixError,
+    block_matrix,
+    hstack,
+    inverse,
+    kron,
+    mat_mul,
+    rref,
+    try_inverse,
+)
 from gradedtwist.graded import GradedAlgebra, GradedModule, regular_module
 from gradedtwist.twist import AUTOMORPHISM
 
@@ -222,3 +235,17 @@ def reference_twist_module(m, t, algebra_tw):
     action = {(g, h): mat_mul(rho, kron(Matrix.identity(m.dim(g), m.field), t.tau(g, h)))
               for (g, h), rho in m.action.items()}
     return GradedModule(m.space, algebra_tw, action)
+
+
+def reference_inverse(m):
+    """Exact inverse by a dense rref of [m | I]; raises SingularMatrixError
+    naming the rank when none exists."""
+    if m.rows != m.cols:
+        raise ValueError(f"inverse of a non-square {m.rows}x{m.cols} matrix")
+    n = m.rows
+    r, pivots = rref(hstack([m, Matrix.identity(n, m.field)]))
+    if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
+        # the pivots left of column n are those of rref(m)
+        rank_m = sum(1 for p in pivots if p < n)
+        raise SingularMatrixError(f"matrix of rank {rank_m} is singular at size {n}")
+    return Matrix._trusted(n, n, m.field, [x for i in range(n) for x in r.row(i)[n:]])

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import gradedtwist
 from gradedtwist import cli as cli_lib
+from gradedtwist import graded as graded_lib
 from gradedtwist import twist as twist_lib
 from gradedtwist.cli import main
 from gradedtwist.equivalence import equivalence_from_twist, gamma_twist_phi
@@ -238,6 +239,17 @@ class TestSpacesAndEndo:
         result = runner.invoke(main, [command, fx("reg-z2.mod.json"), fx("reg-z2.mod.json"), *options])
         assert result.exit_code == 0
         assert len(checked) == 1
+
+    @pytest.mark.parametrize("command", ["gamma", "verify-endo"])
+    def test_the_algebra_is_checked_once(self, runner, tmp_path, monkeypatch, command):
+        # the one check_algebra also certifies the generating degrees Gamma is built on
+        certified = []
+        original = graded_lib.generating_degrees
+        monkeypatch.setattr(graded_lib, "generating_degrees", lambda a: certified.append(a) or original(a))
+        options = ["-o", str(tmp_path / "gamma.alg.json")] if command == "gamma" else []
+        result = runner.invoke(main, [command, fx("s3.alg.json"), *options])
+        assert result.exit_code == 0
+        assert len(certified) == 1
 
     def test_verify_endo_s3(self, runner):
         result = runner.invoke(main, ["verify-endo", fx("s3.alg.json")])

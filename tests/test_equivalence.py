@@ -2,7 +2,9 @@
 and exact recovery of a twisting system from the equivalence data."""
 
 import random
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from composites import pull_push
 from gradedtwist import equivalence as equivalence_lib
+from gradedtwist import exactmath
 from gradedtwist import twist as twist_lib
 from gradedtwist.exactmath import QQ, Matrix, inverse
 from gradedtwist.enriched import ModuleHomSpace, gamma_algebra, module_hom_space
@@ -27,9 +30,11 @@ from gradedtwist.graded import (
     group_algebra,
     regular_module,
     shift_module,
+    truncated_polynomial,
 )
 from gradedtwist.groups import FiniteGroup, cyclic_group, symmetric_group
 from gradedtwist.twist import (
+    AUTOMORPHISM,
     COCYCLE,
     EXPLICIT,
     TwistingSystem,
@@ -39,6 +44,24 @@ from gradedtwist.twist import (
     twist_algebra,
     twist_module,
 )
+
+
+def unipotent_plane(maxdeg):
+    """Truncated k[x, y] over QQ with the unipotent automorphism
+    sigma(x) = x, sigma(y) = x + y.
+
+    The degree-d monomial x^(d-k) y^k sits at index k and goes to
+    x^(d-k) (x + y)^k, so sigma's degree-d block is the upper
+    unitriangular Pascal matrix with entry (j, k) = C(k, j). Its tau are
+    neither diagonal nor scalar, so a transport that used the transpose
+    of tau^-1 where tau^-1 belongs would fail on it.
+    """
+    a = truncated_polynomial(2, maxdeg)
+    comps = {}
+    for d in a.support():
+        n = a.dim(d)
+        comps[d] = Matrix(n, n, QQ, [comb(k, j) for j in range(n) for k in range(n)])
+    return a, TwistingSystem(a, AUTOMORPHISM, sigma=GradedMorphism(a.space, a.space, comps, QQ))
 
 
 class TestEquivalenceData:
@@ -149,7 +172,7 @@ class TestGammaTwistPhi:
         assert check_phi_family(family).passed
 
 
-    @pytest.mark.parametrize("case", ["sign", "quantum-plane-3", "s3-f7-coboundary"])
+    @pytest.mark.parametrize("case", ["sign", "quantum-plane-3", "unipotent-plane-3", "s3-f7-coboundary"])
     def test_transport_is_pullback_then_pushforward(self, case):
         # phi_d(g) f = t_d^-1 o f o t_{dg} on each basis element f of
         # Gamma(B)_g, computed block by block by the reference in tests/composites.py
@@ -157,6 +180,8 @@ class TestGammaTwistPhi:
             a, t = sign_twist()
         elif case == "quantum-plane-3":
             a, t = quantum_plane(3)
+        elif case == "unipotent-plane-3":
+            a, t = unipotent_plane(3)
         else:
             group = symmetric_group(3)
             rng = random.Random(5)
@@ -181,12 +206,38 @@ class TestGammaTwistPhi:
             v = {p: t.tau(d, p) for p in ps}
             assert phi == space_a.coords(pull_push(space_b, space_b.kernel, u, v)), (d, g)
 
+    @pytest.mark.parametrize("case", ["quantum-plane-4", "unipotent-plane-3"])
+    def test_the_transport_forms_no_kronecker_product_or_block_matrix(self, case, monkeypatch):
+        _a, t = quantum_plane(4) if case == "quantum-plane-4" else unipotent_plane(3)
+        data = equivalence_from_twist(t)
+        gamma_a, gamma_b = gamma_algebra(data.algebra), gamma_algebra(data.twisted)
+
+        def refuse(*args):
+            raise AssertionError("a dense factor was formed")
+
+        for name in ("kron", "block_matrix"):
+            real = getattr(exactmath, name)
+            for module in [m for key, m in sys.modules.items() if key.startswith("gradedtwist")]:
+                if vars(module).get(name) is real:
+                    monkeypatch.setattr(module, name, refuse)
+        family, report = gamma_twist_phi(data, gamma_a, gamma_b)
+        assert report.passed
+        assert family.maps
+
     def test_a_gamma_with_another_layout_is_a_layout_failure(self):
         _a, t = quantum_plane(3)
         small, _t2 = quantum_plane(2)
         family, report = gamma_twist_phi(equivalence_from_twist(t), gamma_a=gamma_algebra(small))
         assert family is None
         assert not report.passed
+        assert report.witness == {"failed": "gamma_twist_phi", "witness": ("layout", (0, 0))}
+
+    def test_gammas_of_an_algebra_with_other_dimensions_are_a_layout_failure(self):
+        # the two layouts agree with each other, but not with A's blocks
+        _a, t = quantum_plane(3)
+        other = gamma_algebra(truncated_polynomial(3, 3))
+        family, report = gamma_twist_phi(equivalence_from_twist(t), gamma_a=other, gamma_b=other)
+        assert family is None
         assert report.witness == {"failed": "gamma_twist_phi", "witness": ("layout", (0, 0))}
 
     def test_transporting_into_gamma_of_the_twisted_algebra_fails_the_level_exchange(self):
@@ -329,6 +380,30 @@ class TestBackward:
         assert result.report.passed
         assert calls["contains"] == 0
         assert calls["coords"]
+
+    @pytest.mark.parametrize("maxdeg", [2, 3, 4])
+    def test_a_unipotent_twist_round_trips(self, maxdeg):
+        _a, t = unipotent_plane(maxdeg)
+        data = equivalence_from_twist(t)
+        assert check_equivalence(data).passed
+        result = self.assert_recovers_the_normalised_twist(t)
+        assert check_algebra_morphism(result.iso, result.twisted, data.twisted).passed
+
+    def test_each_matrix_is_eliminated_once_for_its_inverse(self, monkeypatch):
+        eliminated = []
+        real = exactmath._invert
+
+        def counted(m):
+            eliminated.append(m)  # held, so that no id is reused by another matrix
+            return real(m)
+
+        monkeypatch.setattr(exactmath, "_invert", counted)
+        data = equivalence_from_twist(quantum_plane(4)[1])
+        assert check_equivalence(data).passed
+        assert backward(data).report.passed
+        monkeypatch.undo()
+        assert eliminated
+        assert len({id(m) for m in eliminated}) == len(eliminated)
 
     def test_quantum_plane_recovery_on_the_window(self, monkeypatch):
         self.check_quantum_plane_recovery(3, monkeypatch)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from composites import reference_inverse
 from gradedtwist import exactmath, serialize
 from gradedtwist.exactmath import (
     QQ,
@@ -169,18 +170,53 @@ class TestInverse:
         assert inverse(e) == e
 
     def test_singular_message_names_the_rank_from_one_rref(self, monkeypatch):
+        # one sparse elimination of [m | I] gives both the verdict and the rank
         calls = []
-        real = exactmath.rref
+        real = exactmath._sparse_rref
+
+        def counted(rows, field):
+            calls.append(rows)
+            return real(rows, field)
+
+        monkeypatch.setattr(exactmath, "_sparse_rref", counted)
+        m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]], QQ)
+        with pytest.raises(SingularMatrixError, match=r"^matrix of rank 2 is singular at size 3$"):
+            inverse(m)
+        assert len(calls) == 1
+
+    def test_a_second_call_is_a_lookup(self, monkeypatch):
+        m = Matrix.from_rows([[2, 1], [1, 1]], QQ)
+        first = inverse(m)
+        monkeypatch.setattr(exactmath, "_invert", None)
+        assert inverse(m) is first
+        assert try_inverse(m) is first
+        # the stored inverse holds no link back to m
+        assert getattr(first, "_inverse", None) is None
+
+    def test_a_singular_matrix_raises_the_same_message_twice(self, monkeypatch):
+        calls = []
+        real = exactmath._invert
 
         def counted(m):
             calls.append(m)
             return real(m)
 
-        monkeypatch.setattr(exactmath, "rref", counted)
-        m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]], QQ)
-        with pytest.raises(SingularMatrixError, match=r"^matrix of rank 2 is singular at size 3$"):
-            inverse(m)
-        assert len(calls) == 1
+        monkeypatch.setattr(exactmath, "_invert", counted)
+        m = Matrix.from_rows([[1, 2], [2, 4]], F7)
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError, match=r"^matrix of rank 1 is singular at size 2$"):
+                inverse(m)
+            assert try_inverse(m) is None
+        assert calls == [m]
+
+    def test_an_equal_distinct_matrix_gets_an_equal_inverse(self):
+        m = Matrix.from_rows([[1, 2, 0], [0, 1, 3], [4, 0, 1]], QQ)
+        twin = Matrix.from_rows([[1, 2, 0], [0, 1, 3], [4, 0, 1]], QQ)
+        stored = inverse(m)
+        assert twin is not m
+        assert twin == m and hash(twin) == hash(m)
+        assert inverse(twin) == stored
+        assert inverse(twin) is not stored
 
 
 class TestSolve:
@@ -725,3 +761,66 @@ class TestPublicConstructor:
             Matrix.identity(2, F7).scale(Fraction(1, 2))
         with pytest.raises(TypeError):
             Matrix.identity(2, QQ).scale(0.5)
+
+
+# ---------------------------------------------------------------------------
+# the sparse inverse against the dense reference
+
+
+def square_matrices(field, max_dim=6):
+    """Square matrices of size 0..max_dim, of four kinds: sparse draws
+    (mostly invertible), upper triangular with a nonzero diagonal,
+    permutation matrices, and singular ones, whose last row is a drawn
+    combination of the others, placed at a drawn row."""
+    sizes = st.integers(min_value=0, max_value=max_dim)
+    scalars = st.one_of(nonzero_scalars(field), st.just(0))
+
+    def triangular(n):
+        return st.tuples(st.lists(scalars, min_size=n * n, max_size=n * n),
+                         st.lists(nonzero_scalars(field), min_size=n, max_size=n)).map(
+            lambda drawn: Matrix(n, n, field, [
+                drawn[1][i] if i == j else drawn[0][i * n + j] if i < j else 0
+                for i in range(n) for j in range(n)
+            ]))
+
+    def permutation(n):
+        return st.permutations(range(n)).map(
+            lambda perm: Matrix(n, n, field, [1 if j == perm[i] else 0 for i in range(n) for j in range(n)]))
+
+    def singular(n):
+        def build(drawn):
+            m, coefficients, at = drawn
+            rows = [list(m.row(i)) for i in range(n - 1)]
+            last = [field.zero] * n
+            for c, row in zip(coefficients, rows):
+                last = [field.add(x, field.mul(field.coerce(c), y)) for x, y in zip(last, row)]
+            rows.insert(at, last)
+            return Matrix.from_rows(rows, field) if n > 1 else Matrix.zeros(1, 1, field)
+
+        return st.tuples(sparse_matrix(field, n - 1, n), st.lists(scalars, min_size=n - 1, max_size=n - 1),
+                         st.integers(min_value=0, max_value=n - 1)).map(build)
+
+    def build(n):
+        kinds = [sparse_matrix(field, n, n), triangular(n), permutation(n)]
+        return st.one_of(*kinds, singular(n)) if n else st.one_of(*kinds)
+
+    return sizes.flatmap(build)
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_inverse_matches_the_dense_reference(field, data):
+    m = data.draw(square_matrices(field))
+    try:
+        expected = reference_inverse(m)
+    except SingularMatrixError as exc:
+        with pytest.raises(SingularMatrixError) as raised:
+            inverse(m)
+        assert str(raised.value) == str(exc)
+        return
+    got = inverse(m)
+    assert got == expected
+    assert_canonical(got)
+    assert [type(x) for x in got.data] == [type(x) for x in expected.data]
+    assert got.nonzero_rows() == scanned_rows(got)
