@@ -50,6 +50,9 @@ into its blocks; over the regular module this composition makes the
 spaces [[A, A]]_g into a graded algebra Gamma, and left multiplication
 A_g -> Gamma_g is an isomorphism of graded algebras. Both facts are
 computed here, not assumed: see `gamma_algebra` and `endo_iso`.
+`gamma_algebra` composes the bases of each pair of degrees (g, h) with
+one `compose_homs` call, then reads the coordinates of every composite
+that lands in one degree gh with one `coords` call on them side by side.
 
 Every flat index in this file follows the package-wide Kronecker
 convention (left factor owns the coarse index).
@@ -61,6 +64,7 @@ from .exactmath import (
     Matrix,
     block_matrix,
     column_echelon,
+    hstack,
     kernel_matrix,
     kron,
     sparse_kernel,
@@ -402,6 +406,16 @@ class GammaAlgebra:
         return f"GammaAlgebra(degrees={self.degrees})"
 
 
+def _split_columns(m: Matrix, widths) -> list:
+    """m cut, left to right, into matrices of the given widths."""
+    data, cols, blocks, start = m.data, m.cols, [], 0
+    for width in widths:
+        rows = [data[i + start: i + start + width] for i in range(0, m.rows * cols, cols)]
+        blocks.append(Matrix._trusted(m.rows, width, m.field, [x for row in rows for x in row]))
+        start += width
+    return blocks
+
+
 def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
     """Gamma(A) = [[A, A]] of the regular module, on canonical bases.
 
@@ -422,22 +436,34 @@ def _gamma_algebra(a: GradedAlgebra, reg: GradedModule, generators) -> GammaAlge
     loop), for a caller that has already run that check."""
     group = a.group
     field = a.field
+    mul = group.mul_unchecked
     degrees = a.support() if isinstance(group, IntegerWindow) else list(group.elements())
     spaces = {g: module_hom_space(reg, reg, g, generators) for g in degrees}
     dims = {g: spaces[g].dim for g in degrees if spaces[g].dim}
     space = GradedVectorSpace(group, dims)
-    mult = {}
+    # one compose_homs per pair (g, h), then one coords call per product
+    # degree gh, on the composites of all its pairs side by side
+    composites = {}
     for g in degrees:
         for h in degrees:
-            target = spaces.get(group.mul(g, h))
+            target = spaces.get(mul(g, h))
             if not (spaces[g].dim and spaces[h].dim) or target is None or not target.dim:
                 continue
-            composites = compose_homs(spaces[g], spaces[g].kernel, spaces[h], spaces[h].kernel,
-                                      target.source_layout)
-            try:
-                mult[(g, h)] = target.coords(composites)
-            except ValueError:
-                raise ValueError("composite is not a module morphism family") from None
+            composites[(g, h)] = compose_homs(spaces[g], spaces[g].kernel, spaces[h], spaces[h].kernel,
+                                              target.source_layout)
+    by_target = {}
+    for key in composites:
+        by_target.setdefault(mul(*key), []).append(key)
+    mult = {}
+    try:
+        for gh, keys in by_target.items():
+            read = spaces[gh].coords(hstack([composites[key] for key in keys]))
+            mult.update(zip(keys, _split_columns(read, [composites[key].cols for key in keys])))
+    except ValueError:
+        # name the pair that the per-pair reading would have stopped at first
+        g, h = next(key for key, c in composites.items() if not spaces[mul(*key)].contains(c))
+        raise ValueError(f"composite of degrees ({g!r},{h!r}) is not a module morphism family") from None
+    mult = {key: mult[key] for key in composites}  # in the order of the pairs
     e = group.identity
     unit_space = spaces.get(e)
     if unit_space is None or not unit_space.dim:
@@ -469,6 +495,7 @@ def endo_iso(gamma: GammaAlgebra):
     phi_comps = {}
     psi_comps = {}
     failures = []
+    mul = group.mul_unchecked
     for g in gamma.degrees:
         space = gamma.spaces[g]
         n_g = a.dim(g)
@@ -477,7 +504,7 @@ def endo_iso(gamma: GammaAlgebra):
         block_sizes = [size for _p, _off, size in space.source_layout]
         curried = {}
         for j, (p, _off, _size) in enumerate(space.source_layout):
-            q = group.mul(ginv, p)
+            q = mul(ginv, p)
             curried[(j, 0)] = sharp(a.mult_map(g, q), n_g, a.dim(q))
         vectors = block_matrix(block_sizes, [n_g], curried, field)
         try:

@@ -93,6 +93,7 @@ class EquivalenceData:
 def equivalence_from_twist(t: TwistingSystem) -> EquivalenceData:
     a = t.algebra
     group = a.group
+    mul = group.mul_unchecked  # on the support closure and the shifted supports
     b = twist_algebra(a, t, run_checks=False)
     reg_a = regular_module(a)
     witnesses = {}
@@ -100,16 +101,16 @@ def equivalence_from_twist(t: TwistingSystem) -> EquivalenceData:
     for g in support_closure(a):
         shifted = shift_module(reg_a, g)
         ginv = group.inv(g)
-        needed = list(shifted.action) + [(g, group.mul(ginv, d)) for d in shifted.space.dims]
+        needed = list(shifted.action) + [(g, mul(ginv, d)) for d in shifted.space.dims]
         if not all(t.has_tau(*key) for key in needed):
             skipped.append(g)
             continue
         comps = {}
         for d in shifted.space.dims:
-            tau = t.tau(g, group.mul(ginv, d))
+            tau = t.tau(g, mul(ginv, d))
             inv_tau = try_inverse(tau)
             if inv_tau is None:
-                raise ValueError(f"tau_{g!r}({group.mul(ginv, d)!r}) is singular; not a twisting system")
+                raise ValueError(f"tau_{g!r}({mul(ginv, d)!r}) is singular; not a twisting system")
             comps[d] = inv_tau
         witnesses[g] = GradedMorphism(shifted.space, shifted.space, comps, a.field)
     return EquivalenceData(a, t, b, witnesses, skipped)
@@ -170,6 +171,7 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
     b = data.twisted
     t = data.twist
     group = a.group
+    mul = group.mul_unchecked  # on Gamma's degrees and the twist's d-degrees
     field = a.field
     if gamma_a is None:
         gamma_a = gamma_algebra(a)
@@ -184,7 +186,7 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
         if space_a is None or space_b.dim == 0:
             continue
         ginv = group.inv(g)
-        layout = [(p, group.mul(ginv, p), off, size) for p, off, size in space_b.source_layout]
+        layout = [(p, mul(ginv, p), off, size) for p, off, size in space_b.source_layout]
         # block p of both spaces must be Hom(A_q, A_p), q = g^-1 p
         same_layout = [(p, size) for p, _q, _off, size in layout] == [
             (p, size) for p, _off, size in space_a.source_layout
@@ -196,7 +198,7 @@ def gamma_twist_phi(data: EquivalenceData, gamma_a=None, gamma_b=None):
         blocks = [(p, q, Matrix._trusted(a.dim(p), a.dim(q) * k, field, kernel[off * k:(off + size) * k]))
                   for p, q, off, size in layout] if same_layout else []
         for d in t.d_degrees():
-            dg = group.mul(d, g)
+            dg = mul(d, g)
             if not all(t.has_tau(dg, q) and t.has_tau(d, p) for p, q, _off, _size in layout):
                 continue
             if not same_layout:

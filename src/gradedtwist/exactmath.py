@@ -27,10 +27,22 @@ place of an output row as it is, instead of adding it to zero, add the
 later ones to it, and drop sums that cancel. `block_matrix` shifts its
 blocks' indexes into place.
 
+When every operand is 1x1, `mat_mul` and `mul_kron` make their one
+product (two for `mul_kron`, in the general path's order) and return,
+without building the accumulation rows. Over a group algebra every
+component is 1-dimensional, so every structure-map composite of its
+checkers and of Gamma has that shape; there the guards and the
+bookkeeping of the general path cost more than the arithmetic
+(BENCH_19.json measures the path against a copy without it).
+
 Entries from outside (parsed files, user code) are coerced and checked by
 `Matrix(...)`. Results of the kernels here are wrapped by
 `Matrix._trusted`, which skips that work: it is only for entries produced
-by field operations on entries that were already coerced.
+by field operations on entries that were already coerced. Every guard
+left on this path costs one test in the common case: the field checks
+compare the fields by identity before they compare them by value, and
+`_trusted` fills the slots through their member descriptors, bound once
+at import, since `Matrix.__setattr__` refuses every write.
 
 Dimension-zero matrices (0 x n and n x 0) are first class: graded
 components are frequently zero and their (empty) morphisms must compose
@@ -232,7 +244,10 @@ class Matrix:
     `Matrix(...)` coerces every entry and checks the count; use it for
     anything parsed or supplied by a caller. `Matrix._trusted` skips both
     and is only for entries produced by field operations on entries of
-    matrices that already exist, as in the kernels of this package.
+    matrices that already exist, as in the kernels of this package. Both
+    write the slots through the slots' own member descriptors (`_set_rows`
+    and its siblings below), which is also how the two derived slots are
+    filled later; `__setattr__` refuses every write from outside.
 
     `nonzero_rows()` is a per-row index of the nonzero entries. The
     kernels that know it while they write a result (`mat_mul`, `mul_kron`,
@@ -254,11 +269,11 @@ class Matrix:
         data = tuple(field.coerce(x) for x in entries)
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_nonzero", None)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_field(self, field)
+        _set_data(self, data)
+        _set_nonzero(self, None)
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, field, data, nonzero=None) -> "Matrix":
@@ -268,11 +283,11 @@ class Matrix:
         build from `data`.
         """
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "data", tuple(data))
-        object.__setattr__(m, "_nonzero", nonzero)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_field(m, field)
+        _set_data(m, tuple(data))
+        _set_nonzero(m, nonzero)
         return m
 
     def nonzero_rows(self) -> tuple:
@@ -280,7 +295,7 @@ class Matrix:
         index = self._nonzero
         if index is None:
             index = _scan_nonzero_rows(self)
-            object.__setattr__(self, "_nonzero", index)
+            _set_nonzero(self, index)
         return index
 
     def __setattr__(self, name, value):
@@ -334,7 +349,7 @@ class Matrix:
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.data == other.data
         )
 
@@ -348,7 +363,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def _check_same_field(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError(f"field mismatch: {self.field!r} vs {other.field!r}")
 
     def __add__(self, other):
@@ -408,6 +423,17 @@ class Matrix:
         return result
 
 
+# Matrix.__setattr__ refuses every write, so the slots are filled through
+# their member descriptors, bound once here: one call each, where
+# object.__setattr__ first looks the name up on the class.
+_set_rows = Matrix.rows.__set__
+_set_cols = Matrix.cols.__set__
+_set_field = Matrix.field.__set__
+_set_data = Matrix.data.__set__
+_set_nonzero = Matrix._nonzero.__set__
+_set_inverse = Matrix._inverse.__set__
+
+
 def _scan_nonzero_rows(m: Matrix) -> tuple:
     """The nonzero-row index of m, by one scan of its entries."""
     data, cols = m.data, m.cols
@@ -427,12 +453,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     accumulated as `_place_row` describes, and the result is handed its
     nonzero-row index.
     """
-    a._check_same_field(b)
+    if a.field is not b.field:
+        a._check_same_field(b)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     field = a.field
-    add, mul = field.add, field.mul
     n = b.cols
+    if a.rows == a.cols == n == 1:
+        # the shape of every product over a group algebra: one product
+        x, y = a.data[0], b.data[0]
+        return _one_by_one(field, field.mul(x, y) if x and y else None)
+    add, mul = field.add, field.mul
     b_rows = b.nonzero_rows()
     out = [field.zero] * (a.rows * n)
     index = []
@@ -472,14 +503,20 @@ def mul_kron(x: Matrix, f: Matrix, g: Matrix) -> Matrix:
     each nonzero g[j, l]. Output rows are accumulated as `_place_row`
     describes, and the result is handed its nonzero-row index.
     """
-    x._check_same_field(f)
-    f._check_same_field(g)
+    if not (x.field is f.field is g.field):
+        x._check_same_field(f)
+        f._check_same_field(g)
     if x.cols != f.rows * g.rows:
         raise ValueError(
             f"dimension mismatch: {x.rows}x{x.cols} times kron of {f.rows}x{f.cols} and {g.rows}x{g.cols}"
         )
     field = x.field
     add, mul = field.add, field.mul
+    if x.rows == x.cols == f.cols == g.cols == 1:
+        # x.cols == f.rows * g.rows, so all three are 1x1: one product, in
+        # the order of the general path
+        v, y, z = x.data[0], f.data[0], g.data[0]
+        return _one_by_one(field, mul(mul(v, y), z) if v and y and z else None)
     g_height, width = g.rows, g.cols
     n = f.cols * width
     f_rows, g_rows = f.nonzero_rows(), g.nonzero_rows()
@@ -518,6 +555,14 @@ def mul_kron(x: Matrix, f: Matrix, g: Matrix) -> Matrix:
         index.append(row)
         start += n
     return Matrix._trusted(x.rows, n, field, out, tuple(index))
+
+
+def _one_by_one(field, value) -> Matrix:
+    """The 1x1 matrix [value] with its index; None stands for zero. A
+    product of nonzero entries is nonzero, as a field has no zero divisors."""
+    if value is None:
+        return Matrix._trusted(1, 1, field, (field.zero,), ((),))
+    return Matrix._trusted(1, 1, field, (value,), (((0, value),),))
 
 
 def _place_row(acc: list, out: list, start: int) -> tuple:
@@ -712,7 +757,7 @@ def inverse(m: Matrix) -> Matrix:
     found = getattr(m, "_inverse", None)
     if found is None:
         found = _invert(m)
-        object.__setattr__(m, "_inverse", found)
+        _set_inverse(m, found)
     if type(found) is int:
         raise SingularMatrixError(f"matrix of rank {found} is singular at size {m.rows}")
     return found
@@ -813,7 +858,7 @@ def block_matrix(row_dims, col_dims, blocks, field) -> Matrix:
                 f"block ({bi},{bj}) has shape {block.rows}x{block.cols}, "
                 f"expected {row_dims[bi]}x{col_dims[bj]}"
             )
-        if block.field != field:
+        if block.field is not field and block.field != field:
             raise ValueError("field mismatch in block_matrix")
         r0, c0 = row_offsets[bi], col_offsets[bj]
         for i in range(block.rows):

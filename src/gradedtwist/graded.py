@@ -30,7 +30,8 @@ a key (g, h) must be present exactly when all three of dims(g), dims(h),
 dims(g*h) are nonzero. Slots touching a zero-dimensional component are
 the unique empty/zero matrix and may be omitted (checkers treat the
 missing identities as vacuous). This is what keeps integer-window data
-finite.
+finite. For the same reason the checkers skip every identity whose two
+sides map into a zero component: both are empty matrices there.
 """
 
 from __future__ import annotations
@@ -86,20 +87,23 @@ def _structure_maps(label, maps, left, right, field) -> dict:
     and the empty slots are dropped.
     """
     group = left.group
+    left_dims, right_dims = left.dims, right.dims
     checked = {}
     for (g, h), m in maps.items():
         if not isinstance(m, Matrix):
             raise TypeError(f"{label}[{(g, h)}] is not a Matrix")
-        want = (left.dim(group.mul(g, h)), left.dim(g) * right.dim(h))
+        # the keys come from the caller, so their product is a checked one
+        want = (left_dims.get(group.mul(g, h), 0), left_dims.get(g, 0) * right_dims.get(h, 0))
         if (m.rows, m.cols) != want:
             raise ValueError(f"{label}[{(g, h)}] has shape {m.rows}x{m.cols}, expected {want[0]}x{want[1]}")
-        if m.field != field:
+        if m.field is not field and m.field != field:
             raise ValueError(f"{label} field mismatch")
         if m.rows and m.cols:
             checked[(g, h)] = m
+    mul = group.mul_unchecked
     for g in left.support():
         for h in right.support():
-            if left.dim(group.mul(g, h)) and (g, h) not in checked:
+            if mul(g, h) in left_dims and (g, h) not in checked:
                 raise ValueError(f"missing {label} matrix for degrees ({g!r},{h!r})")
     return checked
 
@@ -123,7 +127,7 @@ class GradedAlgebra:
         return self.space.group
 
     def dim(self, g) -> int:
-        return self.space.dim(g)
+        return self.space.dims.get(g, 0)
 
     def support(self):
         return self.space.support()
@@ -163,7 +167,7 @@ class GradedModule:
         return self.space.group
 
     def dim(self, g) -> int:
-        return self.space.dim(g)
+        return self.space.dims.get(g, 0)
 
     def support(self):
         return self.space.support()
@@ -367,9 +371,10 @@ def check_module(m: GradedModule) -> Report:
 def _associativity_failure(m: GradedModule, middles):
     """The first (g, h, k), with g over supp M, h over `middles` and k
     over supp A in that nesting, at which rho_{gh,k} (rho_{g,h} (x) id)
-    and rho_{g,hk} (id (x) m_{h,k}) differ; None if there is none."""
+    and rho_{g,hk} (id (x) m_{h,k}) differ; None if there is none. Both
+    sides map into M_ghk, so a triple with M_ghk = 0 is skipped."""
     mul = m.group.mul_unchecked  # every degree below is a support element or a product of them
-    a = m.algebra
+    a, m_dims = m.algebra, m.space.dims
     ident_m = {g: Matrix.identity(m.dim(g), m.field) for g in m.support()}
     ident_a = {k: Matrix.identity(a.dim(k), m.field) for k in a.support()}
     for g in m.support():
@@ -377,6 +382,8 @@ def _associativity_failure(m: GradedModule, middles):
             gh = mul(g, h)
             rho = m.action_map(g, h)
             for k in a.support():
+                if mul(gh, k) not in m_dims:
+                    continue
                 lhs = mul_kron(m.action_map(gh, k), rho, ident_a[k])
                 rhs = mul_kron(m.action_map(g, mul(h, k)), ident_m[g], a.mult_map(h, k))
                 if lhs != rhs:
@@ -388,9 +395,12 @@ def check_algebra_morphism(f: GradedMorphism, a: GradedAlgebra, b: GradedAlgebra
     if f.source.dims != a.space.dims or f.target.dims != b.space.dims:
         raise ValueError("morphism endpoints do not match the given algebras")
     group = a.group
+    mul, b_dims = group.mul_unchecked, b.space.dims
     for g in a.support():
         for h in a.support():
-            gh = group.mul(g, h)
+            gh = mul(g, h)
+            if gh not in b_dims:
+                continue  # both sides map into B_gh = 0
             lhs = mul_kron(b.mult_map(g, h), f.component(g), f.component(h))
             rhs = f.component(gh) @ a.mult_map(g, h)
             if lhs != rhs:
@@ -406,12 +416,14 @@ def check_module_morphism(f: GradedMorphism, m: GradedModule, n: GradedModule) -
         raise ValueError("modules live over different algebras")
     if f.source.dims != m.space.dims or f.target.dims != n.space.dims:
         raise ValueError("morphism endpoints do not match the given modules")
-    group = m.group
+    mul, n_dims = m.group.mul_unchecked, n.space.dims
     a = m.algebra
     ident_a = {h: Matrix.identity(a.dim(h), a.field) for h in a.support()}
     for g in m.support():
         for h in a.support():
-            gh = group.mul(g, h)
+            gh = mul(g, h)
+            if gh not in n_dims:
+                continue  # both sides map into N_gh = 0
             lhs = mul_kron(n.action_map(g, h), f.component(g), ident_a[h])
             rhs = f.component(gh) @ m.action_map(g, h)
             if lhs != rhs:
@@ -552,7 +564,9 @@ def regular_module(a: GradedAlgebra) -> GradedModule:
 def shift_module(m: GradedModule, g) -> GradedModule:
     """S_g(M): degree-d component M_{g^-1 d}, action reindexed the same way."""
     group = m.group
-    new_dims = {group.mul(g, d): dim for d, dim in m.space.dims.items()}
+    ginv = group.inv(g)  # refuses a g that is not an element
+    mul = group.mul_unchecked
+    new_dims = {mul(g, d): dim for d, dim in m.space.dims.items()}
     new_group = group
     if isinstance(group, IntegerWindow):
         if new_dims:
@@ -562,11 +576,10 @@ def shift_module(m: GradedModule, g) -> GradedModule:
             new_group = IntegerWindow(0, 0)
     space = GradedVectorSpace(new_group, new_dims)
     action = {}
-    ginv = group.inv(g)
     for d in space.support():
         for h in m.algebra.support():
-            if space.dim(group.mul(d, h)) and space.dim(d) and m.algebra.dim(h):
-                action[(d, h)] = m.action_map(group.mul(ginv, d), h)
+            if mul(d, h) in space.dims:
+                action[(d, h)] = m.action_map(mul(ginv, d), h)
     return GradedModule(space, m.algebra, action)
 
 

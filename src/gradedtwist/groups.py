@@ -12,6 +12,16 @@ Two backends share one duck-typed interface:
 
 The fixed global element order (used for every direct-sum block layout)
 is index order for finite groups and ascending integers for windows.
+
+`FiniteGroup.mul` is the public, checked product. It answers two indices
+of type int in 0..n-1 with one test and a table lookup, and hands anything
+else (an int subclass, a bool, a float, an index out of range) to
+`_check_index`, so it accepts and refuses exactly what that check does,
+with its message. `mul_unchecked` is the bare lookup, for degrees already
+known to be elements: the library's loops over support elements and their
+products use it (the axiom, morphism and twist checkers, `shift_module`,
+the equalizer and Gamma), while keys and degrees that come from a caller
+go through `mul` or `inv`.
 """
 
 from __future__ import annotations
@@ -47,6 +57,11 @@ class FiniteGroup:
         self.names = tuple(names) if names is not None else None
 
     def mul(self, a: int, b: int) -> int:
+        n = self.order
+        if type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n:
+            return self.table[a][b]
+        # anything else (an int subclass, a bool, a float, an index out of
+        # range) is accepted or refused by the full check
         self._check_index(a)
         self._check_index(b)
         return self.table[a][b]

@@ -166,10 +166,10 @@ class TwistingSystem:
         return self._d_window is not None
 
     def has_tau(self, d, g) -> bool:
-        return self.sigma is not None or self.algebra.dim(g) == 0 or (d, g) in self.maps
+        return self.sigma is not None or g not in self.algebra.space.dims or (d, g) in self.maps
 
     def tau(self, d, g) -> Matrix:
-        if self.algebra.dim(g) == 0:
+        if g not in self.algebra.space.dims:
             return Matrix.zeros(0, 0, self.algebra.field)
         got = self.maps.get((d, g))
         if got is None:
@@ -226,10 +226,11 @@ def check_cocycle(alpha: dict, group, field) -> Report:
     else:
         firsts = list(group.elements())
         notes = ()
+    mul = group.mul_unchecked  # a sum over the integers, elements otherwise
     for g in firsts:
         for h in firsts:
             for l in firsts:
-                keys = [(group.mul(g, h), l), (g, h), (g, group.mul(h, l)), (h, l)]
+                keys = [(mul(g, h), l), (g, h), (g, mul(h, l)), (h, l)]
                 if any(k not in alpha for k in keys):
                     continue
                 lhs = field.mul(alpha[keys[0]], alpha[keys[1]])
@@ -268,22 +269,24 @@ def check_twist_condition(t: TwistingSystem) -> Report:
         for g in support:
             if t.has_tau(d, g) and try_inverse(t.tau(d, g)) is None:
                 return Report("check_twist_condition", False, witness=("non-invertible", (d, g)), notes=notes)
-    group = a.group
+    mul, has_tau, tau = a.group.mul_unchecked, t.has_tau, t.tau
     ident = {g: Matrix.identity(a.dim(g), a.field) for g in support}
+    # both sides map into A_{g1 g2}; where that is 0 no product is stored
+    # and the two sides are empty matrices, so only stored products are
+    # tried, and the factors that do not depend on d are read once
+    products = [(g1, g2, mul(g1, g2), a.mult[(g1, g2)], ident[g1], tau(g1, g2))
+                for g1 in support for g2 in support if (g1, g2) in a.mult and has_tau(g1, g2)]
     for d in dees:
-        for g1 in support:
-            for g2 in support:
-                dg1 = group.mul(d, g1)
-                needed = [(d, g1), (dg1, g2), (d, group.mul(g1, g2)), (g1, g2)]
-                if not all(t.has_tau(*k) for k in needed):
-                    continue
-                m = a.mult_map(g1, g2)
-                lhs = mul_kron(m, t.tau(d, g1), t.tau(dg1, g2))
-                rhs = mul_kron(t.tau(d, group.mul(g1, g2)) @ m, ident[g1], t.tau(g1, g2))
-                if lhs != rhs:
-                    return Report(
-                        "check_twist_condition", False, witness=("twist-condition", (d, g1, g2)), notes=notes
-                    )
+        for g1, g2, g1g2, m, id_g1, tau_g1_g2 in products:
+            dg1 = mul(d, g1)
+            if not (has_tau(d, g1) and has_tau(dg1, g2) and has_tau(d, g1g2)):
+                continue
+            lhs = mul_kron(m, tau(d, g1), tau(dg1, g2))
+            rhs = mul_kron(tau(d, g1g2) @ m, id_g1, tau_g1_g2)
+            if lhs != rhs:
+                return Report(
+                    "check_twist_condition", False, witness=("twist-condition", (d, g1, g2)), notes=notes
+                )
     return Report("check_twist_condition", True, notes=notes)
 
 
@@ -493,17 +496,19 @@ def check_phi_family(p: PhiFamily) -> Report:
         for g in b.support():
             if p.has(d, g) and try_inverse(p.map(d, g)) is None:
                 return Report("check_phi_family", False, witness=("non-invertible", (d, g)), notes=notes)
+    mul = group.mul_unchecked
+    # both sides map into A_{g1 g2}; where that is 0 they are empty matrices
+    products = [(g1, g2, mul(g1, g2), a.mult_map(g1, g2), b.mult_map(g1, g2))
+                for g1 in b.support() for g2 in b.support() if mul(g1, g2) in a.space.dims]
     for d in p.d_degrees():
-        for g1 in b.support():
-            for g2 in b.support():
-                dg1 = group.mul(d, g1)
-                g1g2 = group.mul(g1, g2)
-                if not (p.has(d, g1) and p.has(dg1, g2) and p.has(d, g1g2)):
-                    continue
-                lhs = mul_kron(a.mult_map(g1, g2), p.map(d, g1), p.map(dg1, g2))
-                rhs = p.map(d, g1g2) @ b.mult_map(g1, g2)
-                if lhs != rhs:
-                    return Report("check_phi_family", False, witness=("multiplicativity", (d, g1, g2)), notes=notes)
+        for g1, g2, g1g2, m_a, m_b in products:
+            dg1 = mul(d, g1)
+            if not (p.has(d, g1) and p.has(dg1, g2) and p.has(d, g1g2)):
+                continue
+            lhs = mul_kron(m_a, p.map(d, g1), p.map(dg1, g2))
+            rhs = p.map(d, g1g2) @ m_b
+            if lhs != rhs:
+                return Report("check_phi_family", False, witness=("multiplicativity", (d, g1, g2)), notes=notes)
     e = group.identity
     if p.has(e, e) and p.map(e, e) @ b.unit != a.unit:
         return Report("check_phi_family", False, witness=("unit", e), notes=notes)

@@ -546,6 +546,30 @@ class TestGeneratorOnlyEqualizers:
         built = compose_homs(s1, s1.kernel, s2, s2.kernel)
         assert compose_homs(s1, s1.kernel, s2, s2.kernel, s3.source_layout) == built
 
+    def test_a_composite_outside_its_space_names_the_first_failing_pair(self, monkeypatch):
+        a = s3_group_algebra(F7)
+        assert a.group.identity == 0 and a.group.mul(1, 0) == 1 and a.group.mul(0, 5) == 5
+        real = enriched.compose_homs
+        bad = set()
+
+        def corrupted(left, fs, right, gs, layout=None):
+            composites = real(left, fs, right, gs, layout)
+            if (left.degree, right.degree) not in bad:
+                return composites
+            data = list(composites.data)
+            data[0] = F7.add(data[0], 1)
+            return Matrix(composites.rows, composites.cols, F7, data)
+
+        monkeypatch.setattr(enriched, "compose_homs", corrupted)
+        # the coordinates are read per product degree, and degree 1 is read
+        # before degree 5, but the pair (0, 5) comes before (1, 0)
+        for pairs, named in (({(1, 0)}, "(1,0)"), ({(1, 0), (0, 5)}, "(0,5)")):
+            bad.clear()
+            bad.update(pairs)
+            with pytest.raises(ValueError) as caught:
+                gamma_algebra(a)
+            assert str(caught.value) == f"composite of degrees {named} is not a module morphism family"
+
 
 def record_build_rs(monkeypatch) -> list:
     """Rebind enriched.build_RS to record the generators of each call."""

@@ -419,9 +419,11 @@ def sparse_matrix(field, rows, cols):
 
 
 def sparse_dims(max_dim):
-    """A dimension in 1..max_dim, or 0 about one time in 3 * max_dim + 1,
-    so that most products of drawn matrices have a nonzero entry."""
-    return st.sampled_from((*range(1, max_dim + 1),) * 3 + (0,))
+    """A dimension in 1..max_dim, or 0 about one time in 4 * max_dim + 1,
+    so that most products of drawn matrices have a nonzero entry. 1 comes
+    up about one time in three, so that some drawn products have only 1x1
+    operands and take that path of `mat_mul` and `mul_kron`."""
+    return st.sampled_from((1,) * max_dim + (*range(1, max_dim + 1),) * 3 + (0,))
 
 
 def sparse_matrices(field, max_dim=6):
@@ -560,6 +562,35 @@ def test_mul_kron_is_the_product_with_kron(field, data):
     index = fused.nonzero_rows()
     assert index == scanned_rows(fused)
     assert all(v is fused.data[i * fused.cols + j] for i, row in enumerate(index) for j, v in row)
+
+
+def one_by_one(field):
+    return st.one_of(nonzero_scalars(field), st.just(0)).map(lambda x: Matrix(1, 1, field, [x]))
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_by_one_products_match_the_general_path(field, data):
+    x, f, g = (data.draw(one_by_one(field)) for _ in range(3))
+    zero = Matrix.zeros(1, 1, field)
+    # padded with a zero term, the same products take the general path
+    products = [(mat_mul(x, f), mat_mul(hstack([x, zero]), vstack([f, zero])), naive_mat_mul(x, f)),
+                (mul_kron(x, f, g), mul_kron(hstack([x, zero]), vstack([f, zero]), g), mat_mul(x, kron(f, g)))]
+    for fast, general, reference in products:
+        assert fast == general == reference
+        assert fast.nonzero_rows() == general.nonzero_rows() == scanned_rows(fast)
+        assert all(v is fast.data[j] for j, v in fast.nonzero_rows()[0])
+        assert_canonical(fast)
+
+
+def test_trusted_results_refuse_writes():
+    one = Matrix.identity(1, F7)
+    for m in (Matrix._trusted(1, 1, F7, (3,)), mat_mul(one, one), mul_kron(one, one, one), inverse(one)):
+        for name in ("rows", "data", "_nonzero", "_inverse"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(m, name, None)
+        assert m.rows == m.cols == 1
 
 
 def test_mul_kron_refuses_mismatched_operands():

@@ -1,10 +1,12 @@
 """Graded structures: axiom checkers, constructors, oracle."""
 
 import random
+from itertools import product
 
 import pytest
 
 from composites import reference_check_algebra
+from gradedtwist import graded
 from gradedtwist.exactmath import QQ, Matrix, PrimeField
 from gradedtwist.graded import (
     GradedAlgebra,
@@ -347,3 +349,30 @@ class TestStorageRule:
         a = group_algebra(Z2)
         with pytest.raises(ValueError):
             GradedMorphism(a.space, a.space, {0: Matrix.identity(2, QQ)}, QQ)
+
+
+def test_checkers_skip_identities_into_zero_components(monkeypatch):
+    # on qp3 (degrees 0..3, products above 3 are zero) an identity whose
+    # two sides map into a zero component compares two empty matrices, so
+    # the checkers skip it: only the tuples with a nonzero product degree
+    # are evaluated
+    a = quantum_plane(3)[0]
+    reg = regular_module(a)
+    identity = GradedMorphism.identity(a.space, a.field)
+    supp = a.support()
+    calls = []
+    real = graded.mul_kron
+    monkeypatch.setattr(graded, "mul_kron", lambda *args: calls.append(args) or real(*args))
+
+    def evaluated(check, *args):
+        calls.clear()
+        assert check(*args).passed
+        return len(calls)
+
+    triples = [t for t in product(supp, repeat=3) if a.dim(sum(t))]
+    pairs = [t for t in product(supp, repeat=2) if a.dim(sum(t))]
+    assert (len(triples), len(pairs)) == (20, 10)  # of 64 and 16
+    # two composites per triple, then one per degree for the unit action
+    assert evaluated(check_module, reg) == 2 * len(triples) + len(supp)
+    assert evaluated(check_algebra_morphism, identity, a, a) == len(pairs)
+    assert evaluated(check_module_morphism, identity, reg, reg) == len(pairs)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gradedtwist.groups import (
     FiniteGroup,
@@ -105,3 +107,44 @@ def test_index_range_errors():
         z3.inv(-1)
     with pytest.raises(ValueError):
         z3.inv(True)
+
+
+class Index(int):
+    """An int subclass: an element index, but not of type int."""
+
+
+def _outcome(call):
+    try:
+        return ("product", call())
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+# around the range 0..5 of S3: ints (negative, in range, and n = 6), int
+# subclasses, bools and floats
+indices = st.one_of(
+    st.integers(min_value=-3, max_value=8),
+    st.integers(min_value=-3, max_value=8).map(Index),
+    st.booleans(),
+    st.floats(min_value=-3, max_value=8, allow_nan=False),
+)
+
+
+@given(indices, indices)
+def test_mul_accepts_and_refuses_what_check_index_does(a, b):
+    s3 = symmetric_group(3)
+
+    def checked():
+        s3._check_index(a)
+        s3._check_index(b)
+        return s3.table[a][b]
+
+    assert _outcome(lambda: s3.mul(a, b)) == _outcome(checked)
+
+
+def test_mul_refusals_name_the_first_bad_index():
+    z3 = cyclic_group(3)
+    assert z3.mul(Index(2), 2) == z3.mul(2, Index(2)) == 1
+    for args, bad in (((True, 0), "True"), ((0, 3), "3"), ((-1, 5), "-1"), ((1.0, 0), "1.0")):
+        with pytest.raises(ValueError, match=rf"^element index {bad} out of range 0\.\.2$"):
+            z3.mul(*args)

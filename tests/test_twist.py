@@ -567,3 +567,28 @@ def test_twist_from_phi_takes_the_callers_family_report(monkeypatch):
 def test_broken_algebras_are_really_broken():
     for seed in range(8):
         assert not check_algebra(broken_algebra(seed)).passed
+
+
+def test_condition_checks_skip_pairs_whose_product_component_is_zero(monkeypatch):
+    # qp3 has degrees 0..3, so a pair (g1, g2) with g1 + g2 > 3 has no
+    # stored product and both sides of its identity are empty matrices
+    a = quantum_plane(3)[0]
+    t = identity_twist(a)
+    p = phi_from_twist(t)
+    supp = a.support()
+    calls = []
+    real = twist_lib.mul_kron
+    monkeypatch.setattr(twist_lib, "mul_kron", lambda *args: calls.append(args) or real(*args))
+
+    def count(has, nonzero_only):
+        return sum(1 for d in t.d_degrees() for g1 in supp for g2 in supp
+                   if (a.dim(g1 + g2) or not nonzero_only)
+                   and has(d, g1) and has(d + g1, g2) and has(d, g1 + g2))
+
+    # every tau_g1(g2) is stored, so only the factors that depend on d can be missing
+    assert all(t.has_tau(g1, g2) for g1 in supp for g2 in supp)
+    assert check_twist_condition(t).passed
+    assert len(calls) == 2 * count(t.has_tau, True) < 2 * count(t.has_tau, False)
+    calls.clear()
+    assert check_phi_family(p).passed
+    assert len(calls) == count(p.has, True) < count(p.has, False)
