@@ -115,19 +115,9 @@ def evaluation(dim_y: int, dim_z: int, field) -> Matrix:
     return flat(Matrix.identity(dim_y * dim_z, field), dim_y, dim_z)
 
 
-def coevaluation(dim_x: int, dim_y: int, field) -> Matrix:
-    """X -> [Y, X (x) Y], i.e. sharp of the identity on X (x) Y."""
-    return sharp(Matrix.identity(dim_x * dim_y, field), dim_x, dim_y)
-
-
 def precompose(b: Matrix, dim_z: int) -> Matrix:
     """[Y, Z] -> [Y', Z] induced by b: Y' -> Y."""
     return kron(Matrix.identity(dim_z, b.field), b.transpose())
-
-
-def postcompose(c: Matrix, dim_y: int) -> Matrix:
-    """[Y, Z] -> [Y, Z'] induced by c: Z -> Z'."""
-    return kron(c, Matrix.identity(dim_y, c.field))
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +594,7 @@ __all__ = [
     "sharp",
     "flat",
     "evaluation",
-    "coevaluation",
     "precompose",
-    "postcompose",
     "build_RS",
     "block_permutation",
     "ModuleHomSpace",

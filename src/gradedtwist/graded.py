@@ -25,6 +25,11 @@ exact span computation, that H generates A, or returns None.
 `check_algebra` uses the first lemma and the certificate, and falls back
 to the full loop whenever either does not apply.
 
+`_multiplicativity_failure` is the one loop that checks a degreewise
+family phi_d multiplicative from S to T: `check_algebra_morphism` (phi
+constant, d = e) and `twist`'s phi-family and twisting-condition checks
+share it.
+
 Storage rule, enforced for mult and action alike by `_structure_maps`:
 a key (g, h) must be present exactly when all three of dims(g), dims(h),
 dims(g*h) are nonzero. Slots touching a zero-dimensional component are
@@ -392,23 +397,37 @@ def _associativity_failure(m: GradedModule, middles):
 
 
 def check_algebra_morphism(f: GradedMorphism, a: GradedAlgebra, b: GradedAlgebra) -> Report:
+    """f: A -> B is multiplicative (the shared loop, constant in d) and unital."""
     if f.source.dims != a.space.dims or f.target.dims != b.space.dims:
         raise ValueError("morphism endpoints do not match the given algebras")
-    group = a.group
-    mul, b_dims = group.mul_unchecked, b.space.dims
-    for g in a.support():
-        for h in a.support():
-            gh = mul(g, h)
-            if gh not in b_dims:
-                continue  # both sides map into B_gh = 0
-            lhs = mul_kron(b.mult_map(g, h), f.component(g), f.component(h))
-            rhs = f.component(gh) @ a.mult_map(g, h)
-            if lhs != rhs:
-                return Report("check_algebra_morphism", False, witness=("multiplicativity", (g, h)))
-    e = group.identity
+    e = a.group.identity
+    bad = _multiplicativity_failure(b, a, [e], lambda _d, g: f.component(g), lambda _d, _g: True)
+    if bad is not None:
+        return Report("check_algebra_morphism", False, witness=("multiplicativity", bad[1:]))
     if f.component(e) @ a.unit != b.unit:
         return Report("check_algebra_morphism", False, witness=("unit", e))
     return Report("check_algebra_morphism", True)
+
+
+def _multiplicativity_failure(target: GradedAlgebra, source: GradedAlgebra, dees, phi, has):
+    """The first (d, g1, g2), with d over `dees` and g1, g2 over supp of
+    the source in that nesting, at which m^T_{g1,g2} (phi(d, g1) (x)
+    phi(d g1, g2)) and phi(d, g1 g2) m^S_{g1,g2} differ; None if there is
+    none. Both sides map into T_{g1 g2}, so a pair with T_{g1 g2} = 0 is
+    skipped, and so is a tuple for which `has` reports one of its three
+    maps missing."""
+    mul, t_dims, supp = source.group.mul_unchecked, target.space.dims, source.support()
+    # the structure maps do not depend on d, so they are read once
+    pairs = [(g1, g2, mul(g1, g2), target.mult_map(g1, g2), source.mult_map(g1, g2))
+             for g1 in supp for g2 in supp if mul(g1, g2) in t_dims]
+    for d in dees:
+        for g1, g2, g1g2, m_t, m_s in pairs:
+            dg1 = mul(d, g1)
+            if not (has(d, g1) and has(dg1, g2) and has(d, g1g2)):
+                continue
+            if mul_kron(m_t, phi(d, g1), phi(dg1, g2)) != phi(d, g1g2) @ m_s:
+                return (d, g1, g2)
+    return None
 
 
 def check_module_morphism(f: GradedMorphism, m: GradedModule, n: GradedModule) -> Report:
@@ -583,10 +602,6 @@ def shift_module(m: GradedModule, g) -> GradedModule:
     return GradedModule(space, m.algebra, action)
 
 
-def zero_module(a: GradedAlgebra) -> GradedModule:
-    return GradedModule(GradedVectorSpace(a.group, {}), a, {})
-
-
 __all__ = [
     "GradedVectorSpace",
     "GradedAlgebra",
@@ -602,5 +617,4 @@ __all__ = [
     "truncated_polynomial",
     "regular_module",
     "shift_module",
-    "zero_module",
 ]

@@ -21,7 +21,10 @@ with its message. `mul_unchecked` is the bare lookup, for degrees already
 known to be elements: the library's loops over support elements and their
 products use it (the axiom, morphism and twist checkers, `shift_module`,
 the equalizer and Gamma), while keys and degrees that come from a caller
-go through `mul` or `inv`.
+go through `mul` or `inv`. `inv` reads a table of the inverses found by
+one scan of the multiplication table, made on its first call, so that
+building a group stays a shape check; an element with no inverse is
+refused with the same message as by a scan.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ def _is_int(x) -> bool:
 
 class FiniteGroup:
     is_finite = True
+    _inverses = None  # {a: a^-1}, built by the first inv call
 
     def __init__(self, table, identity: int = 0, names=None):
         table = tuple(tuple(row) for row in table)
@@ -71,11 +75,17 @@ class FiniteGroup:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        self._check_index(a)
-        for b in range(self.order):
-            if self.table[a][b] == self.identity and self.table[b][a] == self.identity:
-                return b
-        raise ValueError(f"element {a} has no inverse")
+        if type(a) is not int:
+            self._check_index(a)  # an int subclass that passes is looked up by value
+        if self._inverses is None:
+            t, e, elements = self.table, self.identity, self.elements()
+            # y descends, so each x keeps the first inverse a scan finds
+            self._inverses = {x: y for y in reversed(elements) for x in elements if t[x][y] == e and t[y][x] == e}
+        found = self._inverses.get(a)
+        if found is None:
+            self._check_index(a)
+            raise ValueError(f"element {a} has no inverse")
+        return found
 
     def elements(self):
         return range(self.order)

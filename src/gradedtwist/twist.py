@@ -7,15 +7,18 @@ condition
     m_{g1,g2} (id (x) tau_{d g1}(g2)) (tau_d(g1) (x) id)
         = tau_d(g1 g2) m_{g1,g2} (id (x) tau_{g1}(g2))
 
-for all d, g1, g2. Every system reads tau_d(g) from one table; its kind
-decides only how that table is filled and which criterion verifies it:
+for all d, g1, g2. Its right side is tau_d(g1 g2) m^tau_{g1,g2}: tau is
+multiplicative from A^tau to A, the identity a phi family satisfies from
+any algebra B (Zhang, Proc. LMS 72, 1996). Every system reads tau_d(g)
+from one table; its kind decides only how that table is filled and which
+criterion verifies it:
 
-- explicit: the table is the stored matrices. Over the integers only a
-  finite d-window can be stored, so condition checks are flagged
-  "window-verified".
+- explicit: the stored matrices, checked as tau multiplicative from
+  A^tau to A by graded's shared loop. Over the integers only a finite
+  d-window can be stored, so such checks are flagged "window-verified".
 - cocycle: alpha(d, g) * id for nonzero scalars alpha, built once when
-  the system is; the twisting condition reduces to the 2-cocycle
-  identity.
+  the system is, and checked as an explicit table (the condition then
+  amounts to the 2-cocycle identity that `check_cocycle` tests).
 - automorphism: sigma_g^d for a graded algebra automorphism sigma,
   computed the first time it is read; only meaningful when degrees
   exponentiate, i.e. over the integers or a cyclic group (with
@@ -31,11 +34,12 @@ and raise.
 
 from __future__ import annotations
 
-from .exactmath import Matrix, inverse, mul_kron, try_inverse
+from .exactmath import Matrix, mul_kron, try_inverse
 from .graded import (
     GradedAlgebra,
     GradedModule,
     GradedMorphism,
+    _multiplicativity_failure,
     check_algebra,
     check_algebra_morphism,
     check_module,
@@ -244,50 +248,39 @@ def check_twist_condition(t: TwistingSystem) -> Report:
     """Verify that t is a twisting system on its algebra.
 
     Checks, in order: the algebra's own axioms, invertibility of every
-    quantified tau_d(g), then the twisting condition. The automorphism
-    kind uses the reduced criterion (sigma is a graded algebra
-    automorphism, plus sigma^n = id over Z/n), which implies the
-    condition for every integer d at once.
+    quantified tau_d(g), then the twisting condition, as tau
+    multiplicative from A^tau to A (built unchecked: tau_e(e) has just
+    been shown invertible). The automorphism kind uses the reduced
+    criterion (sigma is a graded algebra automorphism, plus sigma^n = id
+    over Z/n), which implies the condition for every integer d at once.
     """
     a = t.algebra
     alg_report = check_algebra(a)
     if not alg_report.passed:
-        return Report(
-            "check_twist_condition",
-            False,
-            witness={"algebra": alg_report.witness},
-            notes=("underlying algebra fails its axioms",),
-        )
+        return Report("check_twist_condition", False, witness={"algebra": alg_report.witness},
+                      notes=("underlying algebra fails its axioms",))
     notes = ("window-verified",) if t.window_limited() else ()
 
     if t.kind == AUTOMORPHISM:
         return _check_automorphism_kind(t)
 
-    support = a.support()
-    dees = t.d_degrees()
+    bad = _singular_entry(t.d_degrees(), a.support(), t.has_tau, t.tau)
+    if bad is not None:
+        return Report("check_twist_condition", False, witness=("non-invertible", bad), notes=notes)
+    bad = _multiplicativity_failure(a, twist_algebra(a, t, run_checks=False), t.d_degrees(), t.tau, t.has_tau)
+    if bad is not None:
+        return Report("check_twist_condition", False, witness=("twist-condition", bad), notes=notes)
+    return Report("check_twist_condition", True, notes=notes)
+
+
+def _singular_entry(dees, support, has, get):
+    """The first stored (d, g), d over `dees` and g over `support`, whose
+    map get(d, g) is singular; None if there is none."""
     for d in dees:
         for g in support:
-            if t.has_tau(d, g) and try_inverse(t.tau(d, g)) is None:
-                return Report("check_twist_condition", False, witness=("non-invertible", (d, g)), notes=notes)
-    mul, has_tau, tau = a.group.mul_unchecked, t.has_tau, t.tau
-    ident = {g: Matrix.identity(a.dim(g), a.field) for g in support}
-    # both sides map into A_{g1 g2}; where that is 0 no product is stored
-    # and the two sides are empty matrices, so only stored products are
-    # tried, and the factors that do not depend on d are read once
-    products = [(g1, g2, mul(g1, g2), a.mult[(g1, g2)], ident[g1], tau(g1, g2))
-                for g1 in support for g2 in support if (g1, g2) in a.mult and has_tau(g1, g2)]
-    for d in dees:
-        for g1, g2, g1g2, m, id_g1, tau_g1_g2 in products:
-            dg1 = mul(d, g1)
-            if not (has_tau(d, g1) and has_tau(dg1, g2) and has_tau(d, g1g2)):
-                continue
-            lhs = mul_kron(m, tau(d, g1), tau(dg1, g2))
-            rhs = mul_kron(tau(d, g1g2) @ m, id_g1, tau_g1_g2)
-            if lhs != rhs:
-                return Report(
-                    "check_twist_condition", False, witness=("twist-condition", (d, g1, g2)), notes=notes
-                )
-    return Report("check_twist_condition", True, notes=notes)
+            if has(d, g) and try_inverse(get(d, g)) is None:
+                return (d, g)
+    return None
 
 
 def _check_automorphism_kind(t: TwistingSystem) -> Report:
@@ -325,10 +318,11 @@ def twist_algebra(a: GradedAlgebra, t: TwistingSystem, run_checks: bool = True) 
     for (g, h), m in a.mult.items():
         mult[(g, h)] = mul_kron(m, ident[g], t.tau(g, h))
     tau_ee = t.tau(group.identity, group.identity)
-    if try_inverse(tau_ee) is None:
+    # a normalized system (tau_e = id, as every recovered one) needs no elimination
+    tau_ee_inv = tau_ee if tau_ee.is_identity() else try_inverse(tau_ee)
+    if tau_ee_inv is None:
         raise ValueError("tau_e(e) is singular; not a twisting system")
-    unit = inverse(tau_ee) @ a.unit
-    result = GradedAlgebra(a.space, mult, unit, field)
+    result = GradedAlgebra(a.space, mult, tau_ee_inv @ a.unit, field)
     if run_checks:
         r = check_algebra(result)
         if not r.passed:
@@ -490,26 +484,14 @@ def check_phi_family(p: PhiFamily) -> Report:
     a, b = p.target, p.source
     if a.space.dims != b.space.dims:
         return Report("check_phi_family", False, witness=("dims-mismatch",))
-    group = a.group
     notes = ("window-verified",) if p.window_limited() else ()
-    for d in p.d_degrees():
-        for g in b.support():
-            if p.has(d, g) and try_inverse(p.map(d, g)) is None:
-                return Report("check_phi_family", False, witness=("non-invertible", (d, g)), notes=notes)
-    mul = group.mul_unchecked
-    # both sides map into A_{g1 g2}; where that is 0 they are empty matrices
-    products = [(g1, g2, mul(g1, g2), a.mult_map(g1, g2), b.mult_map(g1, g2))
-                for g1 in b.support() for g2 in b.support() if mul(g1, g2) in a.space.dims]
-    for d in p.d_degrees():
-        for g1, g2, g1g2, m_a, m_b in products:
-            dg1 = mul(d, g1)
-            if not (p.has(d, g1) and p.has(dg1, g2) and p.has(d, g1g2)):
-                continue
-            lhs = mul_kron(m_a, p.map(d, g1), p.map(dg1, g2))
-            rhs = p.map(d, g1g2) @ m_b
-            if lhs != rhs:
-                return Report("check_phi_family", False, witness=("multiplicativity", (d, g1, g2)), notes=notes)
-    e = group.identity
+    bad = _singular_entry(p.d_degrees(), b.support(), p.has, p.map)
+    if bad is not None:
+        return Report("check_phi_family", False, witness=("non-invertible", bad), notes=notes)
+    bad = _multiplicativity_failure(a, b, p.d_degrees(), p.map, p.has)
+    if bad is not None:
+        return Report("check_phi_family", False, witness=("multiplicativity", bad), notes=notes)
+    e = a.group.identity
     if p.has(e, e) and p.map(e, e) @ b.unit != a.unit:
         return Report("check_phi_family", False, witness=("unit", e), notes=notes)
     return Report("check_phi_family", True, notes=notes)
@@ -547,10 +529,11 @@ def twist_from_phi(p: PhiFamily, family_report: Report | None = None):
     """Recover (twisting system on A, A^tau, algebra iso B -> A^tau) from a family.
 
     tau_d(g) = phi_d(g) phi_e(g)^-1 and the iso has components phi_e(g).
-    Both are re-verified, the iso against the returned A^tau; a family
-    that fails check_phi_family is rejected up front. A caller that has
-    already run check_phi_family on p passes its report as
-    `family_report`, and the family is not checked a second time.
+    A family that fails check_phi_family is rejected up front; a caller
+    that has already run it on p passes its report as `family_report`.
+    Then A^tau is built once, and A's axioms, the twisting condition and
+    the iso against A^tau are re-verified. Invertibility is not: each
+    tau_d(g) is a product of maps the family check has shown invertible.
     """
     if family_report is None:
         family_report = check_phi_family(p)
@@ -568,10 +551,13 @@ def twist_from_phi(p: PhiFamily, family_report: Report | None = None):
                 raise ValueError(f"phi_e({g!r}) is singular")
     maps = {(d, g): p.map(d, g) @ base for d in p.d_degrees() for g, base in bases.items() if p.has(d, g)}
     t = TwistingSystem(a, EXPLICIT, maps=maps)
-    condition = check_twist_condition(t)
-    if not condition.passed:
-        raise ValueError(f"recovered system fails the twisting condition at {condition.witness}")
     twisted = twist_algebra(a, t, run_checks=False)
+    alg_report = check_algebra(a)
+    if not alg_report.passed:
+        raise ValueError(f"recovered system fails the twisting condition at {dict(algebra=alg_report.witness)}")
+    bad = _multiplicativity_failure(a, twisted, t.d_degrees(), t.tau, t.has_tau)
+    if bad is not None:
+        raise ValueError(f"recovered system fails the twisting condition at {('twist-condition', bad)}")
     comps = {g: p.map(e, g) for g in b.support() if b.dim(g)}
     morphism = GradedMorphism(b.space, twisted.space, comps, a.field)
     morphism_report = check_algebra_morphism(morphism, b, twisted)

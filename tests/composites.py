@@ -18,7 +18,12 @@ returns (passed, witness) and visits the degrees in the library's order,
 so a failure must name the same witness.
 
 `reference_inverse` is the dense inverse, a `rref` of [m | I], that
-`exactmath.inverse` computes by sparse elimination."""
+`exactmath.inverse` computes by sparse elimination.
+
+`coevaluation`, `postcompose` and `zero_module` are the closed-structure
+maps and the zero module that the tests of the triangle identity,
+pre/postcompose naturality and zero Hom spaces are stated with; the
+library itself needs none of them."""
 
 from gradedtwist.enriched import evaluation, sharp
 from gradedtwist.exactmath import (
@@ -32,7 +37,7 @@ from gradedtwist.exactmath import (
     rref,
     try_inverse,
 )
-from gradedtwist.graded import GradedAlgebra, GradedModule, regular_module
+from gradedtwist.graded import GradedAlgebra, GradedModule, GradedVectorSpace, regular_module
 from gradedtwist.twist import AUTOMORPHISM
 
 
@@ -249,3 +254,18 @@ def reference_inverse(m):
         rank_m = sum(1 for p in pivots if p < n)
         raise SingularMatrixError(f"matrix of rank {rank_m} is singular at size {n}")
     return Matrix._trusted(n, n, m.field, [x for i in range(n) for x in r.row(i)[n:]])
+
+
+def coevaluation(dim_x, dim_y, field):
+    """X -> [Y, X (x) Y], i.e. sharp of the identity on X (x) Y."""
+    return sharp(Matrix.identity(dim_x * dim_y, field), dim_x, dim_y)
+
+
+def postcompose(c, dim_y):
+    """[Y, Z] -> [Y, Z'] induced by c: Z -> Z'."""
+    return kron(c, Matrix.identity(dim_y, c.field))
+
+
+def zero_module(a):
+    """The module with no nonzero component over A."""
+    return GradedModule(GradedVectorSpace(a.group, {}), a, {})

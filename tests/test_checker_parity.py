@@ -155,6 +155,20 @@ def algebra_morphism_cases():
         cases.append((f"s3-f7-component-{seed}", GradedMorphism(s3.space, s3.space, comps, F7), s3, s3))
         sigma = GradedMorphism(a.space, a.space, bump_one(t.sigma.components, rng), a.field)
         cases.append((f"qp3-sigma-bumped-{seed}", sigma, a, a))
+    # the unit map k -> qp3 and the augmentation qp3 -> k: the supports
+    # differ, so a loop over the wrong one reads a degree the other lacks
+    one = Matrix.from_rows([[1]], a.field)
+    k = GradedAlgebra(GradedVectorSpace(IntegerWindow(0, 0), {0: 1}), {(0, 0): one}, Matrix.column([1], a.field),
+                      a.field)
+    for value in (1, 2):
+        comps = {0: Matrix.from_rows([[value]], a.field)}
+        cases += [(f"unit-map-{value}", GradedMorphism(k.space, a.space, comps, a.field), k, a),
+                  (f"augmentation-{value}", GradedMorphism(a.space, k.space, comps, a.field), a, k)]
+    # k[S3] -> k in degree e fails at a pair (g, g^-1) with g != e, which
+    # only a loop over the source's support reaches
+    e, one = s3.group.identity, Matrix.from_rows([[1]], F7)
+    k_e = GradedAlgebra(GradedVectorSpace(s3.group, {e: 1}), {(e, e): one}, Matrix.column([1], F7), F7)
+    cases.append(("s3-f7-to-degree-e", GradedMorphism(s3.space, k_e.space, {e: one}, F7), s3, k_e))
     return cases
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composites import assemble, block_composites, r_composite, s_composite
+from composites import assemble, block_composites, coevaluation, postcompose, r_composite, s_composite, zero_module
 from gradedtwist import enriched, exactmath
 from gradedtwist.exactmath import QQ, Matrix, PrimeField, hstack, kron, sparse_kernel
 from gradedtwist.fixtures import (
@@ -22,7 +22,6 @@ from gradedtwist.enriched import (
     GammaAlgebra,
     block_permutation,
     build_RS,
-    coevaluation,
     check_shift_props,
     compose_homs,
     direct_intertwiner_basis,
@@ -32,7 +31,6 @@ from gradedtwist.enriched import (
     gamma_algebra,
     identity_hom,
     module_hom_space,
-    postcompose,
     precompose,
     sharp,
 )
@@ -46,7 +44,6 @@ from gradedtwist.graded import (
     group_algebra,
     regular_module,
     shift_module,
-    zero_module,
 )
 from gradedtwist.groups import IntegerWindow, cyclic_group, symmetric_group
 from gradedtwist.twist import twist_algebra

@@ -405,6 +405,30 @@ class TestBackward:
         assert eliminated
         assert len({id(m) for m in eliminated}) == len(eliminated)
 
+    def test_recovery_eliminates_only_in_its_family_check(self, monkeypatch):
+        # each recovered tau_d(g) is phi_d(g) phi_e(g)^-1, a product of maps
+        # that check_phi_family has shown invertible, and tau_e(e) = id, so
+        # under twist_from_phi only that check's own loop eliminates
+        callers = []
+        real = exactmath._invert
+
+        def counted(m):
+            frame, names = sys._getframe(1), []
+            while frame is not None:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            callers.append(names)
+            return real(m)
+
+        monkeypatch.setattr(exactmath, "_invert", counted)
+        data = equivalence_from_twist(quantum_plane(4)[1])
+        assert check_equivalence(data).passed
+        assert backward(data).report.passed
+        monkeypatch.undo()
+        recovery = [names[:names.index("twist_from_phi")] for names in callers if "twist_from_phi" in names]
+        assert recovery  # the counter sees the family check's eliminations
+        assert [names for names in recovery if "check_phi_family" not in names] == []
+
     def test_quantum_plane_recovery_on_the_window(self, monkeypatch):
         self.check_quantum_plane_recovery(3, monkeypatch)
 

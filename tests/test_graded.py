@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from composites import reference_check_algebra
+from composites import reference_check_algebra, zero_module
 from gradedtwist import graded
 from gradedtwist.exactmath import QQ, Matrix, PrimeField
 from gradedtwist.graded import (
@@ -23,7 +23,6 @@ from gradedtwist.graded import (
     regular_module,
     shift_module,
     truncated_polynomial,
-    zero_module,
 )
 from gradedtwist.fixtures import quantum_plane
 from gradedtwist.groups import IntegerWindow, cyclic_group, symmetric_group

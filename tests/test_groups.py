@@ -148,3 +148,49 @@ def test_mul_refusals_name_the_first_bad_index():
     for args, bad in (((True, 0), "True"), ((0, 3), "3"), ((-1, 5), "-1"), ((1.0, 0), "1.0")):
         with pytest.raises(ValueError, match=rf"^element index {bad} out of range 0\.\.2$"):
             z3.mul(*args)
+
+
+def scanned_inverse(g, a):
+    """FiniteGroup.inv as a scan of the table on every call."""
+    g._check_index(a)
+    for b in g.elements():
+        if g.table[a][b] == g.identity and g.table[b][a] == g.identity:
+            return b
+    raise ValueError(f"element {a} has no inverse")
+
+
+INVERSE_GROUPS = {
+    "Z1": lambda: cyclic_group(1),
+    "Z5": lambda: cyclic_group(5),
+    "Z8": lambda: cyclic_group(8),
+    "S3": lambda: symmetric_group(3),
+    "S4": lambda: symmetric_group(4),
+    "Klein": lambda: FiniteGroup([[a ^ b for b in range(4)] for a in range(4)]),
+    # 1 and 2 each have two inverses, 1 and 2, and 3 has none
+    "not-a-group": lambda: FiniteGroup([[0, 1, 2, 3], [1, 0, 0, 3], [2, 0, 0, 3], [3, 3, 3, 3]]),
+}
+
+queries = st.one_of(
+    st.integers(min_value=-3, max_value=26),
+    st.integers(min_value=-3, max_value=26).map(Index),
+    st.booleans(),
+    st.floats(min_value=-3, max_value=26, allow_nan=False),
+)
+
+
+@given(st.sampled_from(sorted(INVERSE_GROUPS)), st.lists(queries, min_size=1, max_size=8))
+def test_inv_answers_and_refuses_as_a_scan_does(name, drawn):
+    g = INVERSE_GROUPS[name]()
+    assert g._inverses is None  # building a group builds no table
+    for a in [*drawn, *g.elements()]:
+        assert _outcome(lambda: g.inv(a)) == _outcome(lambda: scanned_inverse(g, a))
+
+
+def test_inv_refusals_keep_their_messages():
+    g = INVERSE_GROUPS["not-a-group"]()
+    assert [g.inv(0), g.inv(1), g.inv(2), g.inv(Index(2))] == [0, 1, 1, 1]
+    with pytest.raises(ValueError, match=r"^element 3 has no inverse$"):
+        g.inv(3)
+    for bad in (4, -1, True, 1.0):
+        with pytest.raises(ValueError, match=rf"^element index {bad} out of range 0\.\.3$"):
+            g.inv(bad)

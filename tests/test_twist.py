@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedtwist import graded as graded_lib
 from gradedtwist import twist as twist_lib
 from gradedtwist.exactmath import QQ, Matrix, PrimeField, inverse
 from gradedtwist.fixtures import (
@@ -578,7 +579,13 @@ def test_condition_checks_skip_pairs_whose_product_component_is_zero(monkeypatch
     supp = a.support()
     calls = []
     real = twist_lib.mul_kron
-    monkeypatch.setattr(twist_lib, "mul_kron", lambda *args: calls.append(args) or real(*args))
+    for module in (graded_lib, twist_lib):
+        monkeypatch.setattr(module, "mul_kron", lambda *args: calls.append(args) or real(*args))
+
+    def made_by(check, *args):
+        calls.clear()
+        assert check(*args).passed
+        return len(calls)
 
     def count(has, nonzero_only):
         return sum(1 for d in t.d_degrees() for g1 in supp for g2 in supp
@@ -587,8 +594,10 @@ def test_condition_checks_skip_pairs_whose_product_component_is_zero(monkeypatch
 
     # every tau_g1(g2) is stored, so only the factors that depend on d can be missing
     assert all(t.has_tau(g1, g2) for g1 in supp for g2 in supp)
-    assert check_twist_condition(t).passed
-    assert len(calls) == 2 * count(t.has_tau, True) < 2 * count(t.has_tau, False)
-    calls.clear()
-    assert check_phi_family(p).passed
-    assert len(calls) == count(p.has, True) < count(p.has, False)
+    tried = count(t.has_tau, True)
+    assert tried < count(t.has_tau, False)
+    # one composite per tried tuple, plus one per stored product of A^tau,
+    # against two per tuple before; the calls of check_algebra are left out
+    condition = made_by(check_twist_condition, t) - made_by(check_algebra, a)
+    assert condition == tried + len(a.mult) < 2 * tried
+    assert made_by(check_phi_family, p) == count(p.has, True) < count(p.has, False)
