@@ -14,8 +14,8 @@ and S agree on it. The target of both is indexed by pairs (p, h):
 The blocks are the categorical composites: an R block is the internal-Hom
 map precompose(rho^M) = [rho^M_{g^-1 p, h}, N_ph], an S block the curried
 sharp(rho^N o (evaluation (x) id)). Only their difference is needed:
-`build_RS` writes the one matrix D = R - S, placing the action maps'
-entries by the formulas in its docstring, and tests/test_enriched.py
+`build_RS` writes D = R - S as its nonzero rows, placing the action
+maps' entries by the formulas in its docstring, and tests/test_enriched.py
 (test_r_blocks_are_the_curried_evaluation_composites,
 test_s_blocks_are_the_curried_action_composites) checks D bit for bit
 against the composites. The Hom space itself is ker(D) with its
@@ -157,9 +157,9 @@ def build_RS(m: GradedModule, n: GradedModule, g, generators=None):
       S:  ((r dim M_q + l) dim A_h + j, k dim M_q + l)  = rho^N_{p,h}[r, k dim A_h + j]
 
     R's entries of a block are placed first, no two at one place, and S's
-    are subtracted; each row's entries, by column and without the sums
-    that cancel, are D's `nonzero_rows()` index. The module docstring
-    names the composites and the tests comparing them.
+    are subtracted, in one {col: value} dict per row; by column and without
+    the sums that cancel, these are D's index for `Matrix._from_index`.
+    The module docstring names the composites and the tests comparing them.
     """
     if m.algebra is not n.algebra and m.algebra != n.algebra:
         raise ValueError("modules live over different algebras")
@@ -183,7 +183,6 @@ def build_RS(m: GradedModule, n: GradedModule, g, generators=None):
         if size:
             target.append((key, height, size))
             height += size
-    data = [zero] * (height * width)
     rows = [{} for _ in range(height)]  # each row's nonzero entries, {col: value}
     for (p, h), row0, _size in target:
         q, ph = mul(ginv, p), mul(p, h)
@@ -194,8 +193,7 @@ def build_RS(m: GradedModule, n: GradedModule, g, generators=None):
             for s, entries in enumerate(rho.nonzero_rows()):
                 for c, x in entries:
                     for r in range(dim_ph):
-                        i, j = row0 + r * width_q + c, col0 + r * dim_qh + s
-                        data[i * width + j] = rows[i][j] = x
+                        rows[row0 + r * width_q + c][col0 + r * dim_qh + s] = x
         # one entry of rho^N is subtracted at dim M_q places, one per l
         rho = n.action.get((p, h))
         if p in src_offset and rho is not None:
@@ -204,15 +202,14 @@ def build_RS(m: GradedModule, n: GradedModule, g, generators=None):
                 for col, y in entries:
                     k, j = divmod(col, dim_h)
                     for l in range(dim_q):
-                        i, jj = row0 + (r * dim_q + l) * dim_h + j, col0 + k * dim_q + l
-                        row = rows[i]
-                        x = data[i * width + jj] = sub(row.get(jj, zero), y)
+                        row, jj = rows[row0 + (r * dim_q + l) * dim_h + j], col0 + k * dim_q + l
+                        x = sub(row.get(jj, zero), y)
                         if x:
                             row[jj] = x
                         else:
                             del row[jj]  # R's entry cancelled
     index = tuple(tuple(sorted(row.items())) for row in rows)
-    return Matrix._trusted(height, width, field, data, index), source, target
+    return Matrix._from_index(height, width, field, index), source, target
 
 
 class ModuleHomSpace:

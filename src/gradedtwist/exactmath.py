@@ -18,14 +18,17 @@ once per matrix (see `Matrix`). Zero tests are by truthiness, which is
 exact because entries are kept in canonical form (`Fraction` over QQ, an
 int in [0, p) over F_p), and `Fraction(0)` and `0` are both falsy.
 
-`mat_mul`, `mul_kron`, `kron`, `sparse_kernel` and `inverse` find the
-nonzero entries of their operands through `Matrix.nonzero_rows()`, so a
-matrix is scanned for zeros at most once however many of them read it.
-All but `sparse_kernel` also write that index for their result, so
-their results are never scanned: the two products store the first term at each
-place of an output row as it is, instead of adding it to zero, add the
-later ones to it, and drop sums that cancel. `block_matrix` shifts its
-blocks' indexes into place.
+A matrix is built in one of two forms. `Matrix._trusted` takes its
+entries, and its per-row index of nonzero entries, `nonzero_rows()`, is
+scanned from them the first time it is read; `Matrix._from_index` takes
+that index and lays the entries out from it once. `mat_mul`, `mul_kron`,
+`kron`, `sparse_kernel` and `inverse` read their operands through the
+index, so a matrix is scanned at most once however many of them read
+it. They, `block_matrix`, `Matrix.identity` and `Matrix.zeros` build only
+their result's index, so their results are never scanned. The two
+products store the first term at each place of an output row as it is,
+instead of adding it to zero, add the later ones to it, and drop sums
+that cancel.
 
 When every operand is 1x1, `mat_mul` and `mul_kron` make their one
 product (two for `mul_kron`, in the general path's order) and return,
@@ -36,13 +39,13 @@ bookkeeping of the general path cost more than the arithmetic
 (BENCH_19.json measures the path against a copy without it).
 
 Entries from outside (parsed files, user code) are coerced and checked by
-`Matrix(...)`. Results of the kernels here are wrapped by
-`Matrix._trusted`, which skips that work: it is only for entries produced
-by field operations on entries that were already coerced. Every guard
-left on this path costs one test in the common case: the field checks
-compare the fields by identity before they compare them by value, and
-`_trusted` fills the slots through their member descriptors, bound once
-at import, since `Matrix.__setattr__` refuses every write.
+`Matrix(...)`. The two constructors of the kernels skip that work: they
+are only for entries produced by field operations on entries that were
+already coerced. Every guard left on this path costs one test in the
+common case: the field checks compare the fields by identity before they
+compare them by value, and the slots are filled through their member
+descriptors, bound once at import, since `Matrix.__setattr__` refuses
+every write.
 
 Dimension-zero matrices (0 x n and n x 0) are first class: graded
 components are frequently zero and their (empty) morphisms must compose
@@ -104,8 +107,9 @@ class RationalField:
 
     def coerce(self, x):
         """x as a `Fraction`; any value equal to 1 becomes the canonical
-        one, so that it takes the shortcut in `mul`."""
-        if isinstance(x, (Fraction, int)):
+        one, so that it takes the shortcut in `mul`. A bool is refused,
+        though Python counts it an int."""
+        if isinstance(x, (Fraction, int)) and not isinstance(x, bool):
             if x == 1:
                 return _FRACTION_ONE
             return x if isinstance(x, Fraction) else Fraction(x)
@@ -175,7 +179,7 @@ class PrimeField:
         self.p = p
 
     def coerce(self, x):
-        if isinstance(x, int):
+        if isinstance(x, int) and not isinstance(x, bool):
             return x % self.p
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
 
@@ -236,36 +240,30 @@ class SingularMatrixError(ArithmeticError):
 class Matrix:
     """Immutable dense matrix over a fixed field.
 
-    Entries are stored row-major in a flat tuple, each in the field's
-    canonical form (`Fraction` over QQ, an int in [0, p) over F_p).
-    Equality and hashing are by (rows, cols, field, entries), so matrices
-    can key dicts and compare bit-exactly.
+    Entries are stored row-major in a flat tuple, `data`, each in the
+    field's canonical form (`Fraction` over QQ, an int in [0, p) over
+    F_p). Equality and hashing are by (rows, cols, field, entries), so
+    matrices can key dicts and compare bit-exactly.
 
-    `Matrix(...)` coerces every entry and checks the count; use it for
-    anything parsed or supplied by a caller. `Matrix._trusted` skips both
-    and is only for entries produced by field operations on entries of
-    matrices that already exist, as in the kernels of this package. Both
-    write the slots through the slots' own member descriptors (`_set_rows`
-    and its siblings below), which is also how the two derived slots are
-    filled later; `__setattr__` refuses every write from outside.
+    `Matrix(...)` coerces every entry and checks the shape and count; use
+    it for anything parsed or supplied by a caller. `_trusted` and
+    `_from_index` are the kernels' constructors (see the module
+    docstring). Every slot is written through its member descriptor
+    (`_set_rows` and its siblings below); `__setattr__` refuses writes.
 
-    `nonzero_rows()` is a per-row index of the nonzero entries. The
-    kernels that know it while they write a result (`mat_mul`, `mul_kron`,
-    `kron`, `inverse`, `block_matrix`, `Matrix.identity`, `Matrix.zeros`)
-    hand it to `_trusted`; any other matrix builds it with one scan of
-    `data` the first time it is read. `inverse` stores its outcome, the
-    inverse or the rank of a singular matrix, in a slot left unset until
-    then, so every later call on the same object is a lookup; the
-    inverse holds no link back. Both are derived from `data` alone and
-    take no part in equality or hashing, and since a matrix never
-    changes they cannot go stale.
+    The two derived slots hold `nonzero_rows()`, built on its first read
+    unless `_from_index` was handed it, and the outcome of `inverse`,
+    the inverse or the rank of a singular matrix, set by its first call
+    on the object, so every later call is a lookup; the inverse holds no
+    link back. Both are derived from `data` alone and take no part in
+    equality or hashing, and since a matrix never changes they cannot go
+    stale.
     """
 
     __slots__ = ("rows", "cols", "field", "data", "_nonzero", "_inverse")
 
     def __init__(self, rows: int, cols: int, field, entries):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
+        _check_shape(rows, cols)
         data = tuple(field.coerce(x) for x in entries)
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
@@ -276,18 +274,34 @@ class Matrix:
         _set_nonzero(self, None)
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, field, data, nonzero=None) -> "Matrix":
+    def _trusted(cls, rows: int, cols: int, field, data) -> "Matrix":
         """Wrap rows * cols entries already in canonical form, unchecked.
-
-        `nonzero`, when given, must be exactly what `nonzero_rows()` would
-        build from `data`.
-        """
+        Their nonzero-row index is scanned the first time it is read."""
         m = object.__new__(cls)
         _set_rows(m, rows)
         _set_cols(m, cols)
         _set_field(m, field)
         _set_data(m, tuple(data))
-        _set_nonzero(m, nonzero)
+        _set_nonzero(m, None)
+        return m
+
+    @classmethod
+    def _from_index(cls, rows: int, cols: int, field, index: tuple) -> "Matrix":
+        """The rows x cols matrix whose `nonzero_rows()` is `index`, one tuple
+        per row of its (col, value) pairs by column, every value nonzero and
+        canonical. The entries are laid out from it here, once."""
+        data = [field.zero] * (rows * cols)
+        start = 0
+        for row in index:
+            for j, x in row:
+                data[start + j] = x
+            start += cols
+        m = object.__new__(cls)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_field(m, field)
+        _set_data(m, tuple(data))
+        _set_nonzero(m, index)
         return m
 
     def nonzero_rows(self) -> tuple:
@@ -314,18 +328,14 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, field) -> "Matrix":
-        if n < 0:
-            raise ValueError("negative dimensions")
+        _check_shape(n, n)
         one = field.one
-        data = [field.zero] * (n * n)
-        data[:: n + 1] = [one] * n
-        return cls._trusted(n, n, field, data, tuple(((i, one),) for i in range(n)))
+        return cls._from_index(n, n, field, tuple([((i, one),) for i in range(n)]))
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field) -> "Matrix":
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
-        return cls._trusted(rows, cols, field, (field.zero,) * (rows * cols), ((),) * rows)
+        _check_shape(rows, cols)
+        return cls._from_index(rows, cols, field, ((),) * rows)
 
     @classmethod
     def column(cls, entries, field) -> "Matrix":
@@ -434,6 +444,14 @@ _set_nonzero = Matrix._nonzero.__set__
 _set_inverse = Matrix._inverse.__set__
 
 
+def _check_shape(rows, cols):
+    """Refuse a shape from a caller unless it is two ints, neither negative."""
+    if type(rows) is not int or type(cols) is not int:
+        raise TypeError(f"matrix shape must be two ints, got {rows!r} x {cols!r}")
+    if rows < 0 or cols < 0:
+        raise ValueError("negative dimensions")
+
+
 def _scan_nonzero_rows(m: Matrix) -> tuple:
     """The nonzero-row index of m, by one scan of its entries."""
     data, cols = m.data, m.cols
@@ -449,9 +467,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product. (m x 0) times (0 x n) is the m x n zero matrix.
 
     Makes one field multiplication per pair a[i, k] != 0, b[k, j] != 0,
-    found through the nonzero-row index of each operand. Output rows are
-    accumulated as `_place_row` describes, and the result is handed its
-    nonzero-row index.
+    found through the nonzero-row index of each operand, and builds only
+    the result's index, as the module docstring describes.
     """
     if a.field is not b.field:
         a._check_same_field(b)
@@ -465,32 +482,24 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         return _one_by_one(field, field.mul(x, y) if x and y else None)
     add, mul = field.add, field.mul
     b_rows = b.nonzero_rows()
-    out = [field.zero] * (a.rows * n)
     index = []
-    start = 0
     for a_row in a.nonzero_rows():
         if len(a_row) == 1:
             # one term per column: nonzero, since a field has no zero divisors.
             # Most rows of the structure-map products are such, and skipping
             # the accumulation list for them is the common, faster path.
             (k, x), = a_row
-            row = []
-            for j, y in b_rows[k]:
-                value = out[start + j] = mul(x, y)
-                row.append((j, value))
-            row = tuple(row)
+            index.append(tuple([(j, mul(x, y)) for j, y in b_rows[k]]))
         elif a_row:
-            acc = [None] * n
+            acc = [None] * n  # None until a product lands in the column
             for k, x in a_row:
                 for j, y in b_rows[k]:
                     old = acc[j]
                     acc[j] = mul(x, y) if old is None else add(old, mul(x, y))
-            row = _place_row(acc, out, start)
+            index.append(tuple([(j, value) for j, value in enumerate(acc) if value]))
         else:
-            row = ()
-        index.append(row)
-        start += n
-    return Matrix._trusted(a.rows, n, field, out, tuple(index))
+            index.append(())
+    return Matrix._from_index(a.rows, n, field, tuple(index))
 
 
 def mul_kron(x: Matrix, f: Matrix, g: Matrix) -> Matrix:
@@ -500,8 +509,7 @@ def mul_kron(x: Matrix, f: Matrix, g: Matrix) -> Matrix:
     out[r, k*g.cols + l] is the sum over c of x[r, c] f[i, k] g[j, l].
     For each nonzero x[r, c] whose row j of g is not zero, x[r, c] is
     multiplied once by each nonzero f[i, k], and that product once by
-    each nonzero g[j, l]. Output rows are accumulated as `_place_row`
-    describes, and the result is handed its nonzero-row index.
+    each nonzero g[j, l]. Output rows are accumulated as in `mat_mul`.
     """
     if not (x.field is f.field is g.field):
         x._check_same_field(f)
@@ -520,9 +528,7 @@ def mul_kron(x: Matrix, f: Matrix, g: Matrix) -> Matrix:
     g_height, width = g.rows, g.cols
     n = f.cols * width
     f_rows, g_rows = f.nonzero_rows(), g.nonzero_rows()
-    out = [field.zero] * (x.rows * n)
     index = []
-    start = 0
     for x_row in x.nonzero_rows():
         if len(x_row) == 1:
             # one term per column, in column order and nonzero, as in mat_mul
@@ -533,10 +539,8 @@ def mul_kron(x: Matrix, f: Matrix, g: Matrix) -> Matrix:
             if g_row:
                 for k, y in f_rows[i]:
                     vy, base = mul(v, y), k * width
-                    for l, z in g_row:
-                        value = out[start + base + l] = mul(vy, z)
-                        row.append((base + l, value))
-            row = tuple(row)
+                    row += [(base + l, mul(vy, z)) for l, z in g_row]
+            index.append(tuple(row))
         elif x_row:
             acc = [None] * n
             for c, v in x_row:
@@ -549,34 +553,24 @@ def mul_kron(x: Matrix, f: Matrix, g: Matrix) -> Matrix:
                     for l, z in g_row:
                         old = acc[base + l]
                         acc[base + l] = mul(vy, z) if old is None else add(old, mul(vy, z))
-            row = _place_row(acc, out, start)
+            index.append(tuple([(j, value) for j, value in enumerate(acc) if value]))
         else:
-            row = ()
-        index.append(row)
-        start += n
-    return Matrix._trusted(x.rows, n, field, out, tuple(index))
+            index.append(())
+    return Matrix._from_index(x.rows, n, field, tuple(index))
 
 
 def _one_by_one(field, value) -> Matrix:
-    """The 1x1 matrix [value] with its index; None stands for zero. A
-    product of nonzero entries is nonzero, as a field has no zero divisors."""
-    if value is None:
-        return Matrix._trusted(1, 1, field, (field.zero,), ((),))
-    return Matrix._trusted(1, 1, field, (value,), (((0, value),),))
-
-
-def _place_row(acc: list, out: list, start: int) -> tuple:
-    """The nonzero-row index entry of an output row accumulated in `acc`,
-    whose entries are also written to `out` from `start` on.
-
-    `acc[j]` is None until a product lands in column j; the first product
-    is stored as it is, not added to zero, and later ones are added to it.
-    Sums that cancel, like columns no product reached, are dropped here.
-    """
-    row = tuple([(j, value) for j, value in enumerate(acc) if value])
-    for j, value in row:
-        out[start + j] = value
-    return row
+    """The 1x1 matrix [value] with its index; None stands for zero, and a
+    product of nonzero entries is nonzero. This is the 1x1 group-algebra
+    path of `mat_mul` and `mul_kron` that BENCH_19.json measured, so it
+    sets both slots itself, without a constructor call."""
+    m = object.__new__(Matrix)
+    _set_rows(m, 1)
+    _set_cols(m, 1)
+    _set_field(m, field)
+    _set_data(m, (field.zero,) if value is None else (value,))
+    _set_nonzero(m, ((),) if value is None else (((0, value),),))
+    return m
 
 
 def kron(f: Matrix, g: Matrix) -> Matrix:
@@ -585,25 +579,19 @@ def kron(f: Matrix, g: Matrix) -> Matrix:
     kron(f, g)[i*g.rows + j, k*g.cols + l] = f[i, k] * g[j, l].
 
     Output row i*g.rows + j holds the products of row i of f with row j
-    of g, already in column order, so the result's nonzero-row index is
-    written along with its entries.
+    of g, already in column order, so only the result's nonzero-row index
+    is built.
     """
     f._check_same_field(g)
     field = f.field
-    mul = field.mul
-    rows, cols, width = f.rows * g.rows, f.cols * g.cols, g.cols
-    out = [field.zero] * (rows * cols)
-    index = []
-    start = 0
+    mul, width = field.mul, g.cols
     g_rows = g.nonzero_rows()
-    for f_row in f.nonzero_rows():
-        for g_row in g_rows:
-            entries = tuple([(k * width + l, mul(x, y)) for k, x in f_row for l, y in g_row])
-            for j, value in entries:
-                out[start + j] = value
-            index.append(entries)
-            start += cols
-    return Matrix._trusted(rows, cols, field, out, tuple(index))
+    index = tuple([
+        tuple([(k * width + l, mul(x, y)) for k, x in f_row for l, y in g_row])
+        for f_row in f.nonzero_rows()
+        for g_row in g_rows
+    ])
+    return Matrix._from_index(f.rows * g.rows, f.cols * width, field, index)
 
 
 def rref(m: Matrix):
@@ -690,13 +678,12 @@ def sparse_kernel(m: Matrix):
             vectors[j][p] = neg(x)
     basis = _sparse_rref(vectors.values(), field)
     pivots = tuple(sorted(basis))
-    k = len(pivots)
-    data = [field.zero] * (cols * k)
-    for t, p in enumerate(pivots):
-        data[p * k + t] = one
+    index = [[] for _ in range(cols)]  # K's rows; basis row pivots[t] is column t
+    for t, p in enumerate(pivots):  # left to right, so each row's entries come by column
+        index[p].append((t, one))
         for i, x in basis[p].items():
-            data[i * k + t] = x
-    return Matrix._trusted(cols, k, field, data), pivots
+            index[i].append((t, x))
+    return Matrix._from_index(cols, len(pivots), field, tuple(map(tuple, index))), pivots
 
 
 def _sparse_rref(rows, field) -> dict:
@@ -771,15 +758,9 @@ def _invert(m: Matrix):
     rank = sum(1 for p in reduced if p < n)
     if rank < n:
         return rank
-    data = [field.zero] * (n * n)
-    index = []
-    for i in range(n):
-        # row i of the reduced [m | I] is [e_i | row i of the inverse]
-        row = tuple(sorted([(j - n, x) for j, x in reduced[i].items()]))
-        for j, x in row:
-            data[i * n + j] = x
-        index.append(row)
-    return Matrix._trusted(n, n, field, data, tuple(index))
+    # row i of the reduced [m | I] is [e_i | row i of the inverse]
+    index = tuple(tuple(sorted([(j - n, x) for j, x in reduced[i].items()])) for i in range(n))
+    return Matrix._from_index(n, n, field, index)
 
 
 def try_inverse(m: Matrix):
@@ -818,11 +799,12 @@ def hstack(mats: list[Matrix]) -> Matrix:
         if m.rows != rows:
             raise ValueError("row count mismatch in hstack")
         m._check_same_field(mats[0])
+    parts = [(m.data, m.cols) for m in mats]
     out = []
-    for i in range(rows):
-        for m in mats:
-            out.extend(m.row(i))
-    return Matrix._trusted(rows, sum(m.cols for m in mats), field, out)
+    for i in range(rows):  # row i is row i of each operand, sliced from its data
+        for data, cols in parts:
+            out += data[i * cols : (i + 1) * cols]
+    return Matrix._trusted(rows, sum(cols for _data, cols in parts), field, out)
 
 
 def vstack(mats: list[Matrix]) -> Matrix:
@@ -849,9 +831,6 @@ def block_matrix(row_dims, col_dims, blocks, field) -> Matrix:
     """
     row_offsets = _offsets(row_dims)
     col_offsets = _offsets(col_dims)
-    total_rows = row_offsets[-1]
-    total_cols = col_offsets[-1]
-    out = [field.zero] * (total_rows * total_cols)
     for (bi, bj), block in blocks.items():
         if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
             raise ValueError(
@@ -860,17 +839,12 @@ def block_matrix(row_dims, col_dims, blocks, field) -> Matrix:
             )
         if block.field is not field and block.field != field:
             raise ValueError("field mismatch in block_matrix")
-        r0, c0 = row_offsets[bi], col_offsets[bj]
-        for i in range(block.rows):
-            base = (r0 + i) * total_cols + c0
-            row = block.row(i)
-            out[base : base + block.cols] = row
-    index = [[] for _ in range(total_rows)]
+    index = [[] for _ in range(row_offsets[-1])]
     for (bi, bj), block in sorted(blocks.items(), key=lambda item: item[0][1]):  # left to right
         r0, c0 = row_offsets[bi], col_offsets[bj]
         for i, entries in enumerate(block.nonzero_rows()):
             index[r0 + i] += [(c0 + j, x) for j, x in entries]
-    return Matrix._trusted(total_rows, total_cols, field, out, tuple(map(tuple, index)))
+    return Matrix._from_index(row_offsets[-1], col_offsets[-1], field, tuple(map(tuple, index)))
 
 
 def _offsets(dims):

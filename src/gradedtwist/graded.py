@@ -53,13 +53,15 @@ class GradedVectorSpace:
     def __init__(self, group, dims: dict):
         cleaned = {}
         for g, d in dims.items():
+            if type(d) is not int:
+                raise TypeError(f"dimension {d!r} of degree {g!r} is not an int")
             if d < 0:
                 raise ValueError("negative dimension")
             if d == 0:
                 continue
             if not group.contains(g):
                 raise ValueError(f"degree {g!r} outside the group/window")
-            cleaned[g] = int(d)
+            cleaned[g] = d
         self.group = group
         self.dims = cleaned
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from composites import reference_inverse
 from gradedtwist import exactmath, serialize
+from gradedtwist.enriched import build_RS
 from gradedtwist.exactmath import (
     QQ,
     Matrix,
@@ -29,6 +30,8 @@ from gradedtwist.exactmath import (
     try_inverse,
     vstack,
 )
+from gradedtwist.fixtures import quantum_plane
+from gradedtwist.graded import regular_module
 
 F7 = PrimeField(7)
 F5 = PrimeField(5)
@@ -239,6 +242,26 @@ class TestStacking:
         assert h == Matrix.from_rows([[1, 2, 5], [3, 4, 6]], QQ)
         v = vstack([a, Matrix.from_rows([[7, 8]], QQ)])
         assert v == Matrix.from_rows([[1, 2], [3, 4], [7, 8]], QQ)
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_hstack_holds_each_operands_own_entries_row_by_row(self, rows):
+        rng = random.Random(rows)
+        mats = [random_matrix(rng, rows, cols, QQ) for cols in (2, 0, 1, 3, 1)]
+        h = hstack(mats)
+        assert (h.rows, h.cols) == (rows, 7)
+        expected = [x for i in range(rows) for m in mats for x in m.row(i)]
+        assert len(h.data) == len(expected)
+        assert all(x is y for x, y in zip(h.data, expected))
+        assert hstack([Matrix.zeros(rows, 0, QQ)]) == Matrix.zeros(rows, 0, QQ)
+
+    def test_block_matrix_names_the_first_bad_block_in_the_callers_order(self):
+        good, bad_shape, bad_field = Matrix.identity(2, QQ), Matrix.identity(3, QQ), Matrix.identity(2, F7)
+        with pytest.raises(ValueError, match=r"block \(1,1\) has shape 3x3"):
+            block_matrix([2, 2], [2, 2], {(0, 0): good, (1, 1): bad_shape, (0, 1): bad_shape}, QQ)
+        with pytest.raises(ValueError, match=r"block \(0,1\) has shape 3x3"):
+            block_matrix([2, 2], [2, 2], {(0, 1): bad_shape, (1, 0): bad_field}, QQ)
+        with pytest.raises(ValueError, match="field mismatch"):
+            block_matrix([2, 2], [2, 2], {(1, 0): bad_field, (0, 1): bad_shape}, QQ)
 
     def test_block_matrix_with_empty_blocks(self):
         blocks = {(0, 0): Matrix.identity(2, QQ), (1, 1): Matrix.from_rows([[5]], QQ)}
@@ -617,7 +640,11 @@ def test_every_kernel_result_indexes_its_own_nonzeros(field, data):
     x = data.draw(sparse_matrix(field, 3, a.rows * g.rows))
     # [a, a] @ [b; w - b] = a @ w: the sums cancel wherever w is zero
     cancelling = mat_mul(hstack([a, a]), vstack([b, w - b]))
-    results = [a, b, mat_mul(a, b), cancelling, mul_kron(x, a, g), kron(a, g), kron(g, b),
+    # R and S cancel in D's target blocks (p, 0), where A_0 = k acts by its unit
+    module = regular_module(quantum_plane(2, field=field)[0])
+    differences = [build_RS(module, module, degree)[0] for degree in (0, 1)]
+    results = [a, b, mat_mul(a, b), cancelling, mul_kron(x, a, g), kron(a, g), kron(g, b), sparse_kernel(a)[0],
+               *differences,
                kron(Matrix.identity(2, field), a),
                Matrix.identity(a.rows, field), Matrix.zeros(a.rows, b.cols, field), Matrix.zeros(0, a.cols, field),
                a + c, a - c, -a, a.scale(3), a.transpose(), rref(a)[0], column_echelon(a), kernel_matrix(a),
@@ -663,11 +690,31 @@ def test_kron_and_identity_hand_their_index_over(monkeypatch):
             assert m.nonzero_rows() == scanned_rows(m)
             mat_mul(m, Matrix.identity(m.cols, field))
         assert scans == []
-        # a product writes its own index, so it is never scanned
+        # every kernel builds its result's index, so no result is scanned
         identity = Matrix.identity(2, field)
-        for product in (mat_mul(f, Matrix.identity(4, field)), mul_kron(f, identity, identity)):
-            assert product.nonzero_rows() == scanned_rows(product)
+        square = Matrix(3, 3, field, [1, 2, 0, 0, 1, 0, 0, 0, 1])
+        assert square.nonzero_rows() == scanned_rows(square)
+        scans.clear()
+        product = mat_mul(f, Matrix.identity(4, field))
+        results = [product, mul_kron(f, identity, identity), inverse(square),
+                   block_matrix([3, 2], [4, 2], {(1, 1): identity, (0, 0): product}, field),
+                   sparse_kernel(product)[0], sparse_kernel(Matrix.zeros(2, 3, field))[0]]
+        for m in results:
+            assert m.nonzero_rows() == scanned_rows(m)
+            mat_mul(m, Matrix.identity(m.cols, field))
         assert scans == []
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_matrix_is_rebuilt_from_its_index_alone(field, data):
+    m = data.draw(sparse_matrices(field))
+    rebuilt = Matrix._from_index(m.rows, m.cols, field, m.nonzero_rows())
+    assert rebuilt == m
+    assert rebuilt.data == m.data
+    assert rebuilt.nonzero_rows() is m.nonzero_rows()
+    assert_canonical(rebuilt)
 
 
 rationals = st.fractions(max_denominator=10**6)
@@ -770,10 +817,18 @@ class TestWorkCounts:
 
 class TestPublicConstructor:
     @pytest.mark.parametrize("field", [QQ, F7], ids=repr)
-    @pytest.mark.parametrize("entry", [0.5, 1.0, "1"])
+    @pytest.mark.parametrize("entry", [0.5, 1.0, "1", True, False])
     def test_refuses_non_exact_entries(self, field, entry):
         with pytest.raises(TypeError):
             Matrix(2, 1, field, [1, entry])
+
+    @pytest.mark.parametrize("bad", [1.0, 2.5, True, False])
+    def test_refuses_a_shape_that_is_not_two_ints(self, bad):
+        for make in (lambda: Matrix(bad, 1, QQ, [1]), lambda: Matrix(1, bad, QQ, [1]),
+                     lambda: Matrix.zeros(bad, 1, QQ), lambda: Matrix.zeros(1, bad, QQ),
+                     lambda: Matrix.identity(bad, QQ)):
+            with pytest.raises(TypeError, match="shape"):
+                make()
 
     def test_refuses_a_wrong_entry_count(self):
         with pytest.raises(ValueError, match="expected 4 entries"):
@@ -792,6 +847,9 @@ class TestPublicConstructor:
             Matrix.identity(2, F7).scale(Fraction(1, 2))
         with pytest.raises(TypeError):
             Matrix.identity(2, QQ).scale(0.5)
+        for field in (QQ, F7):
+            with pytest.raises(TypeError):
+                Matrix.identity(2, field).scale(True)
 
 
 # ---------------------------------------------------------------------------

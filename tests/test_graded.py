@@ -275,6 +275,12 @@ class TestConstructors:
         assert a.unit == Matrix.column([1], QQ)
         assert all(m == Matrix.from_rows([[1]], QQ) for m in a.mult.values())
 
+    @pytest.mark.parametrize("dim", [1.5, 1.0, True, "1"])
+    def test_space_refuses_a_dimension_that_is_not_an_int(self, dim):
+        with pytest.raises(TypeError, match="of degree 1 is not an int"):
+            GradedVectorSpace(IntegerWindow(0, 2), {0: 1, 1: dim})
+        assert GradedVectorSpace(IntegerWindow(0, 2), {0: 1, 1: 2, 2: 0}).dims == {0: 1, 1: 2}
+
     def test_group_algebra_rejects_integer_window(self):
         with pytest.raises(ValueError):
             group_algebra(IntegerWindow(0, 3))
