@@ -19,11 +19,11 @@ from pathlib import Path
 
 import click
 
-from .enriched import _gamma_algebra, check_shift_props, endo_iso, module_hom_space
+from .enriched import check_shift_props, endo_iso, gamma_algebra, module_hom_space
 from .equivalence import backward as backward_op
 from .equivalence import check_equivalence, equivalence_from_twist, gamma_twist_phi
 from .exactmath import Matrix
-from .graded import _check_algebra, check_algebra, check_module, regular_module
+from .graded import check_algebra, check_module
 from .groups import check_group
 from .report import Report
 from .serialize import (
@@ -239,7 +239,7 @@ def cmd_twist_from_phi(phi_file, source_algebra, target_algebra, output,
     report = check_phi_family(fam)
     if report.passed:
         try:
-            system, _twisted, morphism = twist_from_phi_op(fam, family_report=report)
+            system, _twisted, morphism = twist_from_phi_op(fam)
         except ValueError as exc:
             _fail_input(f"{phi_file}: {exc}")
         write_json(output, emit_twist(system))
@@ -274,13 +274,12 @@ def cmd_hom_space(source_module, target_module, degree, output, fmt):
 
 def _checked_gamma(algebra):
     """check_algebra's report on `algebra`, and its Gamma when the check
-    passes (else None), built on the generating degrees of that one check."""
-    reg = regular_module(algebra)
-    report, generators = _check_algebra(algebra, reg)
+    passes (else None); Gamma reads the passing report kept on `algebra`."""
+    report = check_algebra(algebra)
     if not report.passed:
         return report, None
     try:
-        return report, _gamma_algebra(algebra, reg, generators)
+        return report, gamma_algebra(algebra)
     except ValueError as exc:
         _fail_input(str(exc))
 

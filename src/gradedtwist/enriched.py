@@ -28,9 +28,10 @@ f(ma) = f(m)a for all m form a subspace closed under products that holds
 1 and A_H, so it is all of A (graded's module docstring). D may then keep
 only its target blocks (p, h) with h in H: its kernel is the same
 subspace, so the canonical basis is the same, bit for bit. `build_RS`
-does this only when handed such an H. `gamma_algebra` hands it one after
-`check_algebra` has proved A an algebra (so the regular module a module)
-and certified H with `graded.generating_degrees`. Otherwise, and for
+does this only when handed such an H. `gamma_algebra` hands it
+`a.generators`, left by a `check_algebra` that has proved A an algebra
+(so the regular module a module) and certified H with
+`graded.generating_degrees`. Otherwise, and for
 every other caller, D quantifies over all of supp A, as the oracle
 `direct_intertwiner_basis` always does.
 
@@ -74,7 +75,7 @@ from .graded import (
     GradedModule,
     GradedMorphism,
     GradedVectorSpace,
-    _check_algebra,
+    check_algebra,
     check_algebra_morphism,
     regular_module,
     shift_module,
@@ -406,26 +407,20 @@ def _split_columns(m: Matrix, widths) -> list:
 def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
     """Gamma(A) = [[A, A]] of the regular module, on canonical bases.
 
-    check_algebra runs on A first. When it proves A an algebra with
-    certified generating degrees H, each Hom space is the equalizer of
-    the target blocks (p, h) with h in H alone (module docstring); the
-    bases are those of the full equalizer. Otherwise every space
-    quantifies over all of supp A, and a non-algebra gives what the full
-    equalizer gives.
+    check_algebra runs on A first, a lookup once it has passed. When it
+    proves A an algebra with certified generating degrees H
+    (`a.generators`), each Hom space is the equalizer of the target
+    blocks (p, h) with h in H alone (module docstring); the bases are
+    those of the full equalizer. Otherwise every space quantifies over
+    all of supp A, and a non-algebra gives what the full equalizer gives.
     """
+    check_algebra(a)
     reg = regular_module(a)
-    return _gamma_algebra(a, reg, _check_algebra(a, reg)[1])
-
-
-def _gamma_algebra(a: GradedAlgebra, reg: GradedModule, generators) -> GammaAlgebra:
-    """Gamma(A) from A's regular module `reg` and the generating degrees
-    that `graded._check_algebra(a, reg)` returned (None after its full
-    loop), for a caller that has already run that check."""
     group = a.group
     field = a.field
     mul = group.mul_unchecked
     degrees = a.support() if isinstance(group, IntegerWindow) else list(group.elements())
-    spaces = {g: module_hom_space(reg, reg, g, generators) for g in degrees}
+    spaces = {g: module_hom_space(reg, reg, g, a.generators) for g in degrees}
     dims = {g: spaces[g].dim for g in degrees if spaces[g].dim}
     space = GradedVectorSpace(group, dims)
     # one compose_homs per pair (g, h), then one coords call per product

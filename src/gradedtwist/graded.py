@@ -23,7 +23,9 @@ generating set H of degrees (the blocks A_h, h in H, generate A):
 `generating_degrees` is the certificate: it picks H and proves, by an
 exact span computation, that H generates A, or returns None.
 `check_algebra` uses the first lemma and the certificate, and falls back
-to the full loop whenever either does not apply.
+to the full loop whenever either does not apply. A pass is kept on the
+algebra (`report.kept`) with its H as `a.generators`, so a later check
+is a lookup; `mult` is a read-only view, so a kept pass stays true.
 
 `_multiplicativity_failure` is the one loop that checks a degreewise
 family phi_d multiplicative from S to T: `check_algebra_morphism` (phi
@@ -43,10 +45,11 @@ from __future__ import annotations
 
 from math import comb
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 
 from .exactmath import QQ, Matrix, column_echelon, hstack, kron, mul_kron
 from .groups import FiniteGroup, IntegerWindow, same_group
-from .report import Report
+from .report import Report, kept
 
 
 class GradedVectorSpace:
@@ -118,10 +121,12 @@ def _structure_maps(label, maps, left, right, field) -> dict:
 class GradedAlgebra:
     """(A_g, m_{g,h}: A_g (x) A_h -> A_gh, u: 1 -> A_e) with explicit matrices."""
 
+    generators = None  # the degrees H of a passing reduced check_algebra
+
     def __init__(self, space: GradedVectorSpace, mult: dict, unit: Matrix, field):
         self.space = space
         self.field = field
-        self.mult = _structure_maps("mult", mult, space, space, field)
+        self.mult = MappingProxyType(_structure_maps("mult", mult, space, space, field))
         de = space.dim(space.group.identity)
         if not isinstance(unit, Matrix) or unit.cols != 1 or unit.rows != de:
             raise ValueError(f"unit must be a {de}x1 column")
@@ -200,7 +205,7 @@ class GradedModule:
 
 
 class GradedMorphism:
-    """Degree-preserving family of matrices f_g: source_g -> target_g."""
+    """Degree-preserving family of matrices f_g: source_g -> target_g (`components`, read-only)."""
 
     def __init__(self, source: GradedVectorSpace, target: GradedVectorSpace, components: dict, field):
         if not same_group(source.group, target.group):
@@ -224,7 +229,7 @@ class GradedMorphism:
         for g in source.support():
             if target.dim(g) and g not in comps:
                 raise ValueError(f"missing component at degree {g!r}")
-        self.components = comps
+        self.components = MappingProxyType(comps)
 
     @property
     def group(self):
@@ -257,6 +262,7 @@ class GradedMorphism:
 # checkers
 
 
+@kept
 def check_algebra(a: GradedAlgebra) -> Report:
     """Associativity and unitality of a graded algebra.
 
@@ -266,48 +272,39 @@ def check_algebra(a: GradedAlgebra) -> Report:
     the y with (xy)z = x(yz) for all x, z are closed under products and
     hold 1 once the unit laws hold, and the certificate shows that A_H
     and 1 generate A. A passing report notes the degrees it quantified
-    over.
+    over, and the check leaves H on the algebra as `a.generators`.
 
     When the certificate is None or the reduced check fails anywhere, the
     full loop runs instead, in its own order, so verdicts and witnesses
-    do not depend on the reduction: associativity over every triple is
-    the regular module's, and so is the right unit (check_module's first
-    "unit-action" degree), and each degree checks its left unit before
-    its right one.
+    do not depend on the reduction: associativity over every triple of
+    the regular module first, then the first unit-law failure, and
+    `a.generators` stays None.
     """
-    return _check_algebra(a, regular_module(a))[0]
-
-
-def _check_algebra(a: GradedAlgebra, reg: GradedModule):
-    """check_algebra's report on A, whose regular module is `reg`, and the
-    generating degrees it quantified over (None after the full loop)."""
-    generators = generating_degrees(a) if _unit_laws_hold(a) else None
+    reg = regular_module(a)
+    unit_failure = _unit_failure(a)
+    generators = generating_degrees(a) if unit_failure is None else None
     if generators is not None and _associativity_failure(reg, generators) is None:
-        note = f"associativity over generating degrees {generators}"
-        return Report("check_algebra", True, notes=(note,)), generators
-    regular = check_module(reg)
-    if not regular.passed and regular.witness[0] == "associativity":
-        return Report("check_algebra", False, witness=regular.witness), None
-    right_fails_at = None if regular.passed else regular.witness[1]
+        a.generators = generators
+        return Report("check_algebra", True, notes=(f"associativity over generating degrees {generators}",))
+    bad = _associativity_failure(reg, a.support())
+    witness = unit_failure if bad is None else ("associativity", bad)
+    if witness is not None:
+        return Report("check_algebra", False, witness=witness)
+    return Report("check_algebra", True, notes=("associativity over the full support",))
+
+
+def _unit_failure(a: GradedAlgebra):
+    """The first ("left-unit" | "right-unit", g), g over supp A and the
+    left unit law before the right one, at which the law fails; None if
+    there is none."""
     e = a.group.identity
     for g in a.support():
         ident = Matrix.identity(a.dim(g), a.field)
         if mul_kron(a.mult_map(e, g), a.unit, ident) != ident:
-            return Report("check_algebra", False, witness=("left-unit", g)), None
-        if g == right_fails_at:
-            return Report("check_algebra", False, witness=("right-unit", g)), None
-    return Report("check_algebra", True, notes=("associativity over the full support",)), None
-
-
-def _unit_laws_hold(a: GradedAlgebra) -> bool:
-    e = a.group.identity
-    for g in a.support():
-        ident = Matrix.identity(a.dim(g), a.field)
-        if mul_kron(a.mult_map(e, g), a.unit, ident) != ident:
-            return False
+            return ("left-unit", g)
         if mul_kron(a.mult_map(g, e), ident, a.unit) != ident:
-            return False
-    return True
+            return ("right-unit", g)
+    return None
 
 
 def generating_degrees(a: GradedAlgebra):
@@ -479,14 +476,14 @@ def _assembled_axioms(a: GradedAlgebra) -> Report:
     group = a.group
     field = a.field
     support = a.support()
-    # triple space blocks (p, q) with component A_p (x) A_q (x) A_{(pq)^-1 t}
+    # triple space blocks (p, q) with component A_p (x) A_q (x) A_{(pq)^-1 t};
+    # a degree t with A_t = 0 is skipped, as both sides there have 0 rows
     triple_degrees = sorted(
         {group.mul(group.mul(p, q), r) for p in support for q in support for r in support}
+        & a.space.dims.keys()
     )
     for t in triple_degrees:
-        left_blocks = []
-        right_blocks = []
-        nonempty = False
+        triples, left_blocks, right_blocks = [], [], []
         for p in support:
             for q in support:
                 pq = group.mul(p, q)
@@ -494,29 +491,13 @@ def _assembled_axioms(a: GradedAlgebra) -> Report:
                 dp, dq, dr = a.dim(p), a.dim(q), a.dim(r)
                 if dp * dq * dr == 0:
                     continue
-                nonempty = True
-                left = a.mult_map(pq, r) @ kron(a.mult_map(p, q), Matrix.identity(dr, field))
+                triples.append((p, q, r))
+                left_blocks.append(a.mult_map(pq, r) @ kron(a.mult_map(p, q), Matrix.identity(dr, field)))
                 qr = group.mul(q, r)
-                right = a.mult_map(p, qr) @ kron(Matrix.identity(dp, field), a.mult_map(q, r))
-                left_blocks.append(left)
-                right_blocks.append(right)
-        if nonempty and hstack(left_blocks) != hstack(right_blocks):
-            for (bp, bq), lb, rb in zip(
-                (
-                    (p, q)
-                    for p in support
-                    for q in support
-                    if a.dim(p) * a.dim(q) * a.dim(group.mul(group.inv(group.mul(p, q)), t))
-                ),
-                left_blocks,
-                right_blocks,
-            ):
-                if lb != rb:
-                    return Report(
-                        "assembled_axioms",
-                        False,
-                        witness=("associativity", (bp, bq, group.mul(group.inv(group.mul(bp, bq)), t))),
-                    )
+                right_blocks.append(a.mult_map(p, qr) @ kron(Matrix.identity(dp, field), a.mult_map(q, r)))
+        if triples and hstack(left_blocks) != hstack(right_blocks):
+            bad = next(k for k, lb, rb in zip(triples, left_blocks, right_blocks) if lb != rb)
+            return Report("assembled_axioms", False, witness=("associativity", bad))
     e = group.identity
     for g in support:
         ident = Matrix.identity(a.dim(g), field)

@@ -7,6 +7,8 @@ unparseable files) still raises.
 
 from __future__ import annotations
 
+from functools import wraps
+
 
 class Report:
     """Outcome of one named check.
@@ -47,3 +49,18 @@ def merge(check: str, reports, notes=()) -> Report:
         if not r.passed:
             return Report(check, False, witness={"failed": r.check, "witness": r.witness}, notes=notes)
     return Report(check, True, notes=notes)
+
+
+def kept(check):
+    """Keep check(x)'s report on x when it passes, as a Matrix keeps its
+    inverse, for later calls; a failing report is recomputed every time."""
+    key = "_passed_" + check.__name__
+
+    @wraps(check)
+    def keeping(x):
+        report = x.__dict__.get(key) or check(x)
+        if report.passed:
+            x.__dict__[key] = report
+        return report
+
+    return keeping

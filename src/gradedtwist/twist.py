@@ -29,12 +29,16 @@ criterion verifies it:
 Verification posture: non-invertible entries and failed conditions are
 report failures (users probe candidates); wrong shapes, missing stored
 entries and degree keys outside a finite grading group are input errors
-and raise.
+and raise. `check_twist_condition` and `check_phi_family` keep a passing
+report on the system or family they judged (`report.kept`), whose
+tables are read-only views, so a second check of it is a lookup.
 """
 
 from __future__ import annotations
 
-from .exactmath import Matrix, mul_kron, try_inverse
+from types import MappingProxyType
+
+from .exactmath import Matrix, inverse, mul_kron, try_inverse
 from .graded import (
     GradedAlgebra,
     GradedModule,
@@ -45,7 +49,7 @@ from .graded import (
     check_module,
 )
 from .groups import IntegerWindow, is_cyclic_table
-from .report import Report
+from .report import Report, kept
 
 EXPLICIT = "explicit"
 COCYCLE = "cocycle"
@@ -93,11 +97,11 @@ def _table_window(group, maps, shape, needed, name):
 class TwistingSystem:
     """A twisting system on `algebra`, read through one table of tau_d(g).
 
-    `maps` holds tau_d(g) at key (d, g). An explicit system's table is the
-    given maps, a cocycle's is alpha(d, g) * id built here, and an
-    automorphism's is sigma_g^d, filled in the first time it is read.
-    `kind` decides only how the table is filled and which criterion
-    check_twist_condition runs.
+    `maps` is a read-only view of tau_d(g) at key (d, g). An explicit
+    system's table is the given maps, a cocycle's is alpha(d, g) * id
+    built here, and an automorphism's is sigma_g^d, filled in behind the
+    view the first time it is read. `kind` decides only how the table is
+    filled and which criterion check_twist_condition runs.
     """
 
     def __init__(self, algebra: GradedAlgebra, kind: str, *, maps=None, alpha=None, sigma=None, order=None):
@@ -110,7 +114,7 @@ class TwistingSystem:
         if kind == EXPLICIT:
             if maps is None:
                 raise ValueError("explicit twisting systems need a maps dict")
-            self.maps = dict(maps)
+            table = dict(maps)
             needed = algebra.support()
         elif kind == COCYCLE:
             if alpha is None:
@@ -118,7 +122,7 @@ class TwistingSystem:
             # a bad key is named as an alpha key before its scalar is read
             _refuse_keys_outside(group, alpha, "alpha")
             self.alpha = {k: field.coerce(v) if isinstance(v, int) else v for k, v in alpha.items()}
-            self.maps = {
+            table = {
                 (d, g): Matrix.identity(algebra.dim(g), field).scale(v) for (d, g), v in self.alpha.items()
             }
             needed = group.elements()
@@ -138,10 +142,12 @@ class TwistingSystem:
                 raise ValueError("sigma must be an endomorphism of the algebra's space")
             self.sigma = sigma
             self.order = order
-            self.maps = {}
+            self._powers = {}
+            self.maps = MappingProxyType(self._powers)
             return
         else:
             raise ValueError(f"unknown twisting system kind {kind!r}")
+        self.maps = MappingProxyType(table)
         self._d_window = _table_window(
             group, self.maps, lambda g: (algebra.dim(g), algebra.dim(g)), needed, "tau"
         )
@@ -180,7 +186,7 @@ class TwistingSystem:
             if self.sigma is None:
                 raise ValueError(f"tau not stored for ({d!r},{g!r})")
             # exponent is the integer d (or the index in Z/n)
-            got = self.maps[(d, g)] = self.sigma.component(g).power(d)
+            got = self._powers[(d, g)] = self.sigma.component(g).power(d)
         return got
 
     def __repr__(self):
@@ -244,6 +250,7 @@ def check_cocycle(alpha: dict, group, field) -> Report:
     return Report("check_cocycle", True, notes=notes)
 
 
+@kept
 def check_twist_condition(t: TwistingSystem) -> Report:
     """Verify that t is a twisting system on its algebra.
 
@@ -443,14 +450,14 @@ def check_unit_lemma(t: TwistingSystem) -> Report:
 
 
 class PhiFamily:
-    """Invertible maps phi_d(g): B_g -> A_g, doubly indexed by degree."""
+    """Invertible maps phi_d(g): B_g -> A_g, doubly indexed by degree (`maps`, read-only)."""
 
     def __init__(self, source: GradedAlgebra, target: GradedAlgebra, maps: dict):
         if source.field != target.field:
             raise ValueError("phi family endpoints have different fields")
         self.source = source
         self.target = target
-        self.maps = dict(maps)
+        self.maps = MappingProxyType(dict(maps))
         self._d_window = _table_window(
             source.group, self.maps, lambda g: (target.dim(g), source.dim(g)), source.support(), "phi"
         )
@@ -475,6 +482,7 @@ class PhiFamily:
         return self._d_window is not None
 
 
+@kept
 def check_phi_family(p: PhiFamily) -> Report:
     """Conditions for a phi family to present a twist equivalence:
 
@@ -525,30 +533,22 @@ def phi_from_twist(t: TwistingSystem, iso: GradedMorphism | None = None,
     return PhiFamily(source_algebra, a, maps)
 
 
-def twist_from_phi(p: PhiFamily, family_report: Report | None = None):
+def twist_from_phi(p: PhiFamily):
     """Recover (twisting system on A, A^tau, algebra iso B -> A^tau) from a family.
 
     tau_d(g) = phi_d(g) phi_e(g)^-1 and the iso has components phi_e(g).
-    A family that fails check_phi_family is rejected up front; a caller
-    that has already run it on p passes its report as `family_report`.
-    Then A^tau is built once, and A's axioms, the twisting condition and
-    the iso against A^tau are re-verified. Invertibility is not: each
-    tau_d(g) is a product of maps the family check has shown invertible.
+    A family that fails check_phi_family is rejected up front (a lookup
+    when the check has passed on p before). Then A^tau is built once,
+    and A's axioms, the twisting condition and the iso against A^tau are
+    re-verified. Invertibility is not: each tau_d(g) is a product of maps
+    the family check has shown invertible.
     """
-    if family_report is None:
-        family_report = check_phi_family(p)
-    elif family_report.check != "check_phi_family":
-        raise ValueError(f"family_report comes from {family_report.check}, not check_phi_family")
-    if not family_report.passed:
-        raise ValueError(f"phi family fails its conditions at {family_report.witness}")
+    report = check_phi_family(p)
+    if not report.passed:
+        raise ValueError(f"phi family fails its conditions at {report.witness}")
     a, b = p.target, p.source
     e = a.group.identity
-    bases = {}
-    for g in a.support():
-        if p.has(e, g):
-            bases[g] = try_inverse(p.map(e, g))
-            if bases[g] is None:
-                raise ValueError(f"phi_e({g!r}) is singular")
+    bases = {g: inverse(p.map(e, g)) for g in a.support() if p.has(e, g)}
     maps = {(d, g): p.map(d, g) @ base for d in p.d_degrees() for g, base in bases.items() if p.has(d, g)}
     t = TwistingSystem(a, EXPLICIT, maps=maps)
     twisted = twist_algebra(a, t, run_checks=False)

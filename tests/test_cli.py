@@ -33,7 +33,7 @@ from gradedtwist.serialize import (
     read_json,
     write_json,
 )
-from gradedtwist.twist import PhiFamily, phi_from_twist, twist_algebra
+from gradedtwist.twist import PhiFamily, TwistingSystem, phi_from_twist, twist_algebra
 
 FIXTURES = Path(gradedtwist.__file__).parent / "fixtures"
 
@@ -159,15 +159,17 @@ class TestPipelines:
         write_json(twisted_file, emit_algebra(twist_algebra(t.algebra, t)))
         args = [str(phi_file), fx("z2.alg.json"), str(twisted_file)]
         expected = runner.invoke(main, ["check-phi", *args, "--format", "structured"])
+        # the family check's multiplicativity loop is the one that reads phi
+        # from the family; a second check_phi_family call is a lookup
         checked = []
-        real = twist_lib.check_phi_family
+        real = twist_lib._multiplicativity_failure
 
-        def counted(family):
-            checked.append(family)
-            return real(family)
+        def counted(target, source, dees, phi, has):
+            if isinstance(getattr(phi, "__self__", None), PhiFamily):
+                checked.append(phi.__self__)
+            return real(target, source, dees, phi, has)
 
-        monkeypatch.setattr(twist_lib, "check_phi_family", counted)
-        monkeypatch.setattr(cli_lib, "check_phi_family", counted)
+        monkeypatch.setattr(twist_lib, "_multiplicativity_failure", counted)
         result = runner.invoke(main, ["twist-from-phi", *args, "-o", str(tmp_path / "out.json"),
                                       "--format", "structured"])
         assert result.exit_code == 0
@@ -291,6 +293,28 @@ class TestEquivalenceCommands:
                 assert recovered.tau(d, g) == t.tau(d, g)
         iso = parse_morphism(read_json(iso_out))
         assert set(iso.components) <= {0, 1}
+
+    @pytest.mark.parametrize("twist, algebra", [("quantum.twist.json", "trunc23.alg.json"),
+                                                ("sign.twist.json", "z2.alg.json")])
+    def test_backward_checks_each_algebra_and_the_twist_once(self, runner, monkeypatch, twist, algebra):
+        certified, evaluated = [], []
+        real_certify = graded_lib.generating_degrees
+        monkeypatch.setattr(graded_lib, "generating_degrees", lambda a: certified.append(a) or real_certify(a))
+        # the twist condition starts with one of these two, by kind
+        real_singular, real_automorphism = twist_lib._singular_entry, twist_lib._check_automorphism_kind
+
+        def singular(dees, support, has, get):
+            if isinstance(getattr(has, "__self__", None), TwistingSystem):
+                evaluated.append(has.__self__)
+            return real_singular(dees, support, has, get)
+
+        monkeypatch.setattr(twist_lib, "_singular_entry", singular)
+        monkeypatch.setattr(twist_lib, "_check_automorphism_kind",
+                            lambda t: evaluated.append(t) or real_automorphism(t))
+        result = runner.invoke(main, ["backward", fx(twist), fx(algebra)])
+        assert result.exit_code == 0
+        assert len(certified) == 2 and certified[0] is not certified[1]
+        assert len(evaluated) == 1
 
 
 class TestDemo:

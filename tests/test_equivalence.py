@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from composites import pull_push
 from gradedtwist import equivalence as equivalence_lib
+from gradedtwist import graded as graded_lib
 from gradedtwist import exactmath
 from gradedtwist import twist as twist_lib
 from gradedtwist.exactmath import QQ, Matrix, inverse
@@ -467,3 +468,16 @@ class TestBackward:
         for g in a.support():
             assert (result.iso.component(g) @ result.forward_iso.component(g)).is_identity()
             assert (result.forward_iso.component(g) @ result.iso.component(g)).is_identity()
+
+
+def test_one_pipeline_certifies_each_algebra_once(monkeypatch):
+    # the passing check_algebra is kept on A and on A^tau, so
+    # check_equivalence, both Gammas and twist_from_phi read it
+    _a, t = quantum_plane(4)
+    certified = []
+    real = graded_lib.generating_degrees
+    monkeypatch.setattr(graded_lib, "generating_degrees", lambda a: certified.append(a) or real(a))
+    data = equivalence_from_twist(t)
+    assert check_equivalence(data).passed
+    assert backward(data).report.passed
+    assert [id(a) for a in certified] == [id(data.algebra), id(data.twisted)]

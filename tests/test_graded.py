@@ -24,8 +24,9 @@ from gradedtwist.graded import (
     shift_module,
     truncated_polynomial,
 )
-from gradedtwist.fixtures import quantum_plane
+from gradedtwist.fixtures import broken_algebra, quantum_plane
 from gradedtwist.groups import IntegerWindow, cyclic_group, symmetric_group
+from gradedtwist.twist import twist_algebra
 
 F7 = PrimeField(7)
 
@@ -266,6 +267,54 @@ class TestCauchyOracle:
             a = scaled_group_algebra(Z3, overrides, F7)
             assert cauchy_algebra_oracle(a).passed
         assert cauchy_algebra_oracle(base).passed
+
+    def test_no_block_is_assembled_for_an_empty_degree(self, monkeypatch):
+        # twisted qp4 lives on degrees 0..4, its triple degrees reach 12
+        a, t = quantum_plane(4)
+        b = twist_algebra(a, t)
+        calls = []
+        real = graded.kron
+        monkeypatch.setattr(graded, "kron", lambda f, g: calls.append((f, g)) or real(f, g))
+        assert graded._assembled_axioms(b).passed
+        supp = b.support()
+        triples = sum(1 for p in supp for q in supp for r in supp if b.dim(p + q + r))
+        # two per block pair, then two per degree for the unit laws
+        assert len(calls) == 2 * triples + 2 * len(supp) < 2 * len(supp) ** 3
+
+    # the witnesses of the loop over every triple degree, empty ones included
+    ASSEMBLED_WITNESSES = {0: (1, 0, 0), 1: (0, 1, 2), 2: (0, 1, 2), 3: (1, 1, 2),
+                           4: (1, 1, 2), 5: (1, 5, 4), 6: (1, 1, 1), 7: (1, 3, 5)}
+
+    def test_skipping_empty_degrees_changes_no_verdict(self):
+        for seed, triple in self.ASSEMBLED_WITNESSES.items():
+            report = graded._assembled_axioms(broken_algebra(seed))
+            assert (report.passed, report.witness) == (False, ("associativity", triple)), seed
+        for maxdeg in (2, 3, 4):
+            a, t = quantum_plane(maxdeg)
+            assert graded._assembled_axioms(twist_algebra(a, t)).passed
+
+
+class TestKeptVerdicts:
+    def test_a_pass_is_kept_and_a_failure_is_recomputed(self, monkeypatch):
+        runs = []
+        real = graded._associativity_failure
+        monkeypatch.setattr(graded, "_associativity_failure",
+                            lambda m, middles: runs.append(middles) or real(m, middles))
+        a = quantum_plane(3)[0]
+        assert a.generators is None
+        first = check_algebra(a)
+        assert first.passed and a.generators == [1]
+        assert check_algebra(a) is first
+        assert runs == [[1]]
+        broken = broken_algebra(0)
+        runs.clear()
+        failed = check_algebra(broken)
+        ran = len(runs)
+        again = check_algebra(broken)
+        assert not failed.passed and again is not failed
+        assert again.witness == failed.witness
+        assert len(runs) == 2 * ran > 0
+        assert broken.generators is None
 
 
 class TestConstructors:

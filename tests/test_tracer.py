@@ -78,3 +78,14 @@ def test_compose_homs_is_counted_once_per_pair_of_degrees():
     assert sorted(gamma.graded.mult) == pairs
     assert t.stats["enriched.compose_homs"].calls == len(pairs)
     assert t.layer_metrics(passes=1)["enriched.compose_homs.calls"] == (len(pairs), "count")
+
+
+def test_the_check_inside_gamma_algebra_is_traced_as_check_algebra():
+    a = quantum_plane(3)[0]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        gamma_algebra(a)
+    finally:
+        t.uninstall()
+    assert t.stats["graded.check_algebra"].calls == 1

@@ -382,8 +382,8 @@ class TestPhiFamilies:
 
     def test_tampered_family_fails_with_the_offending_triple(self):
         _a, t = sign_twist()
-        family = phi_from_twist(t)
-        family.maps[(0, 1)] = Matrix.from_rows([[2]], QQ)
+        good = phi_from_twist(t)
+        family = PhiFamily(good.source, good.target, {**good.maps, (0, 1): Matrix.from_rows([[2]], QQ)})
         report = check_phi_family(family)
         assert not report.passed
         assert report.witness == ("multiplicativity", (0, 1, 1))
@@ -548,21 +548,30 @@ def test_integer_degree_keys_may_leave_the_window():
     assert check_phi_family(family).passed
 
 
-def test_twist_from_phi_takes_the_callers_family_report(monkeypatch):
-    _a, t = sign_twist()
-    family = phi_from_twist(t)
-    report = check_phi_family(family)
-    calls = []
-    monkeypatch.setattr(twist_lib, "check_phi_family", lambda p: calls.append(p))
-    back, _twisted, _morphism = twist_from_phi(family, family_report=report)
-    assert calls == []
-    assert all(back.tau(d, g) == t.tau(d, g) for d in (0, 1) for g in (0, 1))
-    with pytest.raises(ValueError, match="not check_phi_family"):
-        twist_from_phi(family, family_report=check_twist_condition(t))
-    monkeypatch.undo()
-    family.maps[(0, 1)] = Matrix.from_rows([[2]], QQ)
-    with pytest.raises(ValueError, match="fails its conditions"):
-        twist_from_phi(family, family_report=check_phi_family(family))
+def test_the_tables_a_kept_verdict_reads_are_read_only():
+    a, t = sign_twist()
+    _qa, qt = quantum_plane(2)
+    qt.tau(1, 1)  # an automorphism system fills its powers in behind the view
+    assert (1, 1) in qt.maps
+    explicit = TwistingSystem(a, EXPLICIT, maps=t.maps)
+    for table in (a.mult, t.maps, explicit.maps, qt.maps, qt.sigma.components, phi_from_twist(t).maps):
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+
+
+def test_twist_from_phi_refuses_a_family_singular_only_at_the_top_of_its_window():
+    _a, t = quantum_plane(2)
+    good = phi_from_twist(t)
+    assert max(good.d_degrees()) == 4 and check_phi_family(good).passed
+    zero = Matrix.zeros(3, 3, QQ)
+    bad = PhiFamily(good.source, good.target, {**good.maps, (4, 2): zero})
+    with pytest.raises(ValueError, match=r"\('non-invertible', \(4, 2\)\)"):
+        twist_from_phi(bad)
+    # the pass kept on the good family cannot be carried over to a changed one
+    with pytest.raises(TypeError):
+        good.maps[(4, 2)] = zero
+    assert twist_from_phi(good)[0].maps == t.maps
 
 
 def test_broken_algebras_are_really_broken():
@@ -597,7 +606,8 @@ def test_condition_checks_skip_pairs_whose_product_component_is_zero(monkeypatch
     tried = count(t.has_tau, True)
     assert tried < count(t.has_tau, False)
     # one composite per tried tuple, plus one per stored product of A^tau,
-    # against two per tuple before; the calls of check_algebra are left out
-    condition = made_by(check_twist_condition, t) - made_by(check_algebra, a)
+    # against two per tuple before; the calls of check_algebra, counted on
+    # a fresh copy of A (its verdict is kept on A), are left out
+    condition = made_by(check_twist_condition, t) - made_by(check_algebra, quantum_plane(3)[0])
     assert condition == tried + len(a.mult) < 2 * tried
     assert made_by(check_phi_family, p) == count(p.has, True) < count(p.has, False)
