@@ -25,7 +25,7 @@ for note in report.notes:
     print(f"  note: {note}")
 assert report.passed
 
-twisted = twist_algebra(algebra, system, run_checks=False)
+twisted = twist_algebra(algebra, system)
 report = check_algebra(twisted)
 print("Twisted algebra:")
 print(f"  {report.check}: {report.status}")
@@ -39,7 +39,7 @@ print(f"  y*x column in degree 2: {[str(v) for v in y_times_x]}")
 assert x_times_y == tuple(2 * v for v in y_times_x)
 print("  so x*y = 2 (y*x): the quantum plane relation, exactly.")
 
-twisted_reg = twist_module(regular_module(algebra), system, algebra_tw=twisted)
+twisted_reg = twist_module(regular_module(algebra), system)
 report = check_module(twisted_reg)
 print("Twisted regular module:")
 print(f"  {report.check}: {report.status}")

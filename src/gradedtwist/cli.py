@@ -86,6 +86,14 @@ def _fail_input(message: str):
     sys.exit(2)
 
 
+def _write(path, data):
+    """Write one output file; a path that cannot be written is an input error."""
+    try:
+        write_json(path, data)
+    except OSError as exc:
+        _fail_input(f"{path}: {exc.strerror or exc}")
+
+
 def _load(path, parser, *args, **kwargs):
     try:
         return parser(read_json(path), *args, **kwargs)
@@ -175,7 +183,7 @@ def cmd_twist_algebra(twist_file, algebra_file, output, fmt):
     t0 = time.perf_counter()
     report = check_twist_condition(t)
     if report.passed:
-        write_json(output, emit_algebra(twist_algebra(algebra, t, run_checks=False)))
+        _write(output, emit_algebra(twist_algebra(algebra, t)))
     _finish(report, fmt, time.perf_counter() - t0)
 
 
@@ -195,10 +203,10 @@ def cmd_twist_module(twist_file, module_file, output, fmt):
     report = check_twist_condition(t)
     if report.passed:
         try:
-            twisted = twist_module(module, t, run_checks=False)
+            twisted = twist_module(module, t)
         except ValueError as exc:
             _fail_input(f"{module_file}: {exc}")
-        write_json(output, emit_module(twisted))
+        _write(output, emit_module(twisted))
     _finish(report, fmt, time.perf_counter() - t0)
 
 
@@ -242,9 +250,9 @@ def cmd_twist_from_phi(phi_file, source_algebra, target_algebra, output,
             system, _twisted, morphism = twist_from_phi_op(fam)
         except ValueError as exc:
             _fail_input(f"{phi_file}: {exc}")
-        write_json(output, emit_twist(system))
+        _write(output, emit_twist(system))
         if morphism_out:
-            write_json(morphism_out, emit_morphism(morphism))
+            _write(morphism_out, emit_morphism(morphism))
     _finish(report, fmt, time.perf_counter() - t0)
 
 
@@ -267,7 +275,7 @@ def cmd_hom_space(source_module, target_module, degree, output, fmt):
         except ValueError as exc:
             _fail_input(str(exc))
         if output:
-            write_json(output, emit_hom_basis(space, degree))
+            _write(output, emit_hom_basis(space, degree))
         report = Report("module_hom_space", True, notes=(f"degree {degree} dimension {space.dim}",))
     _finish(report, fmt, time.perf_counter() - t0)
 
@@ -296,7 +304,7 @@ def cmd_gamma(algebra_file, output, fmt):
     t0 = time.perf_counter()
     report, gamma = _checked_gamma(algebra)
     if report.passed:
-        write_json(output, emit_algebra(gamma.graded))
+        _write(output, emit_algebra(gamma.graded))
         dims = {g: gamma.dim(g) for g in gamma.degrees if gamma.dim(g)}
         report = Report("gamma_algebra", True, notes=(f"dimensions {dims}",))
     _finish(report, fmt, time.perf_counter() - t0)
@@ -352,7 +360,7 @@ def cmd_gamma_twist(twist_file, algebra_file, output, fmt):
         data = equivalence_from_twist(t)
         family, report = gamma_twist_phi(data)
         if family is not None and output:
-            write_json(output, emit_phi(family))
+            _write(output, emit_phi(family))
     _finish(report, fmt, time.perf_counter() - t0)
 
 
@@ -378,9 +386,9 @@ def cmd_backward(twist_file, algebra_file, output, iso_out, fmt):
             report = result.report
             if report.passed:
                 if output:
-                    write_json(output, emit_twist(result.twist))
+                    _write(output, emit_twist(result.twist))
                 if iso_out:
-                    write_json(iso_out, emit_morphism(result.iso))
+                    _write(iso_out, emit_morphism(result.iso))
     _finish(report, fmt, time.perf_counter() - t0)
 
 
@@ -409,7 +417,7 @@ def cmd_demo(name, fmt):
         ]
         if report.passed:
             t0 = time.perf_counter()
-            twisted = twist_algebra(algebra, t, run_checks=False)
+            twisted = twist_algebra(algebra, t)
             mult = twisted.mult_map(1, 1)
             x_y = mult.col(1)
             y_x = mult.col(2)
@@ -427,7 +435,7 @@ def cmd_demo(name, fmt):
             t0 = time.perf_counter()
             result = backward_op(equivalence_from_twist(t))
             timed.append((result.report, time.perf_counter() - t0))
-            twisted = twist_algebra(algebra, t, run_checks=False)
+            twisted = twist_algebra(algebra, t)
             value = twisted.mult_map(1, 1).data[0]
             lines.append(f"The twisted square of the generator is {value},")
             lines.append("and the recovery pipeline returns the same twist bit-exactly.")

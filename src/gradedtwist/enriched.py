@@ -28,12 +28,13 @@ f(ma) = f(m)a for all m form a subspace closed under products that holds
 1 and A_H, so it is all of A (graded's module docstring). D may then keep
 only its target blocks (p, h) with h in H: its kernel is the same
 subspace, so the canonical basis is the same, bit for bit. `build_RS`
-does this only when handed such an H. `gamma_algebra` hands it
-`a.generators`, left by a `check_algebra` that has proved A an algebra
-(so the regular module a module) and certified H with
-`graded.generating_degrees`. Otherwise, and for
-every other caller, D quantifies over all of supp A, as the oracle
-`direct_intertwiner_basis` always does.
+does this only when handed such an H, and `gamma_algebra` is the only
+caller that does: it hands it `a.generators`, left by its own passing
+`check_algebra`, which has proved A an algebra (so the regular module a
+unital module) and certified H with `graded.generating_degrees`, and it
+builds its spaces from those reduced equalizers itself. Every other
+space, `module_hom_space`'s among them, quantifies over all of supp A,
+as the oracle `direct_intertwiner_basis` always does.
 
 Every row of D has few nonzeros (at most two over a group algebra), so
 the basis comes from those rows alone by the sparse elimination
@@ -259,10 +260,9 @@ class ModuleHomSpace:
         return f"ModuleHomSpace(degree={self.degree!r}, dim={self.dim})"
 
 
-def module_hom_space(m: GradedModule, n: GradedModule, g, generators=None) -> ModuleHomSpace:
-    """[[M, N]]_g; `generators` as for build_RS."""
-    difference, source, _target = build_RS(m, n, g, generators)
-    return ModuleHomSpace(m, n, g, difference, source)
+def module_hom_space(m: GradedModule, n: GradedModule, g) -> ModuleHomSpace:
+    """[[M, N]]_g, the full equalizer over supp A."""
+    return ModuleHomSpace(m, n, g, *build_RS(m, n, g)[:2])
 
 
 def direct_intertwiner_basis(m: GradedModule, n: GradedModule, g) -> Matrix:
@@ -409,10 +409,11 @@ def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
 
     check_algebra runs on A first, a lookup once it has passed. When it
     proves A an algebra with certified generating degrees H
-    (`a.generators`), each Hom space is the equalizer of the target
-    blocks (p, h) with h in H alone (module docstring); the bases are
-    those of the full equalizer. Otherwise every space quantifies over
-    all of supp A, and a non-algebra gives what the full equalizer gives.
+    (`a.generators`), each Hom space is built here from build_RS's
+    equalizer of the target blocks (p, h) with h in H alone (module
+    docstring); the bases are those of the full equalizer. Otherwise
+    every space quantifies over all of supp A, and a non-algebra gives
+    what the full equalizer gives.
     """
     check_algebra(a)
     reg = regular_module(a)
@@ -420,7 +421,7 @@ def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
     field = a.field
     mul = group.mul_unchecked
     degrees = a.support() if isinstance(group, IntegerWindow) else list(group.elements())
-    spaces = {g: module_hom_space(reg, reg, g, a.generators) for g in degrees}
+    spaces = {g: ModuleHomSpace(reg, reg, g, *build_RS(reg, reg, g, a.generators)[:2]) for g in degrees}
     dims = {g: spaces[g].dim for g in degrees if spaces[g].dim}
     space = GradedVectorSpace(group, dims)
     # one compose_homs per pair (g, h), then one coords call per product

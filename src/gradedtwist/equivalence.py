@@ -94,7 +94,7 @@ def equivalence_from_twist(t: TwistingSystem) -> EquivalenceData:
     a = t.algebra
     group = a.group
     mul = group.mul_unchecked  # on the support closure and the shifted supports
-    b = twist_algebra(a, t, run_checks=False)
+    b = twist_algebra(a, t)
     reg_a = regular_module(a)
     witnesses = {}
     skipped = []
@@ -125,9 +125,7 @@ def check_equivalence(data: EquivalenceData) -> Report:
     reg_b = regular_module(data.twisted)
     for g in sorted(data.witnesses):
         w = data.witnesses[g]
-        phi_sga = twist_module(
-            shift_module(reg_a, g), data.twist, algebra_tw=data.twisted, run_checks=False
-        )
+        phi_sga = twist_module(shift_module(reg_a, g), data.twist)
         sgb = shift_module(reg_b, g)
         bad = None
         for d, comp in w.components.items():

@@ -25,7 +25,8 @@ exact span computation, that H generates A, or returns None.
 `check_algebra` uses the first lemma and the certificate, and falls back
 to the full loop whenever either does not apply. A pass is kept on the
 algebra (`report.kept`) with its H as `a.generators`, so a later check
-is a lookup; `mult` is a read-only view, so a kept pass stays true.
+is a lookup; `mult` and the space's `dims` are read-only views, so a
+kept pass stays true.
 
 `_multiplicativity_failure` is the one loop that checks a degreewise
 family phi_d multiplicative from S to T: `check_algebra_morphism` (phi
@@ -66,7 +67,7 @@ class GradedVectorSpace:
                 raise ValueError(f"degree {g!r} outside the group/window")
             cleaned[g] = d
         self.group = group
-        self.dims = cleaned
+        self.dims = MappingProxyType(cleaned)  # read-only: algebras and modules share it
 
     def dim(self, g) -> int:
         return self.dims.get(g, 0)

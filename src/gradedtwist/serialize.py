@@ -23,7 +23,8 @@ class FileFormatError(ValueError):
 
 
 def read_json(path):
-    """Load a JSON file, reporting file, line and column on syntax errors."""
+    """Load a JSON file, reporting file, line and column on syntax errors
+    and refusing nesting deeper than the interpreter can decode."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -35,6 +36,8 @@ def read_json(path):
         raise FileFormatError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise FileFormatError(f"{path}: nested too deeply") from None
 
 
 def write_json(path, data):
@@ -325,6 +328,8 @@ def emit_phi(p: PhiFamily) -> dict:
 
 
 def parse_phi(data, source: GradedAlgebra, target: GradedAlgebra) -> PhiFamily:
+    if not isinstance(data, dict):
+        raise FileFormatError(f"a phi family is a JSON object, found {type(data).__name__}")
     if data.get("kind", "phi") != "phi":
         raise FileFormatError(f"expected a phi file, found kind {data.get('kind')!r}")
     maps = {

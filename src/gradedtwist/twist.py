@@ -32,6 +32,11 @@ entries and degree keys outside a finite grading group are input errors
 and raise. `check_twist_condition` and `check_phi_family` keep a passing
 report on the system or family they judged (`report.kept`), whose
 tables are read-only views, so a second check of it is a lookup.
+
+The twisted structures are plain constructions. `twist_algebra` builds
+A^tau once per system and keeps it there; `twist_module` puts M^tau
+over that kept algebra. Neither checks what it builds: verification
+lives in `check_twist_condition`, `check_algebra` and `check_module`.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from .graded import (
     _multiplicativity_failure,
     check_algebra,
     check_algebra_morphism,
-    check_module,
 )
 from .groups import IntegerWindow, is_cyclic_table
 from .report import Report, kept
@@ -100,9 +104,12 @@ class TwistingSystem:
     `maps` is a read-only view of tau_d(g) at key (d, g). An explicit
     system's table is the given maps, a cocycle's is alpha(d, g) * id
     built here, and an automorphism's is sigma_g^d, filled in behind the
-    view the first time it is read. `kind` decides only how the table is
-    filled and which criterion check_twist_condition runs.
+    view the first time it is read. A cocycle's `alpha` is read-only too.
+    `kind` decides only how the table is filled and which criterion
+    check_twist_condition runs.
     """
+
+    _twisted = None  # A^tau, kept by the first twist_algebra(algebra, self)
 
     def __init__(self, algebra: GradedAlgebra, kind: str, *, maps=None, alpha=None, sigma=None, order=None):
         self.algebra = algebra
@@ -121,7 +128,8 @@ class TwistingSystem:
                 raise ValueError("cocycle twisting systems need an alpha dict")
             # a bad key is named as an alpha key before its scalar is read
             _refuse_keys_outside(group, alpha, "alpha")
-            self.alpha = {k: field.coerce(v) if isinstance(v, int) else v for k, v in alpha.items()}
+            self.alpha = MappingProxyType({k: field.coerce(v) if isinstance(v, int) else v
+                                           for k, v in alpha.items()})
             table = {
                 (d, g): Matrix.identity(algebra.dim(g), field).scale(v) for (d, g), v in self.alpha.items()
             }
@@ -256,10 +264,11 @@ def check_twist_condition(t: TwistingSystem) -> Report:
 
     Checks, in order: the algebra's own axioms, invertibility of every
     quantified tau_d(g), then the twisting condition, as tau
-    multiplicative from A^tau to A (built unchecked: tau_e(e) has just
-    been shown invertible). The automorphism kind uses the reduced
-    criterion (sigma is a graded algebra automorphism, plus sigma^n = id
-    over Z/n), which implies the condition for every integer d at once.
+    multiplicative from A^tau to A (twist_algebra's, kept on t: tau_e(e)
+    has just been shown invertible). The automorphism kind uses the
+    reduced criterion (sigma is a graded algebra automorphism, plus
+    sigma^n = id over Z/n), which implies the condition for every
+    integer d at once.
     """
     a = t.algebra
     alg_report = check_algebra(a)
@@ -274,7 +283,7 @@ def check_twist_condition(t: TwistingSystem) -> Report:
     bad = _singular_entry(t.d_degrees(), a.support(), t.has_tau, t.tau)
     if bad is not None:
         return Report("check_twist_condition", False, witness=("non-invertible", bad), notes=notes)
-    bad = _multiplicativity_failure(a, twist_algebra(a, t, run_checks=False), t.d_degrees(), t.tau, t.has_tau)
+    bad = _multiplicativity_failure(a, twist_algebra(a, t), t.d_degrees(), t.tau, t.has_tau)
     if bad is not None:
         return Report("check_twist_condition", False, witness=("twist-condition", bad), notes=notes)
     return Report("check_twist_condition", True, notes=notes)
@@ -314,55 +323,46 @@ def _check_automorphism_kind(t: TwistingSystem) -> Report:
     return Report("check_twist_condition", True, notes=notes)
 
 
-def twist_algebra(a: GradedAlgebra, t: TwistingSystem, run_checks: bool = True) -> GradedAlgebra:
-    """A^tau: m^tau_{g,h} = m_{g,h} (id (x) tau_g(h)), unit tau_e(e)^-1 u."""
+def twist_algebra(a: GradedAlgebra, t: TwistingSystem) -> GradedAlgebra:
+    """A^tau: m^tau_{g,h} = m_{g,h} (id (x) tau_g(h)), unit tau_e(e)^-1 u,
+    built unchecked on the first call and kept on t for every later one."""
     if t.algebra is not a and t.algebra != a:
         raise ValueError("twisting system belongs to a different algebra")
-    group = a.group
+    if t._twisted is not None:
+        return t._twisted
     field = a.field
     ident = {g: Matrix.identity(d, field) for g, d in a.space.dims.items()}
     mult = {}
     for (g, h), m in a.mult.items():
         mult[(g, h)] = mul_kron(m, ident[g], t.tau(g, h))
-    tau_ee = t.tau(group.identity, group.identity)
+    tau_ee = t.tau(a.group.identity, a.group.identity)
     # a normalized system (tau_e = id, as every recovered one) needs no elimination
     tau_ee_inv = tau_ee if tau_ee.is_identity() else try_inverse(tau_ee)
     if tau_ee_inv is None:
         raise ValueError("tau_e(e) is singular; not a twisting system")
-    result = GradedAlgebra(a.space, mult, tau_ee_inv @ a.unit, field)
-    if run_checks:
-        r = check_algebra(result)
-        if not r.passed:
-            raise ValueError(f"twisted algebra fails its axioms at {r.witness}; input was not a twisting system")
-    return result
+    t._twisted = GradedAlgebra(a.space, mult, tau_ee_inv @ a.unit, field)
+    return t._twisted
 
 
-def twist_module(m: GradedModule, t: TwistingSystem, algebra_tw: GradedAlgebra | None = None,
-                 run_checks: bool = True) -> GradedModule:
-    """M^tau over A^tau: rho^tau_{g,h} = rho_{g,h} (id (x) tau_g(h)).
+def twist_module(m: GradedModule, t: TwistingSystem) -> GradedModule:
+    """M^tau over A^tau = twist_algebra(A, t): rho^tau_{g,h} = rho_{g,h} (id (x) tau_g(h)).
 
-    This is the twist equivalence applied to one module.
+    This is the twist equivalence applied to one module; check_module
+    verifies the result.
     """
     if m.algebra is not t.algebra and m.algebra != t.algebra:
         raise ValueError("module is not over the twisting system's algebra")
-    if algebra_tw is None:
-        algebra_tw = twist_algebra(m.algebra, t, run_checks=False)
-    field = m.field
-    ident = {g: Matrix.identity(d, field) for g, d in m.space.dims.items()}
+    twisted = twist_algebra(m.algebra, t)
+    ident = {g: Matrix.identity(d, m.field) for g, d in m.space.dims.items()}
     action = {}
     for (g, h), rho in m.action.items():
         action[(g, h)] = mul_kron(rho, ident[g], t.tau(g, h))
-    result = GradedModule(m.space, algebra_tw, action)
-    if run_checks:
-        r = check_module(result)
-        if not r.passed:
-            raise ValueError(f"twisted module fails its axioms at {r.witness}")
-    return result
+    return GradedModule(m.space, twisted, action)
 
 
 def inverse_twist(t: TwistingSystem) -> TwistingSystem:
     """tau^-1, a twisting system on A^tau."""
-    twisted = twist_algebra(t.algebra, t, run_checks=False)
+    twisted = twist_algebra(t.algebra, t)
     if t.kind == EXPLICIT:
         maps = {}
         for key, m in t.maps.items():
@@ -512,7 +512,7 @@ def phi_from_twist(t: TwistingSystem, iso: GradedMorphism | None = None,
     With no iso given, B is taken to be A^tau itself and iso = id.
     """
     a = t.algebra
-    twisted = twist_algebra(a, t, run_checks=False)
+    twisted = twist_algebra(a, t)
     if iso is None:
         source_algebra = twisted
         iso = GradedMorphism.identity(twisted.space, a.field)
@@ -551,7 +551,7 @@ def twist_from_phi(p: PhiFamily):
     bases = {g: inverse(p.map(e, g)) for g in a.support() if p.has(e, g)}
     maps = {(d, g): p.map(d, g) @ base for d in p.d_degrees() for g, base in bases.items() if p.has(d, g)}
     t = TwistingSystem(a, EXPLICIT, maps=maps)
-    twisted = twist_algebra(a, t, run_checks=False)
+    twisted = twist_algebra(a, t)
     alg_report = check_algebra(a)
     if not alg_report.passed:
         raise ValueError(f"recovered system fails the twisting condition at {dict(algebra=alg_report.witness)}")

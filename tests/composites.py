@@ -235,11 +235,11 @@ def reference_twist_algebra(a, t):
     return GradedAlgebra(a.space, mult, inverse(t.tau(e, e)) @ a.unit, a.field)
 
 
-def reference_twist_module(m, t, algebra_tw):
+def reference_twist_module(m, t, twisted):
     """M^tau with rho^tau_{g,h} = rho_{g,h} (id (x) tau_g(h)), unchecked."""
     action = {(g, h): mat_mul(rho, kron(Matrix.identity(m.dim(g), m.field), t.tau(g, h)))
               for (g, h), rho in m.action.items()}
-    return GradedModule(m.space, algebra_tw, action)
+    return GradedModule(m.space, twisted, action)
 
 
 def reference_inverse(m):

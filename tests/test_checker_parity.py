@@ -287,19 +287,19 @@ def test_twisted_structures_match_their_references(case):
     e = a.group.identity
     if try_inverse(t.tau(e, e)) is None:
         with pytest.raises(ValueError, match="singular"):
-            twist_algebra(a, t, run_checks=False)
+            twist_algebra(a, t)
         return
-    twisted = twist_algebra(a, t, run_checks=False)
+    twisted = twist_algebra(a, t)
     assert twisted == reference_twist_algebra(a, t)
     reg = regular_module(a)
-    assert twist_module(reg, t, algebra_tw=twisted, run_checks=False) == reference_twist_module(reg, t, twisted)
+    assert twist_module(reg, t) == reference_twist_module(reg, t, twisted)
 
 
 def test_a_shifted_module_twists_as_its_reference():
     a, t = qp3()
     twisted = twist_algebra(a, t)
     shifted = shift_module(regular_module(a), 2)
-    assert twist_module(shifted, t, algebra_tw=twisted) == reference_twist_module(shifted, t, twisted)
+    assert twist_module(shifted, t) == reference_twist_module(shifted, t, twisted)
 
 
 def test_the_cases_reach_every_witness():

@@ -109,6 +109,17 @@ class TestPipelines:
         result = runner.invoke(main, ["check-module", str(a_out)])
         assert result.exit_code == 0
 
+    def test_twist_module_builds_the_twisted_algebra_once(self, runner, tmp_path, monkeypatch):
+        # the twist check builds A^tau and keeps it on the system; the module is put over it
+        built = []
+        real = twist_lib.GradedAlgebra
+        monkeypatch.setattr(twist_lib, "GradedAlgebra", lambda *args: built.append(real(*args)) or built[-1])
+        result = runner.invoke(
+            main, ["twist-module", fx("sign.twist.json"), fx("reg-z2.mod.json"), "-o", str(tmp_path / "m.json")]
+        )
+        assert result.exit_code == 0
+        assert len(built) == 1
+
     def test_phi_round_trip_through_files(self, runner, tmp_path):
         a, t = sign_twist()
         fam = phi_from_twist(t)
@@ -340,6 +351,41 @@ class TestMalformedInput:
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(main, ["check-algebra", str(tmp_path / "absent.json")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command, inputs, options, option", [
+        ("twist-algebra", ["sign.twist.json", "z2.alg.json"], [], "-o"),
+        ("twist-module", ["sign.twist.json", "reg-z2.mod.json"], [], "-o"),
+        ("twist-from-phi", ["PHI", "TWISTED", "z2.alg.json"], [], "-o"),
+        ("twist-from-phi", ["PHI", "TWISTED", "z2.alg.json"], ["-o", "OUT"], "--morphism-out"),
+        ("hom-space", ["reg-z2.mod.json", "reg-z2.mod.json"], ["-g", "1"], "-o"),
+        ("gamma", ["z2.alg.json"], [], "-o"),
+        ("gamma-twist", ["sign.twist.json", "z2.alg.json"], [], "-o"),
+        ("backward", ["sign.twist.json", "z2.alg.json"], [], "-o"),
+        ("backward", ["sign.twist.json", "z2.alg.json"], ["-o", "OUT"], "--iso-out"),
+    ])
+    def test_an_unwritable_output_exits_2(self, runner, tmp_path, command, inputs, options, option):
+        _a, t = sign_twist()
+        made = {"PHI": (tmp_path / "fam.phi.json", emit_phi(phi_from_twist(t))),
+                "TWISTED": (tmp_path / "twisted.alg.json", emit_algebra(twist_algebra(t.algebra, t)))}
+        for path, data in made.values():
+            write_json(path, data)
+        args = [str(made[name][0]) if name in made else fx(name) for name in inputs]
+        args += [str(tmp_path / "out.json") if opt == "OUT" else opt for opt in options]
+        unwritable = tmp_path / "no-such-dir" / "x.json"
+        result = runner.invoke(main, [command, *args, option, str(unwritable)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {unwritable}: " in result.output
+
+    @pytest.mark.parametrize("command", ["check-algebra", "check-phi"])
+    def test_over_deep_nesting_exits_2(self, runner, tmp_path, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        args = [str(deep)] if command == "check-algebra" else [str(deep), fx("z2.alg.json"), fx("z2.alg.json")]
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {deep}: nested too deeply" in result.output
 
     def test_dangling_algebra_reference(self, runner, tmp_path):
         data = read_json(FIXTURES / "reg-z2.mod.json")

@@ -6,12 +6,15 @@ that make a file malformed (a dropped required key, a value of the wrong
 JSON type, a scalar with a zero denominator, a malformed or out-of-group
 "g,h" key, a grading table that is not a group) must exit 2, except that
 `check-group` reports a non-group table as a failure, exit 1; swapping
-two values of a file may produce any of the three exits."""
+two values of a file may produce any of the three exits. An input file
+that holds no JSON object at all ([], a string, a number, null) must
+exit 2 as well, for every command and every input position."""
 
 import copy
 import tempfile
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +140,23 @@ def _mutate(data, doc, name, order):
     else:
         return None
     return {2}
+
+
+@pytest.mark.parametrize("replacement", [[], "x", 7, None], ids=["list", "string", "number", "null"])
+@pytest.mark.parametrize("command, files, options", [case[:3] for case in CASES],
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(CASES)])
+def test_an_input_file_that_is_not_an_object_exits_2(command, files, options, replacement):
+    for target in range(len(files)):
+        with tempfile.TemporaryDirectory() as tmp:
+            args = [command]
+            for i, name in enumerate(files):
+                path = Path(tmp) / f"{i}.{name}"
+                write_json(path, replacement if i == target else DOCUMENTS[name])
+                args.append(str(path))
+            args += [str(Path(tmp) / "out.json") if opt == "OUT" else opt for opt in options]
+            result = CliRunner().invoke(main, args)
+        assert isinstance(result.exception, SystemExit), (files[target], result.exception)
+        assert result.exit_code == 2, (files[target], result.output)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)

@@ -523,6 +523,14 @@ class TestGeneratorOnlyEqualizers:
             full = enriched.module_hom_space(reg, reg, g)
             assert (gamma.spaces[g].kernel, gamma.spaces[g].pivots) == (full.kernel, full.pivots)
 
+    def test_module_hom_space_is_always_the_full_equalizer(self):
+        # a generating set handed in by a caller is not proved to generate A
+        reg = regular_module(quantum_plane(3)[0])
+        with pytest.raises(TypeError):
+            module_hom_space(reg, reg, 1, [])
+        space = module_hom_space(reg, reg, 1)
+        assert space.dim == 2 and space.kernel == direct_intertwiner_basis(reg, reg, 1)
+
     def test_a_non_algebra_never_reaches_the_reduced_equalizer(self, monkeypatch):
         seen = record_build_rs(monkeypatch)
         witnesses = set()

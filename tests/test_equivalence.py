@@ -123,9 +123,8 @@ class TestEquivalenceData:
         # tau used to return a structure that fails the module axioms
         a, t = quantum_plane()
         b = twist_algebra(a, t)
-        for run_checks in (False, True):
-            with pytest.raises(ValueError, match="not over the twisting system's algebra"):
-                twist_module(regular_module(b), t, algebra_tw=b, run_checks=run_checks)
+        with pytest.raises(ValueError, match="not over the twisting system's algebra"):
+            twist_module(regular_module(b), t)
 
 
 class TestZmRoundTrip:
@@ -265,8 +264,7 @@ class TestTwistKeepsDegreeZeroHoms:
         # S_{1^-1} A has (S_{1^-1} A)_e = A_1, so the shifted space is nonzero
         n = shift_module(m, a.group.inv(1)) if shifted else m
         before = module_hom_space(m, n, a.group.identity)
-        after = module_hom_space(twist_module(m, t, algebra_tw=b), twist_module(n, t, algebra_tw=b),
-                                 a.group.identity)
+        after = module_hom_space(twist_module(m, t), twist_module(n, t), a.group.identity)
         assert before.dim
         assert after.source_layout == before.source_layout
         assert after.kernel == before.kernel
@@ -349,9 +347,9 @@ class TestBackward:
         systems = []
         real = twist_lib.twist_algebra
 
-        def counted(algebra, system, run_checks=True):
+        def counted(algebra, system):
             systems.append(system)
-            return real(algebra, system, run_checks)
+            return real(algebra, system)
 
         monkeypatch.setattr(twist_lib, "twist_algebra", counted)
         monkeypatch.setattr(equivalence_lib, "twist_algebra", counted)
@@ -468,6 +466,21 @@ class TestBackward:
         for g in a.support():
             assert (result.iso.component(g) @ result.forward_iso.component(g)).is_identity()
             assert (result.forward_iso.component(g) @ result.iso.component(g)).is_identity()
+
+
+def test_a_cocycle_pipeline_builds_the_input_s_twisted_algebra_once(monkeypatch):
+    # check_equivalence reads the A^tau that equivalence_from_twist built and
+    # kept on the system; twist_from_phi builds the recovered system's own
+    _a, t = random_cocycle_twist(5)
+    built = []
+    real = twist_lib.GradedAlgebra
+    monkeypatch.setattr(twist_lib, "GradedAlgebra", lambda *args: built.append(real(*args)) or built[-1])
+    data = equivalence_from_twist(t)
+    assert check_equivalence(data).passed
+    result = backward(data)
+    assert result.report.passed
+    assert len(built) == 2
+    assert built[0] is data.twisted is twist_algebra(t.algebra, t) and built[1] is result.twisted
 
 
 def test_one_pipeline_certifies_each_algebra_once(monkeypatch):

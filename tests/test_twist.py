@@ -203,6 +203,12 @@ class TestTwistCondition:
 
 
 class TestTwistedStructures:
+    def test_the_twisted_algebra_is_built_once_per_system(self):
+        for a, t in (sign_twist(), quantum_plane(2), random_cocycle_twist(0)):
+            twisted = twist_algebra(a, t)
+            assert twist_algebra(a, t) is twisted
+            assert twist_module(regular_module(a), t).algebra is twisted
+
     def test_identity_twist_changes_nothing(self):
         for a in (z3_group_algebra(), group_algebra(cyclic_group(2), F5)):
             assert twist_algebra(a, identity_twist(a)) == a
@@ -237,7 +243,7 @@ class TestTwistedStructures:
     def test_unit_needs_invertible_tau_ee(self):
         t = scalar_explicit(z2_group_algebra(), {(0, 0): 0})
         with pytest.raises(ValueError, match="singular"):
-            twist_algebra(z2_group_algebra(), t, run_checks=False)
+            twist_algebra(z2_group_algebra(), t)
 
 
 class TestInverseAndComposite:
@@ -560,6 +566,18 @@ def test_the_tables_a_kept_verdict_reads_are_read_only():
             table[key] = table[key]
 
 
+def test_a_space_s_dims_and_a_cocycle_s_alpha_are_read_only():
+    a, t = sign_twist()
+    assert check_twist_condition(t).passed
+    with pytest.raises(TypeError):
+        a.space.dims[1] = 5
+    with pytest.raises(TypeError):
+        t.alpha[(1, 1)] = 5
+    # the system is still one: its table, its alpha and its inverse agree
+    assert t.tau(1, 1) == Matrix.from_rows([[-1]], QQ)
+    assert t.alpha[(1, 1)] == -1 and inverse_twist(t).alpha[(1, 1)] == -1
+
+
 def test_twist_from_phi_refuses_a_family_singular_only_at_the_top_of_its_window():
     _a, t = quantum_plane(2)
     good = phi_from_twist(t)
@@ -584,7 +602,6 @@ def test_condition_checks_skip_pairs_whose_product_component_is_zero(monkeypatch
     # stored product and both sides of its identity are empty matrices
     a = quantum_plane(3)[0]
     t = identity_twist(a)
-    p = phi_from_twist(t)
     supp = a.support()
     calls = []
     real = twist_lib.mul_kron
@@ -606,8 +623,9 @@ def test_condition_checks_skip_pairs_whose_product_component_is_zero(monkeypatch
     tried = count(t.has_tau, True)
     assert tried < count(t.has_tau, False)
     # one composite per tried tuple, plus one per stored product of A^tau,
-    # against two per tuple before; the calls of check_algebra, counted on
+    # which the check builds first, against two per tuple before; the calls of check_algebra, counted on
     # a fresh copy of A (its verdict is kept on A), are left out
     condition = made_by(check_twist_condition, t) - made_by(check_algebra, quantum_plane(3)[0])
     assert condition == tried + len(a.mult) < 2 * tried
+    p = phi_from_twist(t)
     assert made_by(check_phi_family, p) == count(p.has, True) < count(p.has, False)
