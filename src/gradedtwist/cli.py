@@ -11,6 +11,7 @@ check/status/witness/timings.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -86,12 +87,28 @@ def _fail_input(message: str):
     sys.exit(2)
 
 
-def _write(path, data):
-    """Write one output file; a path that cannot be written is an input error."""
-    try:
-        write_json(path, data)
-    except OSError as exc:
-        _fail_input(f"{path}: {exc.strerror or exc}")
+def _write(outputs: dict):
+    """Write each {path: data} output file, or none of them: a path that
+    cannot be written is an input error. Every path is first opened for
+    appending, which changes no content, and the files that this opening
+    created are removed again when a later path cannot be opened."""
+    created = []
+    for path in outputs:
+        existed = os.path.lexists(path)
+        try:
+            with open(path, "a"):
+                pass
+        except OSError as exc:
+            for made in created:
+                os.remove(made)
+            _fail_input(f"{path}: {exc.strerror or exc}")
+        if not existed:
+            created.append(path)
+    for path, data in outputs.items():
+        try:
+            write_json(path, data)
+        except OSError as exc:
+            _fail_input(f"{path}: {exc.strerror or exc}")
 
 
 def _load(path, parser, *args, **kwargs):
@@ -183,7 +200,7 @@ def cmd_twist_algebra(twist_file, algebra_file, output, fmt):
     t0 = time.perf_counter()
     report = check_twist_condition(t)
     if report.passed:
-        _write(output, emit_algebra(twist_algebra(algebra, t)))
+        _write({output: emit_algebra(twist_algebra(algebra, t))})
     _finish(report, fmt, time.perf_counter() - t0)
 
 
@@ -206,7 +223,7 @@ def cmd_twist_module(twist_file, module_file, output, fmt):
             twisted = twist_module(module, t)
         except ValueError as exc:
             _fail_input(f"{module_file}: {exc}")
-        _write(output, emit_module(twisted))
+        _write({output: emit_module(twisted)})
     _finish(report, fmt, time.perf_counter() - t0)
 
 
@@ -250,9 +267,10 @@ def cmd_twist_from_phi(phi_file, source_algebra, target_algebra, output,
             system, _twisted, morphism = twist_from_phi_op(fam)
         except ValueError as exc:
             _fail_input(f"{phi_file}: {exc}")
-        _write(output, emit_twist(system))
+        outputs = {output: emit_twist(system)}
         if morphism_out:
-            _write(morphism_out, emit_morphism(morphism))
+            outputs[morphism_out] = emit_morphism(morphism)
+        _write(outputs)
     _finish(report, fmt, time.perf_counter() - t0)
 
 
@@ -275,7 +293,7 @@ def cmd_hom_space(source_module, target_module, degree, output, fmt):
         except ValueError as exc:
             _fail_input(str(exc))
         if output:
-            _write(output, emit_hom_basis(space, degree))
+            _write({output: emit_hom_basis(space, degree)})
         report = Report("module_hom_space", True, notes=(f"degree {degree} dimension {space.dim}",))
     _finish(report, fmt, time.perf_counter() - t0)
 
@@ -304,7 +322,7 @@ def cmd_gamma(algebra_file, output, fmt):
     t0 = time.perf_counter()
     report, gamma = _checked_gamma(algebra)
     if report.passed:
-        _write(output, emit_algebra(gamma.graded))
+        _write({output: emit_algebra(gamma.graded)})
         dims = {g: gamma.dim(g) for g in gamma.degrees if gamma.dim(g)}
         report = Report("gamma_algebra", True, notes=(f"dimensions {dims}",))
     _finish(report, fmt, time.perf_counter() - t0)
@@ -360,7 +378,7 @@ def cmd_gamma_twist(twist_file, algebra_file, output, fmt):
         data = equivalence_from_twist(t)
         family, report = gamma_twist_phi(data)
         if family is not None and output:
-            _write(output, emit_phi(family))
+            _write({output: emit_phi(family)})
     _finish(report, fmt, time.perf_counter() - t0)
 
 
@@ -385,10 +403,10 @@ def cmd_backward(twist_file, algebra_file, output, iso_out, fmt):
             result = backward_op(data)
             report = result.report
             if report.passed:
-                if output:
-                    _write(output, emit_twist(result.twist))
+                outputs = {output: emit_twist(result.twist)} if output else {}
                 if iso_out:
-                    _write(iso_out, emit_morphism(result.iso))
+                    outputs[iso_out] = emit_morphism(result.iso)
+                _write(outputs)
     _finish(report, fmt, time.perf_counter() - t0)
 
 

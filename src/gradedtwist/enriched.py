@@ -52,9 +52,24 @@ into its blocks; over the regular module this composition makes the
 spaces [[A, A]]_g into a graded algebra Gamma, and left multiplication
 A_g -> Gamma_g is an isomorphism of graded algebras. Both facts are
 computed here, not assumed: see `gamma_algebra` and `endo_iso`.
-`gamma_algebra` composes the bases of each pair of degrees (g, h) with
-one `compose_homs` call, then reads the coordinates of every composite
-that lands in one degree gh with one `coords` call on them side by side.
+
+The generator lemma also shortens Gamma's multiplication, since the
+products with right factors in H span Gamma. `gamma_algebra` composes
+the basis of each degree g with that of each h in H, one `compose_homs`
+call per pair, and reads the coordinates of every composite that lands
+in one degree gh with one `coords` call on them side by side: the exact
+membership check. It then spans Gamma from the unit by right products
+with those bases, in coordinates, and keeps with each spanning product
+v = u s_1 ... s_m its operator R_v = R_{s_m} ... R_{s_1}, where
+R_s(x) = x o s was composed directly. Every other product is a
+combination of these operators: x o y = sum c_v R_v(x) for y = sum c_v v,
+by linearity and by the associativity of composing families, which
+holds entry for entry. When a composite is not a module map, or the
+span misses a degree, the products are built again with every degree
+as right factor, as they are when A has no certified H: nothing is
+derived then, and the error names the first failing pair (g, h).
+`endo_iso` checks phi multiplicative into Gamma over every pair, so
+each derived product is checked again.
 
 Every flat index in this file follows the package-wide Kronecker
 convention (left factor owns the coarse index).
@@ -67,8 +82,11 @@ from .exactmath import (
     block_matrix,
     column_echelon,
     hstack,
+    inverse,
     kernel_matrix,
     kron,
+    mul_kron,
+    rref,
     sparse_kernel,
 )
 from .graded import (
@@ -414,46 +432,137 @@ def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
     docstring); the bases are those of the full equalizer. Otherwise
     every space quantifies over all of supp A, and a non-algebra gives
     what the full equalizer gives.
+
+    The products are composed with right factors in H only, and the
+    others derived from them (`_products`); without H, or when a
+    composite is not a module map or the span misses a degree, every
+    degree is a right factor, and the error names the first failing pair.
     """
+    reg = regular_module(a)  # held, so the check reads this one
     check_algebra(a)
-    reg = regular_module(a)
     group = a.group
-    field = a.field
-    mul = group.mul_unchecked
     degrees = a.support() if isinstance(group, IntegerWindow) else list(group.elements())
     spaces = {g: ModuleHomSpace(reg, reg, g, *build_RS(reg, reg, g, a.generators)[:2]) for g in degrees}
     dims = {g: spaces[g].dim for g in degrees if spaces[g].dim}
-    space = GradedVectorSpace(group, dims)
-    # one compose_homs per pair (g, h), then one coords call per product
-    # degree gh, on the composites of all its pairs side by side
+    unit_space = spaces.get(group.identity)
+    if unit_space is None or not unit_space.dim:
+        raise ValueError("no identity-degree component; cannot form the unit")
+    unit = unit_space.coords(identity_hom(reg))  # the identity is a module map of every module
+    support = list(dims)
+    mult = _products(spaces, support, support if a.generators is None else a.generators, unit, group)
+    mult = {(g, h): mult[(g, h)] for g in support for h in support if (g, h) in mult}  # in the order of the pairs
+    graded = GradedAlgebra(GradedVectorSpace(group, dims), mult, unit, a.field)
+    return GammaAlgebra(a, degrees, spaces, graded, reg)
+
+
+def _products(spaces, support, rights, unit, group) -> dict:
+    """{(g, h): m_{g,h}} of Gamma, composed for the right factors h in
+    `rights` and derived for the others.
+
+    Composed: one compose_homs per pair (g, h), then one coords call per
+    product degree gh, on the composites of all its pairs side by side.
+    Derived, when `rights` is not `support` itself: see `_derived`. If a
+    composite is not a module map, or the derivation misses a degree, the
+    products are rebuilt with `support` as the right factors; that
+    rebuild raises a ValueError naming the first pair (g, h), in the
+    order of the pairs, whose composite is not a module map.
+    """
+    mul = group.mul_unchecked
     composites = {}
-    for g in degrees:
-        for h in degrees:
+    for g in support:
+        for h in rights:
             target = spaces.get(mul(g, h))
-            if not (spaces[g].dim and spaces[h].dim) or target is None or not target.dim:
-                continue
-            composites[(g, h)] = compose_homs(spaces[g], spaces[g].kernel, spaces[h], spaces[h].kernel,
-                                              target.source_layout)
+            if spaces[h].dim and target is not None and target.dim:
+                composites[(g, h)] = compose_homs(spaces[g], spaces[g].kernel, spaces[h], spaces[h].kernel,
+                                                  target.source_layout)
     by_target = {}
     for key in composites:
         by_target.setdefault(mul(*key), []).append(key)
-    mult = {}
+    direct = {}
     try:
         for gh, keys in by_target.items():
             read = spaces[gh].coords(hstack([composites[key] for key in keys]))
-            mult.update(zip(keys, _split_columns(read, [composites[key].cols for key in keys])))
+            direct.update(zip(keys, _split_columns(read, [composites[key].cols for key in keys])))
     except ValueError:
+        if rights is not support:
+            return _products(spaces, support, support, unit, group)
         # name the pair that the per-pair reading would have stopped at first
         g, h = next(key for key, c in composites.items() if not spaces[mul(*key)].contains(c))
         raise ValueError(f"composite of degrees ({g!r},{h!r}) is not a module morphism family") from None
-    mult = {key: mult[key] for key in composites}  # in the order of the pairs
-    e = group.identity
-    unit_space = spaces.get(e)
-    if unit_space is None or not unit_space.dim:
-        raise ValueError("no identity-degree component; cannot form the unit")
-    unit = unit_space.coords(identity_hom(reg))
-    graded = GradedAlgebra(space, mult, unit, field)
-    return GammaAlgebra(a, degrees, spaces, graded, reg)
+    if rights is support:
+        return direct
+    return _derived(spaces, direct, rights, unit, group) or _products(spaces, support, support, unit, group)
+
+
+def _derived(spaces, direct, rights, unit, group) -> dict:
+    """Every product of Gamma, from the products `direct` whose right
+    factors lie in `rights` and the coordinates `unit` of the identity.
+
+    Write R_y(x) = x o y. The left-normed products v = u s_1 ... s_m of
+    the unit u with basis elements s_i of the degrees in `rights` are
+    spanned degree by degree, in coordinates, keeping in each Gamma_k the
+    first products that are independent of those kept before, each with
+    R_v = R_{s_m} ... R_{s_1} on every source degree: R_u is the
+    identity, and R_{w s} = R_s R_w since composing families is
+    associative entry for entry. When the kept v of Gamma_k number its
+    dimension, they form a basis V_k, and for y = V_k c, R_y = sum c_i
+    R_{v_i}: m_{g,k} is R_{v_1}, ..., R_{v_d} on Gamma_g times V_k^-1.
+    Returns None when the products miss a degree.
+    """
+    mul, field = group.mul_unchecked, unit.field
+    dims = {g: space.dim for g, space in spaces.items() if space.dim}
+    ident = {g: Matrix.identity(d, field) for g, d in dims.items()}
+    basis = {h: _split_columns(ident[h], [1] * dims[h]) for h in rights if h in dims}  # s_b as columns
+    # kept[k]: (v, R_v as {g: m with column a the coordinates of x_a o v}) of Gamma_k
+    kept = {k: [] for k in dims}
+    kept[group.identity].append((unit, ident))
+    work, done = [group.identity], {}
+    while work:
+        j = work.pop(0)
+        fresh, done[j] = kept[j][done.get(j, 0):], len(kept[j])
+        words = hstack([v for v, _ops in fresh])
+        for h in basis:
+            k = mul(j, h)
+            if (j, h) not in direct or len(kept[k]) == dims[k]:
+                continue
+            # column i * dim h + b is fresh[i] o s_b
+            products = mul_kron(direct[(j, h)], words, ident[h])
+            have = len(kept[k])
+            _r, pivots = rref(hstack([v for v, _ops in kept[k]] + [products]))
+            for p in pivots[have:]:
+                i, b = divmod(p - have, dims[h])
+                ops = {}
+                for g, r in fresh[i][1].items():
+                    m = direct.get((mul(g, j), h))
+                    if m is not None:
+                        ops[g] = mul_kron(m, r, basis[h][b])
+                kept[k].append((Matrix._trusted(products.rows, 1, field, products.col(p - have)), ops))
+            if len(kept[k]) > have and k not in work:
+                work.append(k)
+    if any(len(kept[k]) < d for k, d in dims.items()):
+        return None
+    mult = dict(direct)
+    for k, vectors in kept.items():
+        if k in basis:
+            continue
+        coefficients = inverse(hstack([v for v, _ops in vectors]))
+        plain = coefficients.is_identity()
+        for g, dim_g in dims.items():
+            gk = mul(g, k)
+            if gk not in dims:
+                continue
+            blocks = [ops.get(g) for _v, ops in vectors]
+            if len(blocks) == 1 and blocks[0] is not None:
+                q = blocks[0]
+            else:
+                zero = (field.zero,) * (dims[gk] * dim_g)
+                blocks = [zero if block is None else block.data for block in blocks]
+                # column a * dim k + i is R_{v_i}(x_a)
+                q = Matrix._trusted(dims[gk], dim_g * len(blocks), field,
+                                    [block[r * dim_g + a] for r in range(dims[gk]) for a in range(dim_g)
+                                     for block in blocks])
+            mult[(g, k)] = q if plain else mul_kron(q, ident[g], coefficients)
+    return mult
 
 
 def endo_iso(gamma: GammaAlgebra):

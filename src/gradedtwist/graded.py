@@ -24,9 +24,10 @@ generating set H of degrees (the blocks A_h, h in H, generate A):
 exact span computation, that H generates A, or returns None.
 `check_algebra` uses the first lemma and the certificate, and falls back
 to the full loop whenever either does not apply. A pass is kept on the
-algebra (`report.kept`) with its H as `a.generators`, so a later check
-is a lookup; `mult` and the space's `dims` are read-only views, so a
-kept pass stays true.
+algebra (`report.kept`) with its H as `a.generators`, a tuple, so a
+later check is a lookup; `mult` and the space's `dims` are read-only
+views and no attribute of the algebra can be rebound, so a kept pass
+stays true.
 
 `_multiplicativity_failure` is the one loop that checks a degreewise
 family phi_d multiplicative from S to T: `check_algebra_morphism` (phi
@@ -44,6 +45,7 @@ sides map into a zero component: both are empty matrices there.
 
 from __future__ import annotations
 
+import weakref
 from math import comb
 from itertools import combinations_with_replacement
 from types import MappingProxyType
@@ -120,9 +122,11 @@ def _structure_maps(label, maps, left, right, field) -> dict:
 
 
 class GradedAlgebra:
-    """(A_g, m_{g,h}: A_g (x) A_h -> A_gh, u: 1 -> A_e) with explicit matrices."""
+    """(A_g, m_{g,h}: A_g (x) A_h -> A_gh, u: 1 -> A_e) with explicit matrices.
 
-    generators = None  # the degrees H of a passing reduced check_algebra
+    An attribute cannot be rebound once set, and `mult` is a read-only
+    view, so a check kept on the algebra cannot go stale.
+    """
 
     def __init__(self, space: GradedVectorSpace, mult: dict, unit: Matrix, field):
         self.space = space
@@ -134,6 +138,17 @@ class GradedAlgebra:
         if unit.field != field:
             raise ValueError("unit field mismatch")
         self.unit = unit
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__:
+            raise AttributeError(f"GradedAlgebra.{name} cannot be rebound")
+        super().__setattr__(name, value)
+
+    @property
+    def generators(self):
+        """The degrees H, a tuple, that a passing reduced check_algebra
+        certified as generating A; None before such a pass."""
+        return self.__dict__.get("_generators")
 
     @property
     def group(self):
@@ -165,7 +180,8 @@ class GradedAlgebra:
 
 
 class GradedModule:
-    """(M_g, rho_{g,h}: M_g (x) A_h -> M_gh) over a fixed graded algebra."""
+    """(M_g, rho_{g,h}: M_g (x) A_h -> M_gh) over a fixed graded algebra
+    (`action`, read-only)."""
 
     def __init__(self, space: GradedVectorSpace, algebra: GradedAlgebra, action: dict):
         if not same_group(space.group, algebra.group):
@@ -173,7 +189,7 @@ class GradedModule:
         self.space = space
         self.algebra = algebra
         self.field = algebra.field
-        self.action = _structure_maps("action", action, space, algebra.space, self.field)
+        self.action = MappingProxyType(_structure_maps("action", action, space, algebra.space, self.field))
 
     @property
     def group(self):
@@ -285,7 +301,7 @@ def check_algebra(a: GradedAlgebra) -> Report:
     unit_failure = _unit_failure(a)
     generators = generating_degrees(a) if unit_failure is None else None
     if generators is not None and _associativity_failure(reg, generators) is None:
-        a.generators = generators
+        a.__dict__["_generators"] = tuple(generators)
         return Report("check_algebra", True, notes=(f"associativity over generating degrees {generators}",))
     bad = _associativity_failure(reg, a.support())
     witness = unit_failure if bad is None else ("associativity", bad)
@@ -560,8 +576,21 @@ def truncated_polynomial(nvars: int, maxdeg: int, field=QQ) -> GradedAlgebra:
 
 
 def regular_module(a: GradedAlgebra) -> GradedModule:
-    """A acting on itself by multiplication."""
-    return GradedModule(a.space, a, dict(a.mult))
+    """A acting on itself by multiplication.
+
+    While a caller holds the module, every call on the same algebra
+    returns it: `enriched.gamma_algebra` takes it before its
+    `check_algebra` reads it, so one is built. The algebra keeps only a
+    weak reference, since the module refers to the algebra and a cycle
+    would outlive both until the garbage collector ran. Neither the
+    algebra's attributes nor the module's `action` can change, so the
+    module stays the algebra's."""
+    ref = a.__dict__.get("_regular")
+    reg = None if ref is None else ref()
+    if reg is None:
+        reg = GradedModule(a.space, a, dict(a.mult))
+        a.__dict__["_regular"] = weakref.ref(reg)
+    return reg
 
 
 def shift_module(m: GradedModule, g) -> GradedModule:

@@ -10,6 +10,9 @@ A Hom family is a column on its space's layout. `column_blocks` slices
 one into a Matrix per block, and `block_composites` and `pull_push`
 compose such blocks with `@` and lay the products out again: the
 references for `compose_homs` and for the transport of `gamma_twist_phi`.
+`reference_gamma` is Gamma(A) with every product composed that way, one
+pair of degrees at a time, on the full equalizers: the reference for
+`gamma_algebra`, which composes with generating right factors only.
 
 The `reference_*` functions are the structure-map checkers and twist
 builders of `graded` and `twist` written with `mat_mul(x, kron(f, g))`,
@@ -25,7 +28,7 @@ maps and the zero module that the tests of the triangle identity,
 pre/postcompose naturality and zero Hom spaces are stated with; the
 library itself needs none of them."""
 
-from gradedtwist.enriched import evaluation, sharp
+from gradedtwist.enriched import evaluation, identity_hom, module_hom_space, sharp
 from gradedtwist.exactmath import (
     Matrix,
     SingularMatrixError,
@@ -105,6 +108,24 @@ def block_composites(left, fs, right, gs) -> Matrix:
                     entries += block.data
             columns.append(Matrix.column(entries, field))
     return hstack(columns)
+
+
+def reference_gamma(a, degrees) -> GradedAlgebra:
+    """[[A, A]] on the canonical bases of the full equalizers at `degrees`,
+    with m_{g,h} the coordinates of block_composites of the bases of every
+    pair (g, h), in the order of the pairs."""
+    reg, group = regular_module(a), a.group
+    spaces = {g: module_hom_space(reg, reg, g) for g in degrees}
+    support = [g for g in degrees if spaces[g].dim]
+    mult = {}
+    for g in support:
+        for h in support:
+            target = spaces.get(group.mul(g, h))
+            if target is not None and target.dim:
+                mult[(g, h)] = target.coords(block_composites(spaces[g], spaces[g].kernel,
+                                                              spaces[h], spaces[h].kernel))
+    unit = spaces[group.identity].coords(identity_hom(reg))
+    return GradedAlgebra(GradedVectorSpace(group, {g: spaces[g].dim for g in support}), mult, unit, a.field)
 
 
 def pull_push(space, columns, u, v) -> Matrix:

@@ -377,6 +377,38 @@ class TestMalformedInput:
         assert isinstance(result.exception, SystemExit)
         assert f"error: {unwritable}: " in result.output
 
+    @pytest.mark.parametrize("command, inputs, option", [
+        ("twist-from-phi", ["PHI", "TWISTED", "z2.alg.json"], "--morphism-out"),
+        ("backward", ["quantum.twist.json", "trunc23.alg.json"], "--iso-out"),
+    ])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_an_unwritable_second_output_leaves_the_first_untouched(self, runner, tmp_path, command, inputs,
+                                                                     option, existing):
+        _a, t = sign_twist()
+        made = {"PHI": (tmp_path / "fam.phi.json", emit_phi(phi_from_twist(t))),
+                "TWISTED": (tmp_path / "twisted.alg.json", emit_algebra(twist_algebra(t.algebra, t)))}
+        for path, data in made.values():
+            write_json(path, data)
+        args = [str(made[name][0]) if name in made else fx(name) for name in inputs]
+        first = tmp_path / "rec.json"
+        if existing:
+            first.write_text("earlier\n")
+        unwritable = tmp_path / "no-such-dir" / "x.json"
+        result = runner.invoke(main, [command, *args, "-o", str(first), option, str(unwritable)])
+        assert result.exit_code == 2
+        assert f"error: {unwritable}: " in result.output
+        if existing:
+            assert first.read_text() == "earlier\n"
+        else:
+            assert not first.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["fam.phi.json", "twisted.alg.json"] + (["rec.json"] if existing else []))
+        # with both paths writable, both are written
+        second = tmp_path / "second.json"
+        result = runner.invoke(main, [command, *args, "-o", str(first), option, str(second)])
+        assert result.exit_code == 0
+        assert read_json(first) and read_json(second)
+
     @pytest.mark.parametrize("command", ["check-algebra", "check-phi"])
     def test_over_deep_nesting_exits_2(self, runner, tmp_path, command):
         deep = tmp_path / "deep.json"

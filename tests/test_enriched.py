@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composites import assemble, block_composites, coevaluation, postcompose, r_composite, s_composite, zero_module
+from composites import (
+    assemble,
+    block_composites,
+    coevaluation,
+    postcompose,
+    r_composite,
+    reference_gamma,
+    s_composite,
+    zero_module,
+)
 from gradedtwist import enriched, exactmath
 from gradedtwist.exactmath import QQ, Matrix, PrimeField, hstack, kron, sparse_kernel
 from gradedtwist.fixtures import (
@@ -46,7 +55,7 @@ from gradedtwist.graded import (
     shift_module,
 )
 from gradedtwist.groups import IntegerWindow, cyclic_group, symmetric_group
-from gradedtwist.twist import twist_algebra
+from gradedtwist.twist import COCYCLE, TwistingSystem, twist_algebra
 
 F5 = PrimeField(5)
 
@@ -518,7 +527,7 @@ class TestGeneratorOnlyEqualizers:
         reg = regular_module(a)
         seen = record_build_rs(monkeypatch)
         gamma = gamma_algebra(a)
-        assert seen == [[1, 2]] * 6
+        assert seen == [(1, 2)] * 6
         for g in gamma.degrees:
             full = enriched.module_hom_space(reg, reg, g)
             assert (gamma.spaces[g].kernel, gamma.spaces[g].pivots) == (full.kernel, full.pivots)
@@ -553,7 +562,7 @@ class TestGeneratorOnlyEqualizers:
 
     def test_a_composite_outside_its_space_names_the_first_failing_pair(self, monkeypatch):
         a = s3_group_algebra(F7)
-        assert a.group.identity == 0 and a.group.mul(1, 0) == 1 and a.group.mul(0, 5) == 5
+        assert a.group.identity == 0 and a.group.mul(1, 1) == 0 and a.group.mul(0, 2) == 2
         real = enriched.compose_homs
         bad = set()
 
@@ -566,9 +575,11 @@ class TestGeneratorOnlyEqualizers:
             return Matrix(composites.rows, composites.cols, F7, data)
 
         monkeypatch.setattr(enriched, "compose_homs", corrupted)
-        # the coordinates are read per product degree, and degree 1 is read
-        # before degree 5, but the pair (0, 5) comes before (1, 0)
-        for pairs, named in (({(1, 0)}, "(1,0)"), ({(1, 0), (0, 5)}, "(0,5)")):
+        # both pairs have their right factor in H = (1, 2), so the rerun with
+        # every degree names them; the coordinates are read per product
+        # degree, and degree 0 is read before degree 2, but the pair (0, 2)
+        # comes before (1, 1)
+        for pairs, named in (({(1, 1)}, "(1,1)"), ({(1, 1), (0, 2)}, "(0,2)")):
             bad.clear()
             bad.update(pairs)
             with pytest.raises(ValueError) as caught:
@@ -587,6 +598,129 @@ def record_build_rs(monkeypatch) -> list:
 
     monkeypatch.setattr(enriched, "build_RS", recorded)
     return seen
+
+
+def coboundary_twist(group, field, seed):
+    """k[G] twisted by the coboundary of seeded nonzero scalars beta, with
+    beta(e) = 1: alpha(x, y) = beta(x) beta(y) / beta(xy)."""
+    rng = random.Random(seed)
+    beta = {g: field.one if g == group.identity else field.coerce(rng.randrange(1, 7))
+            for g in group.elements()}
+    alpha = {(x, y): field.mul(field.mul(beta[x], beta[y]), field.inv(beta[group.mul(x, y)]))
+             for x in group.elements() for y in group.elements()}
+    a = group_algebra(group, field)
+    return twist_algebra(a, TwistingSystem(a, COCYCLE, alpha=alpha))
+
+
+GAMMA_CASES = {
+    **{name: build for name, build in REDUCTION_CASES.items() if not name.startswith("cocycle")},
+    "s3-f7": lambda: s3_group_algebra(F7),
+    "s3-qq": lambda: s3_group_algebra(QQ),
+}
+
+
+def gamma_degrees(a):
+    return a.support() if isinstance(a.group, IntegerWindow) else list(a.group.elements())
+
+
+def count_compose_homs(monkeypatch) -> list:
+    """Rebind enriched.compose_homs to record the degrees of each call."""
+    calls = []
+    real = enriched.compose_homs
+
+    def counted(left, fs, right, gs, layout=None):
+        calls.append((left.degree, right.degree))
+        return real(left, fs, right, gs, layout)
+
+    monkeypatch.setattr(enriched, "compose_homs", counted)
+    return calls
+
+
+class TestGeneratedProducts:
+    """gamma_algebra composes with right factors in H = a.generators only
+    and derives the other products; tests/composites.py composes every pair."""
+
+    @pytest.mark.parametrize("name", sorted(GAMMA_CASES))
+    def test_gamma_equals_the_full_composition_reference(self, name):
+        a = GAMMA_CASES[name]()
+        graded = gamma_algebra(a).graded
+        reference = reference_gamma(a, gamma_degrees(a))
+        assert graded == reference
+        assert list(graded.mult) == list(reference.mult)
+        assert len(a.generators) < len(graded.support())
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(["z3", "s3", "z6"]))
+    def test_seeded_cocycle_twists_equal_the_reference(self, seed, group):
+        if group == "z3":
+            a = twist_algebra(*random_cocycle_twist(seed))
+        else:
+            a = coboundary_twist(symmetric_group(3) if group == "s3" else cyclic_group(6), F7, seed)
+        graded = gamma_algebra(a).graded
+        reference = reference_gamma(a, gamma_degrees(a))
+        assert graded == reference and list(graded.mult) == list(reference.mult)
+
+    def test_one_composition_per_degree_and_generator(self, monkeypatch):
+        a = group_algebra(symmetric_group(4), F7)
+        calls = count_compose_homs(monkeypatch)
+        gamma = gamma_algebra(a)
+        assert a.generators == (1, 2, 6)
+        assert len(calls) == len(gamma.graded.support()) * len(a.generators) == 72
+        assert {h for _g, h in calls} == set(a.generators)
+        assert len(gamma.graded.mult) == 576
+
+    def test_a_corrupted_generator_product_reruns_with_every_degree(self, monkeypatch):
+        a = s3_group_algebra(F7)
+        calls = count_compose_homs(monkeypatch)
+        counted = enriched.compose_homs
+
+        def corrupted(left, fs, right, gs, layout=None):
+            composites = counted(left, fs, right, gs, layout)
+            if (left.degree, right.degree) != (3, 2):
+                return composites
+            data = list(composites.data)
+            data[0] = F7.add(data[0], 1)
+            return Matrix(composites.rows, composites.cols, F7, data)
+
+        monkeypatch.setattr(enriched, "compose_homs", corrupted)
+        with pytest.raises(ValueError, match=r"composite of degrees \(3,2\) is not a module morphism family"):
+            gamma_algebra(a)
+        assert len(calls) == 6 * 2 + 6 * 6
+
+    def test_a_span_that_misses_a_degree_reruns_with_every_degree(self, monkeypatch):
+        # zero composites with the generator lie in every space, so they are
+        # read without error, but then the products of H reach no degree but 0
+        a = quantum_plane(3)[0]
+        calls = count_compose_homs(monkeypatch)
+        counted = enriched.compose_homs
+
+        def zeroed(left, fs, right, gs, layout=None):
+            composites = counted(left, fs, right, gs, layout)
+            if right.degree != 1:
+                return composites
+            return Matrix.zeros(composites.rows, composites.cols, composites.field)
+
+        monkeypatch.setattr(enriched, "compose_homs", zeroed)
+        mult = gamma_algebra(a).graded.mult
+        assert a.generators == (1,)
+        assert calls[:3] == [(0, 1), (1, 1), (2, 1)] and len(calls) == 3 + 10
+        # every product was then read from its own composite
+        reference = reference_gamma(a, gamma_degrees(a)).mult
+        assert all(not any(m.data) if h == 1 else m == reference[(g, h)] for (g, h), m in mult.items())
+
+    def test_a_fresh_gamma_builds_the_regular_module_once(self, monkeypatch):
+        built = []
+        real = GradedModule.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(GradedModule, "__init__", counted)
+        a = s3_group_algebra(F7)
+        gamma = gamma_algebra(a)
+        assert len(built) == 1
+        assert gamma.module is regular_module(a) and len(built) == 1
 
 
 class TestEndoIso:

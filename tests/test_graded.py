@@ -1,6 +1,7 @@
 """Graded structures: axiom checkers, constructors, oracle."""
 
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -303,7 +304,7 @@ class TestKeptVerdicts:
         a = quantum_plane(3)[0]
         assert a.generators is None
         first = check_algebra(a)
-        assert first.passed and a.generators == [1]
+        assert first.passed and a.generators == (1,)
         assert check_algebra(a) is first
         assert runs == [[1]]
         broken = broken_algebra(0)
@@ -315,6 +316,48 @@ class TestKeptVerdicts:
         assert again.witness == failed.witness
         assert len(runs) == 2 * ran > 0
         assert broken.generators is None
+
+    def test_the_certified_generators_cannot_be_changed(self):
+        a = quantum_plane(3)[0]
+        assert check_algebra(a).passed
+        with pytest.raises(AttributeError):
+            a.generators.clear()
+        with pytest.raises(AttributeError):
+            a.generators = ()
+        assert a.generators == (1,)
+
+    def test_generators_cannot_be_set_before_a_check(self):
+        a = quantum_plane(3)[0]
+        with pytest.raises(AttributeError):
+            a.generators = (0,)
+        assert a.generators is None
+
+    @pytest.mark.parametrize("name", ["unit", "mult", "space", "field"])
+    def test_an_attribute_of_a_checked_algebra_cannot_be_rebound(self, name):
+        a = quantum_plane(2)[0]
+        kept = check_algebra(a)
+        zero_unit = Matrix.zeros(1, 1, QQ)
+        with pytest.raises(AttributeError, match=f"GradedAlgebra.{name} cannot be rebound"):
+            setattr(a, name, zero_unit if name == "unit" else None)
+        assert check_algebra(a) is kept and a.unit == Matrix.column([1], QQ)
+        # the same data with the zero unit fails, so a rebound unit would have left a stale pass
+        fresh = GradedAlgebra(a.space, dict(a.mult), zero_unit, QQ)
+        assert check_algebra(fresh).witness == ("left-unit", 0)
+
+    def test_a_held_regular_module_is_returned_again_and_is_read_only(self):
+        a = quantum_plane(2)[0]
+        reg = regular_module(a)
+        assert regular_module(a) is reg and reg.action == a.mult
+        with pytest.raises(TypeError):
+            reg.action[(0, 0)] = Matrix.identity(1, QQ)
+
+    def test_the_algebra_does_not_keep_its_regular_module_alive(self):
+        # the module refers to the algebra, so a strong link back would make
+        # a cycle that only the garbage collector frees
+        a = quantum_plane(2)[0]
+        held = weakref.ref(regular_module(a))
+        assert held() is None
+        assert check_algebra(a).passed and regular_module(a).algebra is a
 
 
 class TestConstructors:
