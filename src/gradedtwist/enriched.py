@@ -18,8 +18,9 @@ sharp(rho^N o (evaluation (x) id)). Only their difference is needed:
 maps' entries by the formulas in its docstring, and tests/test_enriched.py
 (test_r_blocks_are_the_curried_evaluation_composites,
 test_s_blocks_are_the_curried_action_composites) checks D bit for bit
-against the composites. The Hom space itself is ker(D) with its
-canonical (column-echelon) basis, so equal subspaces always have
+against the composites, which tests/composites.py writes out with the
+currying maps sharp, flat and evaluation. The Hom space is ker(D) with
+its canonical (column-echelon) basis, so equal subspaces always have
 bit-identical bases.
 
 A module map need only commute with a generating set: when M and N are
@@ -29,7 +30,7 @@ f(ma) = f(m)a for all m form a subspace closed under products that holds
 only its target blocks (p, h) with h in H: its kernel is the same
 subspace, so the canonical basis is the same, bit for bit. `build_RS`
 does this only when handed such an H, and `gamma_algebra` is the only
-caller that does: it hands it `a.generators`, left by its own passing
+caller that hands one: it hands `a.generators`, left by its own passing
 `check_algebra`, which has proved A an algebra (so the regular module a
 unital module) and certified H with `graded.generating_degrees`, and it
 builds its spaces from those reduced equalizers itself. Every other
@@ -37,13 +38,33 @@ space, `module_hom_space`'s among them, quantifies over all of supp A,
 as the oracle `direct_intertwiner_basis` always does.
 
 Every row of D has few nonzeros (at most two over a group algebra), so
-the basis comes from those rows alone by the sparse elimination
-`exactmath.sparse_kernel`. The dense `kernel_matrix` stays
+`module_hom_space` finds the basis from those rows alone by the sparse
+elimination `exactmath.sparse_kernel`. The dense `kernel_matrix` stays
 for `direct_intertwiner_basis`, the independent oracle the tests compare
 with. That basis is all a space keeps: its pivot rows hold an identity
 block, so the coordinates of a vector V are V's entries at the pivot
 rows, and V lies in the space exactly when the basis times those
 coordinates is V again.
+
+Over the regular module of an algebra the kernel is known without
+elimination, by the Yoneda argument. Let A be unital and associative,
+as a passing `check_algebra` proves, and f a family in ker D of degree
+g. f commutes with all of A (the generator lemma above), so
+f(a) = f(1 a) = f(1) a: f is left multiplication L_x by x = f(1) in A_g,
+and dim ker D <= dim A_g. Each L_x is a module map, and L_x(1) = x, so
+the dim A_g families L_x are independent and lie in ker D. Together,
+ker D = span{L_x : x in A_g}; a subspace has one reduced echelon basis,
+so reducing the columns L_x gives the basis eliminating D gives, bit for
+bit. `gamma_algebra` writes them with `_left_multiplications`, checks
+D L = 0 exactly by one sparse product on D's rows, so the internal-Hom
+equations stay checked, and reduces the dim A_g columns, not D's rows,
+by `exactmath.sparse_column_echelon` (`ModuleHomSpace.from_kernel`).
+D's rows come from `_difference_rows`, build_RS's writer, without the
+rows x cols entries of a Matrix, which the product does not read. It
+eliminates build_RS's D by `sparse_kernel` instead when its own
+check_algebra did not pass, when D L != 0, or when the L_x have rank
+below dim A_g, so a non-algebra gets exactly what the full elimination
+gives.
 
 A family (f_p) is one column on the space's layout, the form the
 kernel's columns have. `compose_homs` composes whole sets of such
@@ -51,7 +72,9 @@ columns at once by (f o f')_p = f_p o f'_{g^-1 p}, slicing each column
 into its blocks; over the regular module this composition makes the
 spaces [[A, A]]_g into a graded algebra Gamma, and left multiplication
 A_g -> Gamma_g is an isomorphism of graded algebras. Both facts are
-computed here, not assumed: see `gamma_algebra` and `endo_iso`.
+computed here, not assumed: see `gamma_algebra` and `endo_iso`, which
+reads the coordinates of the L_x in Gamma's bases and checks them
+multiplicative on computed composites.
 
 The generator lemma also shortens Gamma's multiplication, since the
 products with right factors in H span Gamma. `gamma_algebra` composes
@@ -87,6 +110,7 @@ from .exactmath import (
     kron,
     mul_kron,
     rref,
+    sparse_column_echelon,
     sparse_kernel,
 )
 from .graded import (
@@ -104,35 +128,6 @@ from .report import Report, merge
 
 # ---------------------------------------------------------------------------
 # closed-structure primitives on plain (ungraded) spaces
-
-
-def sharp(nu: Matrix, dim_x: int, dim_y: int) -> Matrix:
-    """Currying: turn nu: X (x) Y -> Z into X -> [Y, Z].
-
-    [Y, Z] has the basis E_{kl} (send basis vector l of Y to basis
-    vector k of Z) at flat index k * dim_y + l.
-    """
-    if nu.cols != dim_x * dim_y:
-        raise ValueError(f"sharp: expected {dim_x}*{dim_y} columns, got {nu.cols}")
-    dim_z, data, cols = nu.rows, nu.data, nu.cols
-    # row k * dim_y + l of the result is nu[k, i * dim_y + l] over i
-    rows = [data[k * cols + l : (k + 1) * cols : dim_y] for k in range(dim_z) for l in range(dim_y)]
-    return Matrix._trusted(dim_z * dim_y, dim_x, nu.field, [x for row in rows for x in row])
-
-
-def flat(psi: Matrix, dim_y: int, dim_z: int) -> Matrix:
-    """Uncurrying: turn psi: X -> [Y, Z] back into X (x) Y -> Z."""
-    if psi.rows != dim_y * dim_z:
-        raise ValueError(f"flat: expected {dim_z}*{dim_y} rows, got {psi.rows}")
-    dim_x, data, block = psi.cols, psi.data, dim_y * psi.cols
-    # entry (k, i * dim_y + l) of the result is psi[k * dim_y + l, i]
-    runs = [data[k * block + i : (k + 1) * block : dim_x] for k in range(dim_z) for i in range(dim_x)]
-    return Matrix._trusted(dim_z, dim_x * dim_y, psi.field, [x for run in runs for x in run])
-
-
-def evaluation(dim_y: int, dim_z: int, field) -> Matrix:
-    """[Y, Z] (x) Y -> Z, i.e. flat of the identity on [Y, Z]."""
-    return flat(Matrix.identity(dim_y * dim_z, field), dim_y, dim_z)
 
 
 def precompose(b: Matrix, dim_z: int) -> Matrix:
@@ -181,6 +176,15 @@ def build_RS(m: GradedModule, n: GradedModule, g, generators=None):
     the sums that cancel, these are D's index for `Matrix._from_index`.
     The module docstring names the composites and the tests comparing them.
     """
+    rows, width, source, target = _difference_rows(m, n, g, generators)
+    index = tuple(tuple(sorted(row.items())) for row in rows)
+    return Matrix._from_index(len(rows), width, m.field, index), source, target
+
+
+def _difference_rows(m: GradedModule, n: GradedModule, g, generators):
+    """build_RS's D as its rows, one {col: value} dict of nonzero entries
+    each, with its width and layouts: all a product with D reads, without
+    the rows x cols entries of the Matrix."""
     if m.algebra is not n.algebra and m.algebra != n.algebra:
         raise ValueError("modules live over different algebras")
     if not same_group(m.group, n.group):
@@ -228,25 +232,39 @@ def build_RS(m: GradedModule, n: GradedModule, g, generators=None):
                             row[jj] = x
                         else:
                             del row[jj]  # R's entry cancelled
-    index = tuple(tuple(sorted(row.items())) for row in rows)
-    return Matrix._from_index(height, width, field, index), source, target
+    return rows, width, source, target
 
 
 class ModuleHomSpace:
     """ker(R - S) at one degree, kept as its canonical basis and layout.
 
     `kernel` is in reduced column echelon form: row `pivots[i]` of it is
-    the i-th unit row. Both come from `sparse_kernel` on the difference
-    D = R - S that `build_RS` writes. Membership and coordinates read the
-    pivot rows; D is dropped once the kernel is known.
+    the i-th unit row. The constructor takes both from `sparse_kernel` on
+    the difference D = R - S that `build_RS` writes; `from_kernel` takes
+    them from a caller that has proved them ker(D) another way, as
+    gamma_algebra does by the Yoneda argument (module docstring), and
+    gives the same basis, bit for bit. Membership and coordinates read
+    the pivot rows; D is dropped once the kernel is known.
     """
 
     def __init__(self, source, target, degree, difference, source_layout):
+        self._set(source, target, degree, source_layout, *sparse_kernel(difference))
+
+    @classmethod
+    def from_kernel(cls, source, target, degree, source_layout, kernel, pivots) -> "ModuleHomSpace":
+        """The space whose canonical basis is `kernel`, with its `pivots`,
+        as `sparse_column_echelon` returns them. The caller must have
+        proved that the columns span ker(D)."""
+        space = object.__new__(cls)
+        space._set(source, target, degree, source_layout, kernel, pivots)
+        return space
+
+    def _set(self, source, target, degree, source_layout, kernel, pivots):
         self.source = source
         self.target = target
         self.degree = degree
         self.source_layout = source_layout
-        self.kernel, self.pivots = sparse_kernel(difference)
+        self.kernel, self.pivots = kernel, pivots
 
     @property
     def dim(self) -> int:
@@ -425,13 +443,11 @@ def _split_columns(m: Matrix, widths) -> list:
 def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
     """Gamma(A) = [[A, A]] of the regular module, on canonical bases.
 
-    check_algebra runs on A first, a lookup once it has passed. When it
-    proves A an algebra with certified generating degrees H
-    (`a.generators`), each Hom space is built here from build_RS's
-    equalizer of the target blocks (p, h) with h in H alone (module
-    docstring); the bases are those of the full equalizer. Otherwise
-    every space quantifies over all of supp A, and a non-algebra gives
-    what the full equalizer gives.
+    check_algebra runs on A first, a lookup once it has passed; its
+    verdict and its certified generating degrees H (`a.generators`)
+    decide how `_hom_space` builds each space (module docstring). The
+    bases are those of the full equalizer, and a non-algebra gets what
+    eliminating the full equalizer gives.
 
     The products are composed with right factors in H only, and the
     others derived from them (`_products`); without H, or when a
@@ -439,10 +455,10 @@ def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
     degree is a right factor, and the error names the first failing pair.
     """
     reg = regular_module(a)  # held, so the check reads this one
-    check_algebra(a)
+    is_algebra = check_algebra(a).passed
     group = a.group
     degrees = a.support() if isinstance(group, IntegerWindow) else list(group.elements())
-    spaces = {g: ModuleHomSpace(reg, reg, g, *build_RS(reg, reg, g, a.generators)[:2]) for g in degrees}
+    spaces = {g: _hom_space(reg, g, is_algebra) for g in degrees}
     dims = {g: spaces[g].dim for g in degrees if spaces[g].dim}
     unit_space = spaces.get(group.identity)
     if unit_space is None or not unit_space.dim:
@@ -453,6 +469,71 @@ def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
     mult = {(g, h): mult[(g, h)] for g in support for h in support if (g, h) in mult}  # in the order of the pairs
     graded = GradedAlgebra(GradedVectorSpace(group, dims), mult, unit, a.field)
     return GammaAlgebra(a, degrees, spaces, graded, reg)
+
+
+def _hom_space(reg: GradedModule, g, is_algebra: bool) -> ModuleHomSpace:
+    """[[A, A]]_g of the regular module of A = reg.algebra, with D over
+    the target blocks of H = `a.generators` when it is set.
+
+    When `is_algebra` (A's check_algebra passed), the columns L_x span
+    ker D by the Yoneda argument of the module docstring: D L = 0 is
+    checked on D's rows by one sparse product and the columns are
+    reduced. build_RS's D is eliminated instead when A is not proved an
+    algebra, D L != 0, or the L_x have rank below dim A_g.
+    """
+    a = reg.algebra
+    if is_algebra:
+        rows, _width, layout, _target = _difference_rows(reg, reg, g, a.generators)
+        candidates = _left_multiplications(a, layout, g)
+        if _annihilates(rows, candidates):
+            columns = (dict(column) for column in candidates.transpose().nonzero_rows())
+            kernel, pivots = sparse_column_echelon(columns, candidates.rows, a.field)
+            if len(pivots) == candidates.cols:
+                return ModuleHomSpace.from_kernel(reg, reg, g, layout, kernel, pivots)
+    return ModuleHomSpace(reg, reg, g, *build_RS(reg, reg, g, a.generators)[:2])
+
+
+def _annihilates(rows, columns: Matrix) -> bool:
+    """Whether D @ columns = 0, D given by its rows as {col: value} dicts:
+    one sparse product, each nonzero D[r, c] times the nonzero entries of
+    row c of `columns`, stopped at the first nonzero row."""
+    add, mul = columns.field.add, columns.field.mul
+    column_rows = columns.nonzero_rows()
+    for row in rows:
+        acc = {}
+        for c, x in row.items():
+            for i, y in column_rows[c]:
+                old = acc.get(i)
+                acc[i] = mul(x, y) if old is None else add(old, mul(x, y))
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _left_multiplications(a: GradedAlgebra, layout, g) -> Matrix:
+    """The families L_x, x running over the basis of A_g, as the dim A_g
+    columns of one matrix on `layout`, the source layout of [[A, A]]_g.
+
+    L_x sends y in A_q to xy in A_p, p = gq, so its block p is
+    sharp(m_{g,q}): row off_p + k dim A_q + l of column i is
+    m_{g,q}[k, i dim A_q + l]. Each nonzero entry of A's mult blocks
+    is placed once, from their nonzero rows.
+    """
+    group, dims = a.group, a.space.dims
+    ginv, mul = group.inv(g), group.mul_unchecked
+    index = [[] for _ in range(sum(size for _p, _off, size in layout))]
+    for p, off, _size in layout:
+        q = mul(ginv, p)
+        m = a.mult.get((g, q))
+        if m is None:
+            continue  # A_g = 0
+        dim_q = dims[q]
+        for k, entries in enumerate(m.nonzero_rows()):
+            row0 = off + k * dim_q
+            for c, x in entries:  # by c, so each row's entries come by column i
+                i, l = divmod(c, dim_q)
+                index[row0 + l].append((i, x))
+    return Matrix._from_index(len(index), a.dim(g), a.field, tuple(map(tuple, index)))
 
 
 def _products(spaces, support, rights, unit, group) -> dict:
@@ -568,10 +649,14 @@ def _derived(spaces, direct, rights, unit, group) -> dict:
 def endo_iso(gamma: GammaAlgebra):
     """Mutually inverse maps between A and Gamma, with full receipts.
 
-    phi_g is the curried multiplication: on the block p of W_g, with
-    q = g^-1 p, it is sharp(m_{g,q}): A_g -> [A_q, A_p], which sends v to
-    left multiplication by v. Its columns are expressed in the canonical
-    basis of Gamma_g. psi_g is materialized as the literal chain
+    phi_g sends x in A_g to left multiplication L_x: on the block p of
+    W_g, with q = g^-1 p, it is the curried multiplication
+    sharp(m_{g,q}): A_g -> [A_q, A_p]. `_left_multiplications` writes the
+    L_x of the basis of A_g from A's mult blocks, the same columns
+    gamma_algebra certifies as spanning Gamma_g when A is an algebra, and
+    phi_g is their coordinates in the canonical basis of Gamma_g, read by
+    `coords`: the exact membership check. psi_g is materialized as the
+    literal chain
 
         Gamma_g >--> W_g --project--> [A_e, A_g] --[u, A_g]--> [k, A_g] = A_g
 
@@ -587,18 +672,12 @@ def endo_iso(gamma: GammaAlgebra):
     phi_comps = {}
     psi_comps = {}
     failures = []
-    mul = group.mul_unchecked
     for g in gamma.degrees:
         space = gamma.spaces[g]
         n_g = a.dim(g)
         dim_gamma = space.dim
-        ginv = group.inv(g)
         block_sizes = [size for _p, _off, size in space.source_layout]
-        curried = {}
-        for j, (p, _off, _size) in enumerate(space.source_layout):
-            q = mul(ginv, p)
-            curried[(j, 0)] = sharp(a.mult_map(g, q), n_g, a.dim(q))
-        vectors = block_matrix(block_sizes, [n_g], curried, field)
+        vectors = _left_multiplications(a, space.source_layout, g)
         try:
             phi_g = space.coords(vectors)
         except ValueError:
@@ -693,9 +772,6 @@ def _compare_relabeled(name, lhs, rhs, send, g, d) -> Report:
 
 
 __all__ = [
-    "sharp",
-    "flat",
-    "evaluation",
     "precompose",
     "build_RS",
     "block_permutation",

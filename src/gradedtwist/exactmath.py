@@ -13,7 +13,10 @@ column i*g.rows + j of x meets row i of f and row j of g directly, which
 is how the axiom checkers and twist builders evaluate composites such as
 rho (rho (x) id). `sparse_kernel` takes a matrix as `kernel_matrix` does
 and returns the same kernel, bit for bit, by eliminating only the rows of
-its nonzero-row index. `inverse` runs the same elimination on [m | I],
+its nonzero-row index; its second half, `sparse_column_echelon`, puts
+any spanning set of sparse vectors in that canonical form, and
+`enriched.gamma_algebra` uses it on a candidate basis it has certified.
+`inverse` runs `sparse_kernel`'s elimination on [m | I],
 once per matrix (see `Matrix`). Zero tests are by truthiness, which is
 exact because entries are kept in canonical form (`Fraction` over QQ, an
 int in [0, p) over F_p), and `Fraction(0)` and `0` are both falsy.
@@ -676,14 +679,28 @@ def sparse_kernel(m: Matrix):
     for p, row in reduced.items():
         for j, x in row.items():
             vectors[j][p] = neg(x)
-    basis = _sparse_rref(vectors.values(), field)
+    return sparse_column_echelon(vectors.values(), cols, field)
+
+
+def sparse_column_echelon(vectors, rows: int, field):
+    """The reduced column echelon basis of the span of `vectors`, with its
+    pivots: `column_echelon` of the matrix whose columns they are, bit for
+    bit, as (K, pivots) in the form `sparse_kernel` returns.
+
+    Each vector is a {row: value} dict of its nonzero entries (consumed)
+    on `rows` rows. They are reduced as rows by `_sparse_rref`; the
+    reduced rows, sorted by pivot, are K's columns. A vector dependent on
+    the others leaves no column, so len(pivots) is the rank.
+    """
+    one = field.one
+    basis = _sparse_rref(vectors, field)
     pivots = tuple(sorted(basis))
-    index = [[] for _ in range(cols)]  # K's rows; basis row pivots[t] is column t
+    index = [[] for _ in range(rows)]  # K's rows; basis row pivots[t] is column t
     for t, p in enumerate(pivots):  # left to right, so each row's entries come by column
         index[p].append((t, one))
         for i, x in basis[p].items():
             index[i].append((t, x))
-    return Matrix._from_index(cols, len(pivots), field, tuple(map(tuple, index))), pivots
+    return Matrix._from_index(rows, len(pivots), field, tuple(map(tuple, index))), pivots
 
 
 def _sparse_rref(rows, field) -> dict:

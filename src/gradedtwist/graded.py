@@ -181,7 +181,13 @@ class GradedAlgebra:
 
 class GradedModule:
     """(M_g, rho_{g,h}: M_g (x) A_h -> M_gh) over a fixed graded algebra
-    (`action`, read-only)."""
+    (`action`, read-only).
+
+    The action is checked by `_structure_maps` unless it is the algebra's
+    own read-only `mult` on the algebra's own space, which
+    `GradedAlgebra.__init__` checked under the same rule: the regular
+    module, as `regular_module` builds it.
+    """
 
     def __init__(self, space: GradedVectorSpace, algebra: GradedAlgebra, action: dict):
         if not same_group(space.group, algebra.group):
@@ -189,7 +195,10 @@ class GradedModule:
         self.space = space
         self.algebra = algebra
         self.field = algebra.field
-        self.action = MappingProxyType(_structure_maps("action", action, space, algebra.space, self.field))
+        if action is algebra.mult and space is algebra.space:
+            self.action = action
+        else:
+            self.action = MappingProxyType(_structure_maps("action", action, space, algebra.space, self.field))
 
     @property
     def group(self):
@@ -588,7 +597,7 @@ def regular_module(a: GradedAlgebra) -> GradedModule:
     ref = a.__dict__.get("_regular")
     reg = None if ref is None else ref()
     if reg is None:
-        reg = GradedModule(a.space, a, dict(a.mult))
+        reg = GradedModule(a.space, a, a.mult)  # checked once, by the algebra
         a.__dict__["_regular"] = weakref.ref(reg)
     return reg
 

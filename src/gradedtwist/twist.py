@@ -31,7 +31,8 @@ report failures (users probe candidates); wrong shapes, missing stored
 entries and degree keys outside a finite grading group are input errors
 and raise. `check_twist_condition` and `check_phi_family` keep a passing
 report on the system or family they judged (`report.kept`), whose
-tables are read-only views, so a second check of it is a lookup.
+tables are read-only views and whose attributes cannot be rebound, so a
+second check of it is a lookup and a kept pass cannot go stale.
 
 The twisted structures are plain constructions. `twist_algebra` builds
 A^tau once per system and keeps it there; `twist_module` puts M^tau
@@ -106,7 +107,8 @@ class TwistingSystem:
     built here, and an automorphism's is sigma_g^d, filled in behind the
     view the first time it is read. A cocycle's `alpha` is read-only too.
     `kind` decides only how the table is filled and which criterion
-    check_twist_condition runs.
+    check_twist_condition runs. An attribute cannot be rebound once set,
+    so a pass that check_twist_condition keeps cannot go stale.
     """
 
     _twisted = None  # A^tau, kept by the first twist_algebra(algebra, self)
@@ -114,8 +116,6 @@ class TwistingSystem:
     def __init__(self, algebra: GradedAlgebra, kind: str, *, maps=None, alpha=None, sigma=None, order=None):
         self.algebra = algebra
         self.kind = kind
-        self.sigma = None
-        self._d_window = None
         group = algebra.group
         field = algebra.field
         if kind == EXPLICIT:
@@ -152,15 +152,22 @@ class TwistingSystem:
             self.order = order
             self._powers = {}
             self.maps = MappingProxyType(self._powers)
+            self._d_window = None
             return
         else:
             raise ValueError(f"unknown twisting system kind {kind!r}")
+        self.sigma = None
         self.maps = MappingProxyType(table)
         self._d_window = _table_window(
             group, self.maps, lambda g: (algebra.dim(g), algebra.dim(g)), needed, "tau"
         )
         if self._d_window is not None:
             self._require_twisted_algebra_entries()
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__:
+            raise AttributeError(f"TwistingSystem.{name} cannot be rebound")
+        super().__setattr__(name, value)
 
     def _require_twisted_algebra_entries(self):
         """A stored window must hold every tau_g(h) that A^tau reads."""
@@ -450,7 +457,11 @@ def check_unit_lemma(t: TwistingSystem) -> Report:
 
 
 class PhiFamily:
-    """Invertible maps phi_d(g): B_g -> A_g, doubly indexed by degree (`maps`, read-only)."""
+    """Invertible maps phi_d(g): B_g -> A_g, doubly indexed by degree (`maps`, read-only).
+
+    An attribute cannot be rebound once set, so a pass that
+    check_phi_family keeps cannot go stale.
+    """
 
     def __init__(self, source: GradedAlgebra, target: GradedAlgebra, maps: dict):
         if source.field != target.field:
@@ -461,6 +472,11 @@ class PhiFamily:
         self._d_window = _table_window(
             source.group, self.maps, lambda g: (target.dim(g), source.dim(g)), source.support(), "phi"
         )
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__:
+            raise AttributeError(f"PhiFamily.{name} cannot be rebound")
+        super().__setattr__(name, value)
 
     def d_degrees(self):
         if self._d_window is not None:

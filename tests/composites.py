@@ -23,12 +23,13 @@ so a failure must name the same witness.
 `reference_inverse` is the dense inverse, a `rref` of [m | I], that
 `exactmath.inverse` computes by sparse elimination.
 
-`coevaluation`, `postcompose` and `zero_module` are the closed-structure
-maps and the zero module that the tests of the triangle identity,
+`sharp`, `flat`, `evaluation`, `coevaluation`, `postcompose` and
+`zero_module` are the closed-structure maps and the zero module that the
+composites above, the tests of currying, the triangle identity,
 pre/postcompose naturality and zero Hom spaces are stated with; the
 library itself needs none of them."""
 
-from gradedtwist.enriched import evaluation, identity_hom, module_hom_space, sharp
+from gradedtwist.enriched import identity_hom, module_hom_space
 from gradedtwist.exactmath import (
     Matrix,
     SingularMatrixError,
@@ -275,6 +276,35 @@ def reference_inverse(m):
         rank_m = sum(1 for p in pivots if p < n)
         raise SingularMatrixError(f"matrix of rank {rank_m} is singular at size {n}")
     return Matrix._trusted(n, n, m.field, [x for i in range(n) for x in r.row(i)[n:]])
+
+
+def sharp(nu: Matrix, dim_x: int, dim_y: int) -> Matrix:
+    """Currying: turn nu: X (x) Y -> Z into X -> [Y, Z].
+
+    [Y, Z] has the basis E_{kl} (send basis vector l of Y to basis
+    vector k of Z) at flat index k * dim_y + l.
+    """
+    if nu.cols != dim_x * dim_y:
+        raise ValueError(f"sharp: expected {dim_x}*{dim_y} columns, got {nu.cols}")
+    dim_z, data, cols = nu.rows, nu.data, nu.cols
+    # row k * dim_y + l of the result is nu[k, i * dim_y + l] over i
+    rows = [data[k * cols + l : (k + 1) * cols : dim_y] for k in range(dim_z) for l in range(dim_y)]
+    return Matrix._trusted(dim_z * dim_y, dim_x, nu.field, [x for row in rows for x in row])
+
+
+def flat(psi: Matrix, dim_y: int, dim_z: int) -> Matrix:
+    """Uncurrying: turn psi: X -> [Y, Z] back into X (x) Y -> Z."""
+    if psi.rows != dim_y * dim_z:
+        raise ValueError(f"flat: expected {dim_z}*{dim_y} rows, got {psi.rows}")
+    dim_x, data, block = psi.cols, psi.data, dim_y * psi.cols
+    # entry (k, i * dim_y + l) of the result is psi[k * dim_y + l, i]
+    runs = [data[k * block + i : (k + 1) * block : dim_x] for k in range(dim_z) for i in range(dim_x)]
+    return Matrix._trusted(dim_z, dim_x * dim_y, psi.field, [x for run in runs for x in run])
+
+
+def evaluation(dim_y: int, dim_z: int, field) -> Matrix:
+    """[Y, Z] (x) Y -> Z, i.e. flat of the identity on [Y, Z]."""
+    return flat(Matrix.identity(dim_y * dim_z, field), dim_y, dim_z)
 
 
 def coevaluation(dim_x, dim_y, field):

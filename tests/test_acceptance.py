@@ -10,17 +10,15 @@ cocycles)."""
 import random
 from fractions import Fraction
 
-from composites import assemble, r_composite, s_composite
+from composites import assemble, flat, r_composite, s_composite, sharp
 from gradedtwist.exactmath import Matrix, PrimeField, QQ, kron
 from gradedtwist.enriched import (
     build_RS,
     direct_intertwiner_basis,
     endo_iso,
-    flat,
     gamma_algebra,
     check_shift_props,
     module_hom_space,
-    sharp,
 )
 from gradedtwist.equivalence import backward, check_equivalence, equivalence_from_twist, gamma_twist_phi
 from gradedtwist.fixtures import (

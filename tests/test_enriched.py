@@ -11,14 +11,17 @@ from composites import (
     assemble,
     block_composites,
     coevaluation,
+    evaluation,
+    flat,
     postcompose,
     r_composite,
     reference_gamma,
     s_composite,
+    sharp,
     zero_module,
 )
 from gradedtwist import enriched, exactmath
-from gradedtwist.exactmath import QQ, Matrix, PrimeField, hstack, kron, sparse_kernel
+from gradedtwist.exactmath import QQ, Matrix, PrimeField, block_matrix, hstack, kron, sparse_kernel
 from gradedtwist.fixtures import (
     F7,
     broken_algebra,
@@ -35,13 +38,10 @@ from gradedtwist.enriched import (
     compose_homs,
     direct_intertwiner_basis,
     endo_iso,
-    evaluation,
-    flat,
     gamma_algebra,
     identity_hom,
     module_hom_space,
     precompose,
-    sharp,
 )
 from gradedtwist.graded import (
     GradedAlgebra,
@@ -525,7 +525,7 @@ class TestGeneratorOnlyEqualizers:
     def test_gamma_holds_the_full_kernels_and_names_its_generators(self, monkeypatch):
         a = s3_group_algebra(F7)
         reg = regular_module(a)
-        seen = record_build_rs(monkeypatch)
+        seen = record_equalizers(monkeypatch)
         gamma = gamma_algebra(a)
         assert seen == [(1, 2)] * 6
         for g in gamma.degrees:
@@ -541,7 +541,7 @@ class TestGeneratorOnlyEqualizers:
         assert space.dim == 2 and space.kernel == direct_intertwiner_basis(reg, reg, 1)
 
     def test_a_non_algebra_never_reaches_the_reduced_equalizer(self, monkeypatch):
-        seen = record_build_rs(monkeypatch)
+        seen = record_equalizers(monkeypatch)
         witnesses = set()
         for seed in range(12):
             a = broken_algebra(seed)
@@ -587,16 +587,18 @@ class TestGeneratorOnlyEqualizers:
             assert str(caught.value) == f"composite of degrees {named} is not a module morphism family"
 
 
-def record_build_rs(monkeypatch) -> list:
-    """Rebind enriched.build_RS to record the generators of each call."""
+def record_equalizers(monkeypatch) -> list:
+    """Rebind enriched._difference_rows, which writes D's rows for build_RS
+    and for gamma_algebra's certified spaces, to record the generators of
+    each call."""
     seen = []
-    real = enriched.build_RS
+    real = enriched._difference_rows
 
-    def recorded(m, n, g, generators=None):
+    def recorded(m, n, g, generators):
         seen.append(generators)
         return real(m, n, g, generators)
 
-    monkeypatch.setattr(enriched, "build_RS", recorded)
+    monkeypatch.setattr(enriched, "_difference_rows", recorded)
     return seen
 
 
@@ -721,6 +723,145 @@ class TestGeneratedProducts:
         gamma = gamma_algebra(a)
         assert len(built) == 1
         assert gamma.module is regular_module(a) and len(built) == 1
+
+
+CERTIFIED_CASES = {
+    **{f"qp{n}": (lambda n=n: quantum_plane(maxdeg=n)[0]) for n in range(3, 9)},
+    **{f"qp{n}-twisted": (lambda n=n: _twisted_quantum_plane(n)) for n in range(3, 9)},
+    **{f"s{n}-{name}": (lambda n=n, field=field: group_algebra(symmetric_group(n), field))
+       for n in (3, 4) for name, field in (("f7", F7), ("qq", QQ))},
+}
+
+
+def count_eliminations(monkeypatch) -> list:
+    """Rebind enriched.sparse_kernel to record the shape of each matrix it eliminates."""
+    shapes = []
+    real = enriched.sparse_kernel
+
+    def counted(m):
+        shapes.append((m.rows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(enriched, "sparse_kernel", counted)
+    return shapes
+
+
+def curried_products(a, layout, g) -> Matrix:
+    """The columns L_x as endo_iso once built them: block p is sharp(m_{g,q})."""
+    ginv = a.group.inv(g)
+    curried = {(j, 0): sharp(a.mult_map(g, a.group.mul(ginv, p)), a.dim(g), a.dim(a.group.mul(ginv, p)))
+               for j, (p, _off, _size) in enumerate(layout)}
+    return block_matrix([size for _p, _off, size in layout], [a.dim(g)], curried, a.field)
+
+
+def assert_certified_like_eliminated(a):
+    """Gamma's spaces against sparse_kernel of their D, and the L_x writer
+    against the curried products, degree by degree."""
+    gamma = gamma_algebra(a)
+    reg = gamma.module
+    for g in gamma.degrees:
+        space = gamma.spaces[g]
+        difference, layout, _target = build_RS(reg, reg, g, a.generators)
+        assert layout == space.source_layout
+        assert (space.kernel, space.pivots) == sparse_kernel(difference), g
+        written = enriched._left_multiplications(a, layout, g)
+        expected = curried_products(a, layout, g)
+        assert written == expected and written.nonzero_rows() == expected.nonzero_rows(), g
+
+
+class TestCertifiedHomSpaces:
+    """gamma_algebra spans each [[A, A]]_g by the left multiplications L_x
+    once check_algebra has passed, checks D L = 0 and their rank, and
+    eliminates D only when one of those fails."""
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_CASES))
+    def test_certified_kernels_and_left_multiplications_are_bit_identical(self, name):
+        assert_certified_like_eliminated(CERTIFIED_CASES[name]())
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(["z3", "s3", "z6"]))
+    def test_seeded_cocycle_twists_are_bit_identical(self, seed, group):
+        if group == "z3":
+            a = twist_algebra(*random_cocycle_twist(seed))
+        else:
+            a = coboundary_twist(symmetric_group(3) if group == "s3" else cyclic_group(6), F7, seed)
+        assert_certified_like_eliminated(a)
+
+    @pytest.mark.parametrize("name", ["qp3", "qp4-twisted", "s3-qq", "s4-f7"])
+    def test_a_passing_gamma_eliminates_nothing(self, name, monkeypatch):
+        eliminated = count_eliminations(monkeypatch)
+        gamma = gamma_algebra(CERTIFIED_CASES[name]())
+        assert gamma.algebra.generators is not None
+        assert eliminated == []
+
+    def test_a_non_algebra_gets_the_eliminated_spaces(self, monkeypatch):
+        built = []
+        real = enriched._hom_space
+
+        def recorded(reg, g, is_algebra):
+            space = real(reg, g, is_algebra)
+            built.append((reg, space))
+            return space
+
+        monkeypatch.setattr(enriched, "_hom_space", recorded)
+        written = []
+        monkeypatch.setattr(enriched, "_left_multiplications", lambda *args: written.append(args))
+        eliminated = count_eliminations(monkeypatch)
+        for seed in range(12):
+            try:
+                gamma_algebra(broken_algebra(seed))
+            except ValueError:
+                pass
+        assert built and len(eliminated) == len(built) and not written
+        for reg, space in built:
+            full = module_hom_space(reg, reg, space.degree)
+            assert (space.kernel, space.pivots) == (full.kernel, full.pivots)
+
+    def test_the_product_on_d_s_rows_is_the_matrix_product(self):
+        outcomes = set()
+        for seed in range(12):
+            a = broken_algebra(seed)
+            reg = regular_module(a)
+            for g in gamma_degrees(a):
+                difference, layout, _target = build_RS(reg, reg, g)
+                rows = enriched._difference_rows(reg, reg, g, None)[0]
+                assert tuple(tuple(sorted(row.items())) for row in rows) == difference.nonzero_rows()
+                columns = enriched._left_multiplications(a, layout, g)
+                annihilates = enriched._annihilates(rows, columns)
+                assert annihilates == (not any((difference @ columns).nonzero_rows()))
+                outcomes.add(annihilates)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("corruption", ["entry", "column"])
+    @pytest.mark.parametrize("name", ["qp4", "s3-f7"])
+    def test_a_corrupted_left_multiplication_falls_back_to_elimination(self, name, corruption, monkeypatch):
+        expected = gamma_algebra(CERTIFIED_CASES[name]())
+        bad = expected.degrees[1]
+        real = enriched._left_multiplications
+
+        def corrupted(a, layout, g):
+            columns = real(a, layout, g)
+            if g != bad:
+                return columns
+            # a bumped entry makes D L != 0; a zeroed column leaves D L = 0 at rank below dim A_g
+            data = list(columns.data)
+            for r in range(columns.rows):
+                at = r * columns.cols
+                if corruption == "column":
+                    data[at] = a.field.zero
+                elif data[at]:
+                    data[at] = a.field.add(data[at], a.field.one)
+                    break
+            return Matrix(columns.rows, columns.cols, a.field, data)
+
+        monkeypatch.setattr(enriched, "_left_multiplications", corrupted)
+        eliminated = count_eliminations(monkeypatch)
+        gamma = gamma_algebra(CERTIFIED_CASES[name]())
+        assert len(eliminated) == 1
+        for g in expected.degrees:
+            assert (gamma.spaces[g].kernel, gamma.spaces[g].pivots) == \
+                (expected.spaces[g].kernel, expected.spaces[g].pivots)
+        assert gamma.graded == expected.graded
 
 
 class TestEndoIso:

@@ -26,6 +26,7 @@ from gradedtwist.exactmath import (
     rank,
     rref,
     solve,
+    sparse_column_echelon,
     sparse_kernel,
     try_inverse,
     vstack,
@@ -548,6 +549,19 @@ def test_sparse_kernel_is_the_dense_kernel(field, data):
     dense = kernel_matrix(m)
     assert kernel == dense
     assert_canonical(kernel)
+    assert pivots == tuple(next(i for i, x in enumerate(dense.col(j)) if x) for j in range(dense.cols))
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sparse_column_echelon_is_the_dense_column_echelon(field, data):
+    m = data.draw(st.one_of(sparse_matrices(field), sparse_matrix(field, 0, 3), sparse_matrix(field, 3, 0)))
+    columns = [dict(column) for column in m.transpose().nonzero_rows()]
+    basis, pivots = sparse_column_echelon(columns, m.rows, field)
+    dense = column_echelon(m)
+    assert basis == dense and len(pivots) == rank(m)
+    assert_canonical(basis)
     assert pivots == tuple(next(i for i, x in enumerate(dense.col(j)) if x) for j in range(dense.cols))
 
 

@@ -351,6 +351,24 @@ class TestKeptVerdicts:
         with pytest.raises(TypeError):
             reg.action[(0, 0)] = Matrix.identity(1, QQ)
 
+    def test_the_regular_module_shares_the_algebra_s_checked_mult(self):
+        a = quantum_plane(2)[0]
+        assert regular_module(a).action is a.mult
+
+    @pytest.mark.parametrize("malformed", ["shape", "field", "type", "missing"])
+    def test_a_module_on_a_copy_of_mult_is_still_checked(self, malformed):
+        a = quantum_plane(2)[0]
+        action = dict(a.mult)
+        key = (1, 1)
+        if malformed == "missing":
+            del action[key]
+        else:
+            action[key] = {"shape": Matrix.zeros(2, 3, QQ), "field": Matrix.zeros(3, 4, PrimeField(7)),
+                           "type": a.mult[key].data}[malformed]
+        with pytest.raises((ValueError, TypeError)):
+            GradedModule(a.space, a, action)
+        assert GradedModule(a.space, a, dict(a.mult)).action == a.mult
+
     def test_the_algebra_does_not_keep_its_regular_module_alive(self):
         # the module refers to the algebra, so a strong link back would make
         # a cycle that only the garbage collector frees

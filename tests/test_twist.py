@@ -629,3 +629,64 @@ def test_condition_checks_skip_pairs_whose_product_component_is_zero(monkeypatch
     assert condition == tried + len(a.mult) < 2 * tried
     p = phi_from_twist(t)
     assert made_by(check_phi_family, p) == count(p.has, True) < count(p.has, False)
+
+
+def test_a_kept_system_s_sigma_cannot_be_rebound():
+    a, t = quantum_plane(2)
+    kept = check_twist_condition(t)
+    zero = GradedMorphism(a.space, a.space, {g: Matrix.zeros(n, n, QQ) for g, n in a.space.dims.items()}, QQ)
+    with pytest.raises(AttributeError, match="TwistingSystem.sigma cannot be rebound"):
+        t.sigma = zero
+    assert check_twist_condition(t) is kept and t.sigma.component(1) != zero.component(1)
+    # a system on the zero sigma fails, so a rebound sigma would have left a stale pass
+    assert not check_twist_condition(TwistingSystem(a, AUTOMORPHISM, sigma=zero)).passed
+
+
+def test_a_kept_system_s_maps_cannot_be_rebound():
+    a, t = sign_twist()
+    kept = check_twist_condition(t)
+    bad = {**t.maps, (0, 1): Matrix.from_rows([[2]], QQ)}
+    with pytest.raises(AttributeError, match="TwistingSystem.maps cannot be rebound"):
+        t.maps = bad
+    assert check_twist_condition(t) is kept and t.tau(0, 1) == Matrix.identity(1, QQ)
+    assert not check_twist_condition(TwistingSystem(a, EXPLICIT, maps=bad)).passed
+
+
+def test_a_kept_system_s_alpha_cannot_be_rebound():
+    a, t = sign_twist()
+    kept = check_twist_condition(t)
+    bad = {**t.alpha, (0, 1): 2}
+    with pytest.raises(AttributeError, match="TwistingSystem.alpha cannot be rebound"):
+        t.alpha = bad
+    assert check_twist_condition(t) is kept and t.alpha[(0, 1)] == 1
+    assert not check_twist_condition(TwistingSystem(a, COCYCLE, alpha=bad)).passed
+
+
+def test_a_kept_phi_family_s_maps_cannot_be_rebound():
+    _a, t = sign_twist()
+    family = phi_from_twist(t)
+    kept = check_phi_family(family)
+    bad = {**family.maps, (0, 1): Matrix.from_rows([[2]], QQ)}
+    with pytest.raises(AttributeError, match="PhiFamily.maps cannot be rebound"):
+        family.maps = bad
+    assert check_phi_family(family) is kept and kept.passed and family.maps[(0, 1)] != bad[(0, 1)]
+    assert not check_phi_family(PhiFamily(family.source, family.target, bad)).passed
+
+
+@pytest.mark.parametrize("kind", [AUTOMORPHISM, COCYCLE, EXPLICIT])
+def test_a_system_s_constructor_sets_each_attribute_once(kind, monkeypatch):
+    qa, qt = quantum_plane(2)
+    a, t = sign_twist()
+    algebra, tables = {AUTOMORPHISM: (qa, {"sigma": qt.sigma}), COCYCLE: (a, {"alpha": dict(t.alpha)}),
+                       EXPLICIT: (a, {"maps": t.maps})}[kind]
+    set_names = []
+    real = TwistingSystem.__setattr__
+
+    def recorded(self, name, value):
+        set_names.append(name)
+        real(self, name, value)
+
+    monkeypatch.setattr(TwistingSystem, "__setattr__", recorded)
+    built = TwistingSystem(algebra, kind, **tables)
+    assert len(set_names) == len(set(set_names)) and {"sigma", "maps", "_d_window"} <= set(set_names)
+    assert (built.sigma is qt.sigma) == (kind == AUTOMORPHISM)
