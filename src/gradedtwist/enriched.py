@@ -32,8 +32,9 @@ subspace, so the canonical basis is the same, bit for bit. `build_RS`
 does this only when handed such an H, and `gamma_algebra` is the only
 caller that hands one: it hands `a.generators`, left by its own passing
 `check_algebra`, which has proved A an algebra (so the regular module a
-unital module) and certified H with `graded.generating_degrees`, and it
-builds its spaces from those reduced equalizers itself. Every other
+unital module) and certified H with `graded.generating_degrees`. After
+that pass it writes D only when a space from left multiplications
+(below) falls back. Every other
 space, `module_hom_space`'s among them, quantifies over all of supp A,
 as the oracle `direct_intertwiner_basis` always does.
 
@@ -47,24 +48,25 @@ rows, and V lies in the space exactly when the basis times those
 coordinates is V again.
 
 Over the regular module of an algebra the kernel is known without
-elimination, by the Yoneda argument. Let A be unital and associative,
-as a passing `check_algebra` proves, and f a family in ker D of degree
-g. f commutes with all of A (the generator lemma above), so
-f(a) = f(1 a) = f(1) a: f is left multiplication L_x by x = f(1) in A_g,
-and dim ker D <= dim A_g. Each L_x is a module map, and L_x(1) = x, so
-the dim A_g families L_x are independent and lie in ker D. Together,
-ker D = span{L_x : x in A_g}; a subspace has one reduced echelon basis,
-so reducing the columns L_x gives the basis eliminating D gives, bit for
-bit. `gamma_algebra` writes them with `_left_multiplications`, checks
-D L = 0 exactly by one sparse product on D's rows, so the internal-Hom
-equations stay checked, and reduces the dim A_g columns, not D's rows,
-by `exactmath.sparse_column_echelon` (`ModuleHomSpace.from_kernel`).
-D's rows come from `_difference_rows`, build_RS's writer, without the
-rows x cols entries of a Matrix, which the product does not read. It
-eliminates build_RS's D by `sparse_kernel` instead when its own
-check_algebra did not pass, when D L != 0, or when the L_x have rank
-below dim A_g, so a non-algebra gets exactly what the full elimination
-gives.
+elimination, by the Yoneda argument. Let A be unital and associative, as
+a passing `check_algebra` proves: it checks the unit laws on every
+degree and associativity by Light's test, which gives (xy)z = x(yz) for
+all x, y, z (graded's module docstring). For x in A_g, L_x is left
+multiplication by x; L_x(ya) = x(ya) = (xy)a = L_x(y)a, so each L_x is a
+module map and D L = 0 by that lemma. Conversely, a family f of degree g
+in ker D commutes with all of A (the generator lemma above), so
+f(a) = f(1 a) = f(1) a: f is L_x with x = f(1) in A_g. L_x(1) = x, so the
+L_x are independent, and ker D = span{L_x : x in A_g}. A subspace has
+one reduced echelon basis, so reducing the columns L_x gives the basis
+eliminating D gives, bit for bit. As `equivalence` does for Gamma(A),
+`gamma_algebra` trusts the lemma and the pass it rests on, and checks
+D L = 0 no second time: on A's own regular module (its action is A's
+`mult`) it writes the L_x with `_left_multiplications`, never writes D,
+and reduces the dim A_g columns by `exactmath.sparse_column_echelon`
+(`ModuleHomSpace.from_kernel`). It keeps one check on the writer, the
+rank of the L_x. It eliminates build_RS's D by `sparse_kernel` instead
+when its own check_algebra did not pass or the L_x have rank below
+dim A_g, so a non-algebra gets exactly what the full elimination gives.
 
 A family (f_p) is one column on the space's layout, the form the
 kernel's columns have. `compose_homs` composes whole sets of such
@@ -183,8 +185,7 @@ def build_RS(m: GradedModule, n: GradedModule, g, generators=None):
 
 def _difference_rows(m: GradedModule, n: GradedModule, g, generators):
     """build_RS's D as its rows, one {col: value} dict of nonzero entries
-    each, with its width and layouts: all a product with D reads, without
-    the rows x cols entries of the Matrix."""
+    each, with its width and layouts."""
     if m.algebra is not n.algebra and m.algebra != n.algebra:
         raise ValueError("modules live over different algebras")
     if not same_group(m.group, n.group):
@@ -443,11 +444,13 @@ def _split_columns(m: Matrix, widths) -> list:
 def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
     """Gamma(A) = [[A, A]] of the regular module, on canonical bases.
 
-    check_algebra runs on A first, a lookup once it has passed; its
-    verdict and its certified generating degrees H (`a.generators`)
-    decide how `_hom_space` builds each space (module docstring). The
-    bases are those of the full equalizer, and a non-algebra gets what
-    eliminating the full equalizer gives.
+    check_algebra runs on A first, a lookup once it has passed. A pass
+    proves A unital and associative, so `_hom_space` reduces the left
+    multiplications L_x and writes no D (module docstring); otherwise,
+    or when the L_x fall short of rank dim A_g, it eliminates D, over the
+    certified generating degrees H (`a.generators`) when they are set.
+    The bases are those of the full equalizer, and a non-algebra gets
+    what eliminating the full equalizer gives.
 
     The products are composed with right factors in H only, and the
     others derived from them (`_products`); without H, or when a
@@ -472,42 +475,24 @@ def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
 
 
 def _hom_space(reg: GradedModule, g, is_algebra: bool) -> ModuleHomSpace:
-    """[[A, A]]_g of the regular module of A = reg.algebra, with D over
-    the target blocks of H = `a.generators` when it is set.
+    """[[A, A]]_g of the regular module of A = reg.algebra.
 
-    When `is_algebra` (A's check_algebra passed), the columns L_x span
-    ker D by the Yoneda argument of the module docstring: D L = 0 is
-    checked on D's rows by one sparse product and the columns are
-    reduced. build_RS's D is eliminated instead when A is not proved an
-    algebra, D L != 0, or the L_x have rank below dim A_g.
+    When `is_algebra` (A's check_algebra passed) and reg acts by A's own
+    `mult`, the columns L_x span the space by the Yoneda argument of the
+    module docstring: they are written on the space's layout and reduced,
+    and no D is written. build_RS's D, over the target blocks of
+    H = `a.generators` when it is set, is eliminated instead when A is
+    not proved an algebra or the L_x have rank below dim A_g.
     """
     a = reg.algebra
-    if is_algebra:
-        rows, _width, layout, _target = _difference_rows(reg, reg, g, a.generators)
+    if is_algebra and reg.action is a.mult:
+        layout = _source_blocks(reg, reg, g)
         candidates = _left_multiplications(a, layout, g)
-        if _annihilates(rows, candidates):
-            columns = (dict(column) for column in candidates.transpose().nonzero_rows())
-            kernel, pivots = sparse_column_echelon(columns, candidates.rows, a.field)
-            if len(pivots) == candidates.cols:
-                return ModuleHomSpace.from_kernel(reg, reg, g, layout, kernel, pivots)
+        columns = (dict(column) for column in candidates.transpose().nonzero_rows())
+        kernel, pivots = sparse_column_echelon(columns, candidates.rows, a.field)
+        if len(pivots) == a.dim(g):
+            return ModuleHomSpace.from_kernel(reg, reg, g, layout, kernel, pivots)
     return ModuleHomSpace(reg, reg, g, *build_RS(reg, reg, g, a.generators)[:2])
-
-
-def _annihilates(rows, columns: Matrix) -> bool:
-    """Whether D @ columns = 0, D given by its rows as {col: value} dicts:
-    one sparse product, each nonzero D[r, c] times the nonzero entries of
-    row c of `columns`, stopped at the first nonzero row."""
-    add, mul = columns.field.add, columns.field.mul
-    column_rows = columns.nonzero_rows()
-    for row in rows:
-        acc = {}
-        for c, x in row.items():
-            for i, y in column_rows[c]:
-                old = acc.get(i)
-                acc[i] = mul(x, y) if old is None else add(old, mul(x, y))
-        if any(acc.values()):
-            return False
-    return True
 
 
 def _left_multiplications(a: GradedAlgebra, layout, g) -> Matrix:

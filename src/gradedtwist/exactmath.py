@@ -824,20 +824,6 @@ def hstack(mats: list[Matrix]) -> Matrix:
     return Matrix._trusted(rows, sum(cols for _data, cols in parts), field, out)
 
 
-def vstack(mats: list[Matrix]) -> Matrix:
-    if not mats:
-        raise ValueError("vstack of nothing")
-    cols = mats[0].cols
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("column count mismatch in vstack")
-        m._check_same_field(mats[0])
-    out = []
-    for m in mats:
-        out.extend(m.data)
-    return Matrix._trusted(sum(m.rows for m in mats), cols, mats[0].field, out)
-
-
 def block_matrix(row_dims, col_dims, blocks, field) -> Matrix:
     """Assemble a block matrix from a {(i, j): Matrix} dict.
 

@@ -25,9 +25,11 @@ exact span computation, that H generates A, or returns None.
 `check_algebra` uses the first lemma and the certificate, and falls back
 to the full loop whenever either does not apply. A pass is kept on the
 algebra (`report.kept`) with its H as `a.generators`, a tuple, so a
-later check is a lookup; `mult` and the space's `dims` are read-only
-views and no attribute of the algebra can be rebound, so a kept pass
-stays true.
+later check is a lookup. `mult`, a module's `action`, a morphism's
+`components` and the space's `dims` are read-only views, and no
+attribute of an algebra, a module or a morphism can be rebound
+(`report.BoundOnce`), so a kept pass stays true and the regular module
+that Gamma(A) reads stays A's own.
 
 `_multiplicativity_failure` is the one loop that checks a degreewise
 family phi_d multiplicative from S to T: `check_algebra_morphism` (phi
@@ -52,7 +54,7 @@ from types import MappingProxyType
 
 from .exactmath import QQ, Matrix, column_echelon, hstack, kron, mul_kron
 from .groups import FiniteGroup, IntegerWindow, same_group
-from .report import Report, kept
+from .report import BoundOnce, Report, kept
 
 
 class GradedVectorSpace:
@@ -121,7 +123,7 @@ def _structure_maps(label, maps, left, right, field) -> dict:
     return checked
 
 
-class GradedAlgebra:
+class GradedAlgebra(BoundOnce):
     """(A_g, m_{g,h}: A_g (x) A_h -> A_gh, u: 1 -> A_e) with explicit matrices.
 
     An attribute cannot be rebound once set, and `mult` is a read-only
@@ -138,11 +140,6 @@ class GradedAlgebra:
         if unit.field != field:
             raise ValueError("unit field mismatch")
         self.unit = unit
-
-    def __setattr__(self, name, value):
-        if name in self.__dict__:
-            raise AttributeError(f"GradedAlgebra.{name} cannot be rebound")
-        super().__setattr__(name, value)
 
     @property
     def generators(self):
@@ -179,9 +176,9 @@ class GradedAlgebra:
         return f"GradedAlgebra(dims={dict(sorted(self.space.dims.items()))})"
 
 
-class GradedModule:
+class GradedModule(BoundOnce):
     """(M_g, rho_{g,h}: M_g (x) A_h -> M_gh) over a fixed graded algebra
-    (`action`, read-only).
+    (`action`, read-only; no attribute can be rebound).
 
     The action is checked by `_structure_maps` unless it is the algebra's
     own read-only `mult` on the algebra's own space, which
@@ -230,8 +227,9 @@ class GradedModule:
         return f"GradedModule(dims={dict(sorted(self.space.dims.items()))})"
 
 
-class GradedMorphism:
-    """Degree-preserving family of matrices f_g: source_g -> target_g (`components`, read-only)."""
+class GradedMorphism(BoundOnce):
+    """Degree-preserving family of matrices f_g: source_g -> target_g
+    (`components`, read-only; no attribute can be rebound)."""
 
     def __init__(self, source: GradedVectorSpace, target: GradedVectorSpace, components: dict, field):
         if not same_group(source.group, target.group):

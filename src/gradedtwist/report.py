@@ -64,3 +64,13 @@ def kept(check):
         return report
 
     return keeping
+
+
+class BoundOnce:
+    """A base whose attributes cannot be rebound once set, so a report
+    `kept` on the object, or a structure built on it, cannot go stale."""
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__:
+            raise AttributeError(f"{type(self).__name__}.{name} cannot be rebound")
+        super().__setattr__(name, value)

@@ -54,7 +54,7 @@ from .graded import (
     check_algebra_morphism,
 )
 from .groups import IntegerWindow, is_cyclic_table
-from .report import Report, kept
+from .report import BoundOnce, Report, kept
 
 EXPLICIT = "explicit"
 COCYCLE = "cocycle"
@@ -99,7 +99,7 @@ def _table_window(group, maps, shape, needed, name):
     return None
 
 
-class TwistingSystem:
+class TwistingSystem(BoundOnce):
     """A twisting system on `algebra`, read through one table of tau_d(g).
 
     `maps` is a read-only view of tau_d(g) at key (d, g). An explicit
@@ -163,11 +163,6 @@ class TwistingSystem:
         )
         if self._d_window is not None:
             self._require_twisted_algebra_entries()
-
-    def __setattr__(self, name, value):
-        if name in self.__dict__:
-            raise AttributeError(f"TwistingSystem.{name} cannot be rebound")
-        super().__setattr__(name, value)
 
     def _require_twisted_algebra_entries(self):
         """A stored window must hold every tau_g(h) that A^tau reads."""
@@ -456,7 +451,7 @@ def check_unit_lemma(t: TwistingSystem) -> Report:
 # phi families (the isomorphism-level characterization of twists)
 
 
-class PhiFamily:
+class PhiFamily(BoundOnce):
     """Invertible maps phi_d(g): B_g -> A_g, doubly indexed by degree (`maps`, read-only).
 
     An attribute cannot be rebound once set, so a pass that
@@ -472,11 +467,6 @@ class PhiFamily:
         self._d_window = _table_window(
             source.group, self.maps, lambda g: (target.dim(g), source.dim(g)), source.support(), "phi"
         )
-
-    def __setattr__(self, name, value):
-        if name in self.__dict__:
-            raise AttributeError(f"PhiFamily.{name} cannot be rebound")
-        super().__setattr__(name, value)
 
     def d_degrees(self):
         if self._d_window is not None:

@@ -21,7 +21,8 @@ returns (passed, witness) and visits the degrees in the library's order,
 so a failure must name the same witness.
 
 `reference_inverse` is the dense inverse, a `rref` of [m | I], that
-`exactmath.inverse` computes by sparse elimination.
+`exactmath.inverse` computes by sparse elimination. `vstack` stacks
+matrices top to bottom, the tests' counterpart of `exactmath.hstack`.
 
 `sharp`, `flat`, `evaluation`, `coevaluation`, `postcompose` and
 `zero_module` are the closed-structure maps and the zero module that the
@@ -276,6 +277,17 @@ def reference_inverse(m):
         rank_m = sum(1 for p in pivots if p < n)
         raise SingularMatrixError(f"matrix of rank {rank_m} is singular at size {n}")
     return Matrix._trusted(n, n, m.field, [x for i in range(n) for x in r.row(i)[n:]])
+
+
+def vstack(mats: list) -> Matrix:
+    if not mats:
+        raise ValueError("vstack of nothing")
+    cols = mats[0].cols
+    for m in mats:
+        if m.cols != cols:
+            raise ValueError("column count mismatch in vstack")
+        m._check_same_field(mats[0])
+    return Matrix._trusted(sum(m.rows for m in mats), cols, mats[0].field, [x for m in mats for x in m.data])
 
 
 def sharp(nu: Matrix, dim_x: int, dim_y: int) -> Matrix:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composites import reference_inverse
+from composites import reference_inverse, vstack
 from gradedtwist import exactmath, serialize
 from gradedtwist.enriched import build_RS
 from gradedtwist.exactmath import (
@@ -29,7 +29,6 @@ from gradedtwist.exactmath import (
     sparse_column_echelon,
     sparse_kernel,
     try_inverse,
-    vstack,
 )
 from gradedtwist.fixtures import quantum_plane
 from gradedtwist.graded import regular_module

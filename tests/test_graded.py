@@ -8,6 +8,7 @@ import pytest
 
 from composites import reference_check_algebra, zero_module
 from gradedtwist import graded
+from gradedtwist.enriched import gamma_algebra
 from gradedtwist.exactmath import QQ, Matrix, PrimeField
 from gradedtwist.graded import (
     GradedAlgebra,
@@ -350,6 +351,20 @@ class TestKeptVerdicts:
         assert regular_module(a) is reg and reg.action == a.mult
         with pytest.raises(TypeError):
             reg.action[(0, 0)] = Matrix.identity(1, QQ)
+
+    @pytest.mark.parametrize("name", ["action", "space", "algebra", "field"])
+    def test_a_held_regular_module_cannot_be_rebound(self, name):
+        a = quantum_plane(3)[0]
+        assert check_algebra(a).passed
+        reg = regular_module(a)
+        action = dict(reg.action)
+        action[(1, 1)] = Matrix.zeros(action[(1, 1)].rows, action[(1, 1)].cols, QQ)
+        with pytest.raises(AttributeError, match=f"GradedModule.{name} cannot be rebound"):
+            setattr(reg, name, action if name == "action" else None)
+        assert regular_module(a) is reg and reg.action is a.mult
+        # a zeroed (1, 1) action block, had it been accepted, gave Gamma_1 dimension 14
+        gamma = gamma_algebra(a)
+        assert {g: gamma.dim(g) for g in gamma.degrees} == {0: 1, 1: 2, 2: 3, 3: 4}
 
     def test_the_regular_module_shares_the_algebra_s_checked_mult(self):
         a = quantum_plane(2)[0]

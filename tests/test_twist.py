@@ -642,6 +642,19 @@ def test_a_kept_system_s_sigma_cannot_be_rebound():
     assert not check_twist_condition(TwistingSystem(a, AUTOMORPHISM, sigma=zero)).passed
 
 
+def test_a_kept_system_s_sigma_components_cannot_be_rebound():
+    a, t = quantum_plane(2)
+    kept = check_twist_condition(t)
+    before = t.tau(1, 1)
+    swap = {**t.sigma.components, 1: Matrix.from_rows([[0, 1], [1, 0]], QQ)}
+    with pytest.raises(AttributeError, match="GradedMorphism.components cannot be rebound"):
+        t.sigma.components = swap
+    assert check_twist_condition(t) is kept and t.tau(1, 1) == before != swap[1]
+    # a system on the swap fails, so a rebound sigma would have left a stale pass
+    fresh = TwistingSystem(a, AUTOMORPHISM, sigma=GradedMorphism(a.space, a.space, swap, QQ))
+    assert check_twist_condition(fresh).witness == {"sigma-not-an-algebra-morphism": ("multiplicativity", (1, 1))}
+
+
 def test_a_kept_system_s_maps_cannot_be_rebound():
     a, t = sign_twist()
     kept = check_twist_condition(t)
