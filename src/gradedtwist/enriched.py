@@ -102,6 +102,8 @@ convention (left factor owns the coarse index).
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .exactmath import (
     Matrix,
     block_matrix,
@@ -126,7 +128,7 @@ from .graded import (
     shift_module,
 )
 from .groups import IntegerWindow, same_group
-from .report import Report, merge
+from .report import BoundOnce, Report, merge
 
 # ---------------------------------------------------------------------------
 # closed-structure primitives on plain (ungraded) spaces
@@ -408,20 +410,28 @@ def compose_homs(left: ModuleHomSpace, fs: Matrix, right: ModuleHomSpace, gs: Ma
 # the endomorphism algebra Gamma
 
 
-class GammaAlgebra:
+class GammaAlgebra(BoundOnce):
     """[[A, A]] of the regular module, rendered as a graded algebra.
 
     `spaces[g]` is the Hom space [[A, A]]_g on its canonical basis; `graded` is the
     algebra on the canonical bases (multiplication by composition,
-    unit = the identity family).
+    unit = the identity family). `left_multiplications[g]`, where
+    gamma_algebra wrote it, holds the L_x of the basis of `algebra`'s A_g
+    on the layout of `spaces[g]`, for `endo_iso` to read instead of
+    writing them again; a GammaAlgebra built by hand has none, so
+    endo_iso writes them from its own `algebra`. Both tables are
+    read-only views and no attribute can be rebound, so the L_x stay
+    those of `algebra` on the layouts of `spaces`.
     """
 
-    def __init__(self, algebra: GradedAlgebra, degrees, spaces, graded: GradedAlgebra, module: GradedModule):
+    def __init__(self, algebra: GradedAlgebra, degrees, spaces, graded: GradedAlgebra, module: GradedModule,
+                 left_multiplications=None):
         self.algebra = algebra
         self.degrees = list(degrees)
-        self.spaces = spaces
+        self.spaces = MappingProxyType(dict(spaces))
         self.graded = graded
         self.module = module
+        self.left_multiplications = MappingProxyType(dict(left_multiplications or {}))
 
     def dim(self, g) -> int:
         space = self.spaces.get(g)
@@ -461,7 +471,8 @@ def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
     is_algebra = check_algebra(a).passed
     group = a.group
     degrees = a.support() if isinstance(group, IntegerWindow) else list(group.elements())
-    spaces = {g: _hom_space(reg, g, is_algebra) for g in degrees}
+    built = {g: _hom_space(reg, g, is_algebra) for g in degrees}
+    spaces = {g: space for g, (space, _written) in built.items()}
     dims = {g: spaces[g].dim for g in degrees if spaces[g].dim}
     unit_space = spaces.get(group.identity)
     if unit_space is None or not unit_space.dim:
@@ -471,18 +482,21 @@ def gamma_algebra(a: GradedAlgebra) -> GammaAlgebra:
     mult = _products(spaces, support, support if a.generators is None else a.generators, unit, group)
     mult = {(g, h): mult[(g, h)] for g in support for h in support if (g, h) in mult}  # in the order of the pairs
     graded = GradedAlgebra(GradedVectorSpace(group, dims), mult, unit, a.field)
-    return GammaAlgebra(a, degrees, spaces, graded, reg)
+    written = {g: columns for g, (_space, columns) in built.items() if columns is not None}
+    return GammaAlgebra(a, degrees, spaces, graded, reg, written)
 
 
-def _hom_space(reg: GradedModule, g, is_algebra: bool) -> ModuleHomSpace:
-    """[[A, A]]_g of the regular module of A = reg.algebra.
+def _hom_space(reg: GradedModule, g, is_algebra: bool) -> tuple:
+    """([[A, A]]_g, the L_x it wrote or None) for the regular module of
+    A = reg.algebra.
 
     When `is_algebra` (A's check_algebra passed) and reg acts by A's own
     `mult`, the columns L_x span the space by the Yoneda argument of the
     module docstring: they are written on the space's layout and reduced,
     and no D is written. build_RS's D, over the target blocks of
     H = `a.generators` when it is set, is eliminated instead when A is
-    not proved an algebra or the L_x have rank below dim A_g.
+    not proved an algebra or the L_x have rank below dim A_g. The L_x
+    are returned only with the space they span.
     """
     a = reg.algebra
     if is_algebra and reg.action is a.mult:
@@ -491,8 +505,8 @@ def _hom_space(reg: GradedModule, g, is_algebra: bool) -> ModuleHomSpace:
         columns = (dict(column) for column in candidates.transpose().nonzero_rows())
         kernel, pivots = sparse_column_echelon(columns, candidates.rows, a.field)
         if len(pivots) == a.dim(g):
-            return ModuleHomSpace.from_kernel(reg, reg, g, layout, kernel, pivots)
-    return ModuleHomSpace(reg, reg, g, *build_RS(reg, reg, g, a.generators)[:2])
+            return ModuleHomSpace.from_kernel(reg, reg, g, layout, kernel, pivots), candidates
+    return ModuleHomSpace(reg, reg, g, *build_RS(reg, reg, g, a.generators)[:2]), None
 
 
 def _left_multiplications(a: GradedAlgebra, layout, g) -> Matrix:
@@ -636,12 +650,13 @@ def endo_iso(gamma: GammaAlgebra):
 
     phi_g sends x in A_g to left multiplication L_x: on the block p of
     W_g, with q = g^-1 p, it is the curried multiplication
-    sharp(m_{g,q}): A_g -> [A_q, A_p]. `_left_multiplications` writes the
-    L_x of the basis of A_g from A's mult blocks, the same columns
-    gamma_algebra certifies as spanning Gamma_g when A is an algebra, and
-    phi_g is their coordinates in the canonical basis of Gamma_g, read by
-    `coords`: the exact membership check. psi_g is materialized as the
-    literal chain
+    sharp(m_{g,q}): A_g -> [A_q, A_p]. The L_x of the basis of A_g are
+    those gamma_algebra wrote and certified as spanning Gamma_g
+    (`gamma.left_multiplications`); where it wrote none, as for a
+    GammaAlgebra built by hand, `_left_multiplications` writes them from
+    A's mult blocks. phi_g is their coordinates in the canonical basis
+    of Gamma_g, read by `coords`: the exact membership check. psi_g is
+    materialized as the literal chain
 
         Gamma_g >--> W_g --project--> [A_e, A_g] --[u, A_g]--> [k, A_g] = A_g
 
@@ -662,7 +677,9 @@ def endo_iso(gamma: GammaAlgebra):
         n_g = a.dim(g)
         dim_gamma = space.dim
         block_sizes = [size for _p, _off, size in space.source_layout]
-        vectors = _left_multiplications(a, space.source_layout, g)
+        vectors = gamma.left_multiplications.get(g)
+        if vectors is None:
+            vectors = _left_multiplications(a, space.source_layout, g)
         try:
             phi_g = space.coords(vectors)
         except ValueError:

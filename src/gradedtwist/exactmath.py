@@ -10,10 +10,11 @@ pairs of nonzero entries, `kron` skips zero entries of either factor, and
 `rref` updates a row only where the pivot row is nonzero. `mul_kron(x, f,
 g)` is `x @ kron(f, g)`, bit for bit, without the Kronecker product: a
 column i*g.rows + j of x meets row i of f and row j of g directly, which
-is how the axiom checkers and twist builders evaluate composites such as
-rho (rho (x) id). `sparse_kernel` takes a matrix as `kernel_matrix` does
-and returns the same kernel, bit for bit, by eliminating only the rows of
-its nonzero-row index; its second half, `sparse_column_echelon`, puts
+is how the twist builders, and the axiom checkers on components of
+dimension above 1, evaluate composites such as rho (rho (x) id).
+`sparse_kernel` takes a matrix as `kernel_matrix` does and returns the
+same kernel, bit for bit, by eliminating only the rows of its
+nonzero-row index; its second half, `sparse_column_echelon`, puts
 any spanning set of sparse vectors in that canonical form, and
 `enriched.gamma_algebra` uses it on a candidate basis it has certified.
 `inverse` runs `sparse_kernel`'s elimination on [m | I],
@@ -36,10 +37,14 @@ that cancel.
 When every operand is 1x1, `mat_mul` and `mul_kron` make their one
 product (two for `mul_kron`, in the general path's order) and return,
 without building the accumulation rows. Over a group algebra every
-component is 1-dimensional, so every structure-map composite of its
-checkers and of Gamma has that shape; there the guards and the
-bookkeeping of the general path cost more than the arithmetic
-(BENCH_19.json measures the path against a copy without it).
+component is 1-dimensional, so the composites of its twist builders, unit
+checks and generating-degree certificate, and Gamma's derived products,
+have that shape; there the guards and the bookkeeping of the general
+path cost more than the arithmetic (BENCH_19.json measures the path
+against a copy without it). The shared checker loops of `graded` no
+longer build such composites at all: on 1-dimensional components they
+compare products of the scalars themselves (`graded._one_dimensional`),
+which skips the 1x1 matrices too.
 
 Entries from outside (parsed files, user code) are coerced and checked by
 `Matrix(...)`. The two constructors of the kernels skip that work: they
@@ -66,6 +71,7 @@ convention.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 # Miller-Rabin with the first 13 primes as bases is exact below the
@@ -101,6 +107,8 @@ def _is_prime(n: int) -> bool:
 
 _FRACTION_ZERO = Fraction(0)
 _FRACTION_ONE = Fraction(1)
+# a rational as files write it: an optional sign, digits, optionally "/" and digits
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
 
 
 class RationalField:
@@ -157,6 +165,13 @@ class RationalField:
         return str(a)
 
     def parse(self, s: str):
+        """The rational `s` writes as an optional sign, digits, and
+        optionally "/" and digits, with optional surrounding whitespace.
+        Anything else, a decimal or an exponent among them, is refused
+        before `Fraction` reads it: it would read "1e999999999" by
+        building an integer of a billion digits."""
+        if not _RATIONAL.fullmatch(s):
+            raise ValueError(f"scalar {s!r} is not an integer or a fraction p/q")
         return Fraction(s.strip())
 
     def __eq__(self, other):

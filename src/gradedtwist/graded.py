@@ -43,6 +43,23 @@ the unique empty/zero matrix and may be omitted (checkers treat the
 missing identities as vacuous). This is what keeps integer-window data
 finite. For the same reason the checkers skip every identity whose two
 sides map into a zero component: both are empty matrices there.
+
+One-dimensional components. Over a group algebra k[G], its cocycle
+twists, or any grading whose components all have dimension 1, every
+block the shared loops read is 1x1: `_associativity_failure` (for
+check_algebra and check_module), `_multiplicativity_failure` and
+check_module_morphism. `_one_dimensional` decides this from the dims
+alone: every component of the algebra and of the module or source is
+1-dimensional and, for a map, the target has the source's dims. Those
+loops then read each structure map's single entry once into a
+{key: scalar} table (`_entries`), where a key the storage rule leaves
+out reads as zero, and compare the two sides of each identity as
+products of field scalars. That is exact, and it names the same
+witness: a 1x1 `mul_kron` is the product of its three entries (an
+identity factor is 1), two 1x1 matrices are equal exactly when their
+entries are, entries are canonical, and the loops keep their nesting
+and skips. Every other input, a quantum plane or a map between spaces
+of different dims among them, takes the Matrix path.
 """
 
 from __future__ import annotations
@@ -400,9 +417,29 @@ def _associativity_failure(m: GradedModule, middles):
     """The first (g, h, k), with g over supp M, h over `middles` and k
     over supp A in that nesting, at which rho_{gh,k} (rho_{g,h} (x) id)
     and rho_{g,hk} (id (x) m_{h,k}) differ; None if there is none. Both
-    sides map into M_ghk, so a triple with M_ghk = 0 is skipped."""
+    sides map into M_ghk, so a triple with M_ghk = 0 is skipped.
+
+    When every component of M and A is 1-dimensional (`_one_dimensional`),
+    each side is a product of two scalars, rho_{gh,k} rho_{g,h} and
+    rho_{g,hk} m_{h,k}, read from `_entries` tables: the identity factor
+    of each 1x1 `mul_kron` is 1. The nesting and the skip are the same,
+    so the first witness is too."""
     mul = m.group.mul_unchecked  # every degree below is a support element or a product of them
     a, m_dims = m.algebra, m.space.dims
+    if _one_dimensional(a.space, m.space):
+        act, mult = _entries(m.action), _entries(a.mult)
+        zero, times = m.field.zero, m.field.mul
+        for g in m.support():
+            for h in middles:
+                gh = mul(g, h)
+                rho = act.get((g, h), zero)
+                for k in a.support():
+                    if mul(gh, k) not in m_dims:
+                        continue
+                    hk = mul(h, k)
+                    if times(act.get((gh, k), zero), rho) != times(act.get((g, hk), zero), mult.get((h, k), zero)):
+                        return (g, h, k)
+        return None
     ident_m = {g: Matrix.identity(m.dim(g), m.field) for g in m.support()}
     ident_a = {k: Matrix.identity(a.dim(k), m.field) for k in a.support()}
     for g in m.support():
@@ -417,6 +454,21 @@ def _associativity_failure(m: GradedModule, middles):
                 if lhs != rhs:
                     return (g, h, k)
     return None
+
+
+def _one_dimensional(algebra: GradedVectorSpace, source: GradedVectorSpace, target=None) -> bool:
+    """Whether a checker loop over these spaces reads only 1x1 blocks:
+    every component of `algebra` and `source` is 1-dimensional and, for
+    a map from `source`, `target` has the same dims. A key absent from a
+    structure map is then a zero block under the storage rule, so the
+    loop may compare products of the scalars in `_entries` tables."""
+    return (all(d == 1 for d in algebra.dims.values()) and all(d == 1 for d in source.dims.values())
+            and (target is None or target.dims == source.dims))
+
+
+def _entries(maps) -> dict:
+    """{key: the single entry} of a mapping of 1x1 matrices."""
+    return {key: m.data[0] for key, m in maps.items()}
 
 
 def check_algebra_morphism(f: GradedMorphism, a: GradedAlgebra, b: GradedAlgebra) -> Report:
@@ -438,8 +490,25 @@ def _multiplicativity_failure(target: GradedAlgebra, source: GradedAlgebra, dees
     phi(d g1, g2)) and phi(d, g1 g2) m^S_{g1,g2} differ; None if there is
     none. Both sides map into T_{g1 g2}, so a pair with T_{g1 g2} = 0 is
     skipped, and so is a tuple for which `has` reports one of its three
-    maps missing."""
+    maps missing.
+
+    When every component of T and S is 1-dimensional and their dims are
+    equal (`_one_dimensional`), every phi(d, g) is 1x1 and each side is
+    a product of three scalars, in the nesting and with the skips above."""
     mul, t_dims, supp = source.group.mul_unchecked, target.space.dims, source.support()
+    if _one_dimensional(target.space, source.space, target.space):
+        m_t, m_s = _entries(target.mult), _entries(source.mult)
+        zero, times = target.field.zero, target.field.mul
+        pairs = [(g1, g2, mul(g1, g2), m_t.get((g1, g2), zero), m_s.get((g1, g2), zero))
+                 for g1 in supp for g2 in supp if mul(g1, g2) in t_dims]
+        for d in dees:
+            for g1, g2, g1g2, x_t, x_s in pairs:
+                dg1 = mul(d, g1)
+                if not (has(d, g1) and has(dg1, g2) and has(d, g1g2)):
+                    continue
+                if times(times(x_t, phi(d, g1).data[0]), phi(dg1, g2).data[0]) != times(phi(d, g1g2).data[0], x_s):
+                    return (d, g1, g2)
+        return None
     # the structure maps do not depend on d, so they are read once
     pairs = [(g1, g2, mul(g1, g2), target.mult_map(g1, g2), source.mult_map(g1, g2))
              for g1 in supp for g2 in supp if mul(g1, g2) in t_dims]
@@ -454,12 +523,31 @@ def _multiplicativity_failure(target: GradedAlgebra, source: GradedAlgebra, dees
 
 
 def check_module_morphism(f: GradedMorphism, m: GradedModule, n: GradedModule) -> Report:
+    """f: M -> N intertwines the actions: rho^N_{g,h} (f_g (x) id) =
+    f_gh rho^M_{g,h} for g over supp M and h over supp A, the first
+    failing (g, h) the witness; a pair with N_gh = 0 is skipped.
+
+    When every component of A and M is 1-dimensional and N has M's dims
+    (`_one_dimensional`), each side is a product of two scalars from
+    `_entries` tables, in the same order and with the same skip."""
     if m.algebra is not n.algebra and m.algebra != n.algebra:
         raise ValueError("modules live over different algebras")
     if f.source.dims != m.space.dims or f.target.dims != n.space.dims:
         raise ValueError("morphism endpoints do not match the given modules")
     mul, n_dims = m.group.mul_unchecked, n.space.dims
     a = m.algebra
+    if _one_dimensional(a.space, m.space, n.space):
+        comps, m_act, n_act = _entries(f.components), _entries(m.action), _entries(n.action)
+        zero, times = a.field.zero, a.field.mul
+        for g in m.support():
+            f_g = comps.get(g, zero)
+            for h in a.support():
+                gh = mul(g, h)
+                if gh not in n_dims:
+                    continue
+                if times(n_act.get((g, h), zero), f_g) != times(comps.get(gh, zero), m_act.get((g, h), zero)):
+                    return Report("check_module_morphism", False, witness=("intertwining", (g, h)))
+        return Report("check_module_morphism", True)
     ident_a = {h: Matrix.identity(a.dim(h), a.field) for h in a.support()}
     for g in m.support():
         for h in a.support():

@@ -63,6 +63,8 @@ def _scalar(x, field):
             return field.parse(x)
         except ZeroDivisionError:
             raise FileFormatError(f"scalar {x!r} has a zero denominator") from None
+        except ValueError as exc:
+            raise FileFormatError(str(exc)) from None
     if isinstance(x, int) and not isinstance(x, bool):
         return field.coerce(x)
     raise FileFormatError(f"scalar {x!r} is neither a string nor an integer")

@@ -213,7 +213,7 @@ class TestSpacesAndEndo:
     @pytest.mark.parametrize("command", ["gamma", "verify-endo"])
     def test_gamma_refuses_a_non_algebra(self, runner, tmp_path, command):
         data = read_json(FIXTURES / "z2.alg.json")
-        data["mult"]["0,0"]["entries"] = ["0.5"]
+        data["mult"]["0,0"]["entries"] = ["1/2"]
         bad = tmp_path / "bad.alg.json"
         write_json(bad, data)
         out = tmp_path / "gamma.alg.json"

@@ -8,7 +8,9 @@ JSON type, a scalar with a zero denominator, a malformed or out-of-group
 `check-group` reports a non-group table as a failure, exit 1; swapping
 two values of a file may produce any of the three exits. An input file
 that holds no JSON object at all ([], a string, a number, null) must
-exit 2 as well, for every command and every input position."""
+exit 2 as well, for every command and every input position, and so must a
+rational scalar written as a decimal or with an exponent, which the
+parser refuses before it does any arithmetic."""
 
 import copy
 import tempfile
@@ -178,3 +180,20 @@ def test_mutated_fixtures_exit_0_1_or_2_without_a_traceback(data):
         result = CliRunner().invoke(main, args)
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code in allowed, result.output
+
+
+@pytest.mark.parametrize("scalar", ["1e999999999", "1e5", "0.5"])
+@pytest.mark.parametrize("command, options", [("check-algebra", []), ("gamma", ["-o", "OUT"]), ("verify-endo", [])],
+                         ids=["check-algebra", "gamma", "verify-endo"])
+def test_a_decimal_or_exponent_scalar_exits_2(command, options, scalar):
+    doc = copy.deepcopy(DOCUMENTS["z2.alg.json"])
+    doc["mult"]["1,1"]["entries"] = [scalar]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "z2.alg.json"
+        write_json(path, doc)
+        args = [command, str(path)] + [str(Path(tmp) / "out.json") if opt == "OUT" else opt for opt in options]
+        result = CliRunner().invoke(main, args)
+        assert not (Path(tmp) / "out.json").exists()
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 2 and "Traceback" not in result.output, result.output
+    assert f"scalar {scalar!r}" in result.output

@@ -811,7 +811,8 @@ class TestCertifiedHomSpaces:
         copy = GradedModule(a.space, a, dict(a.mult))
         eliminated = count_eliminations(monkeypatch)
         for g in gamma.degrees:
-            space = enriched._hom_space(copy, g, True)
+            space, written = enriched._hom_space(copy, g, True)
+            assert written is None
             assert (space.kernel, space.pivots) == (gamma.spaces[g].kernel, gamma.spaces[g].pivots)
         assert len(eliminated) == len(gamma.degrees)
 
@@ -820,9 +821,9 @@ class TestCertifiedHomSpaces:
         real = enriched._hom_space
 
         def recorded(reg, g, is_algebra):
-            space = real(reg, g, is_algebra)
+            space, written = real(reg, g, is_algebra)
             built.append((reg, space))
-            return space
+            return space, written
 
         monkeypatch.setattr(enriched, "_hom_space", recorded)
         written = []
@@ -894,6 +895,33 @@ class TestEndoIso:
         gb = gamma_algebra(twist_algebra(a, t))
         _phi, _psi, report = endo_iso(GammaAlgebra(a, gb.degrees, gb.spaces, gb.graded, gb.module))
         assert report.witness == {"failed": "endo_iso", "witness": ("membership", (1, 0))}
+
+    def test_endo_iso_reads_the_left_multiplications_gamma_wrote(self, monkeypatch):
+        # k[S4]: gamma_algebra writes each L_x once, and endo_iso reads them
+        # back; a GammaAlgebra built by hand writes its own algebra's
+        written = []
+        real = enriched._left_multiplications
+        monkeypatch.setattr(enriched, "_left_multiplications",
+                            lambda a, layout, g: written.append(g) or real(a, layout, g))
+        a = group_algebra(symmetric_group(4), F7)
+        gamma = gamma_algebra(a)
+        phi, psi, report = endo_iso(gamma)
+        assert report.passed and sorted(written) == sorted(gamma.left_multiplications) == list(range(24))
+        written.clear()
+        by_hand = GammaAlgebra(a, gamma.degrees, gamma.spaces, gamma.graded, gamma.module)
+        assert dict(by_hand.left_multiplications) == {}
+        again = endo_iso(by_hand)
+        assert sorted(written) == list(range(24)) and again[:2] == (phi, psi) and again[2].passed
+
+    def test_a_gamma_algebra_cannot_be_rebound(self):
+        a, t = quantum_plane(2)
+        gamma = gamma_algebra(a)
+        for name, value in (("algebra", twist_algebra(a, t)), ("spaces", {}), ("left_multiplications", {})):
+            with pytest.raises(AttributeError, match=f"GammaAlgebra.{name} cannot be rebound"):
+                setattr(gamma, name, value)
+        with pytest.raises(TypeError):
+            gamma.left_multiplications[1] = Matrix.zeros(1, 1, QQ)
+        assert endo_iso(gamma)[2].passed
 
 
 def dense_permutation(from_layout, to_layout, send):

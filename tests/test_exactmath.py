@@ -362,6 +362,19 @@ def test_rational_scalar_string_roundtrip(x):
     assert QQ.parse(QQ.format(x)) == x
 
 
+@pytest.mark.parametrize("text, value", [("-3/4", Fraction(-3, 4)), ("+5", Fraction(5)), (" 007 ", Fraction(7)),
+                                         ("\t2/6\n", Fraction(1, 3)), ("-0", Fraction(0))])
+def test_rational_scalars_are_a_sign_digits_and_an_optional_denominator(text, value):
+    assert QQ.parse(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "1e5", "0.5", ".5", "5.", "1_000", "1 / 2", "1/-2", "--1", "",
+                                  " ", "inf", "nan", "\u0663", "1/2/3", "0x10"])
+def test_a_rational_scalar_in_any_other_form_is_refused(text):
+    with pytest.raises(ValueError, match="is not an integer or a fraction p/q"):
+        QQ.parse(text)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=6))
 def test_prime_scalar_string_roundtrip(x):
